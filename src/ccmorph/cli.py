@@ -8,6 +8,7 @@ overridden with the CCMORPH_THREADS environment variable.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -53,24 +54,8 @@ def _add_config_args(p: argparse.ArgumentParser):
     p.add_argument("--template-plane", dest="template_plane")
 
 
-_CONFIG_KEYS = (
-    "sigma_vox",
-    "iso",
-    "max_area_mm2",
-    "n_samples",
-    "schemes",
-    "slab_width_mm",
-    "slab_spacing_mm",
-    "cc_labels",
-    "threads",
-    "write_svg",
-    "template_seg",
-    "template_plane",
-)
-
-
 def _config_from_args(args) -> RunConfig:
-    overrides = {k: getattr(args, k, None) for k in _CONFIG_KEYS}
+    overrides = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(RunConfig)}
     return RunConfig.from_file(args.config or None, overrides)
 
 

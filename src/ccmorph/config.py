@@ -23,13 +23,10 @@ class RunConfig:
     slab_width_mm: float = 5.0
     slab_spacing_mm: float = 0.0  # 0 -> smallest voxel size
     cc_labels: list = field(default_factory=lambda: [251, 252, 253, 254, 255])
-    solver_tol: float = 1e-10
     threads: int = 1
     write_svg: bool = True
     template_seg: str = ""
     template_plane: str = ""
-    anterior_offset: list = field(default_factory=lambda: [0.0, 0.0])
-    posterior_offset: list = field(default_factory=lambda: [0.0, 0.0])
 
     def validate(self) -> "RunConfig":
         if self.sigma_vox <= 0:

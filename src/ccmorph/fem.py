@@ -97,19 +97,28 @@ def solve_dirichlet(mesh: TriMesh2D, fixed, matrix: sparse.csr_matrix | None = N
     if not fixed:
         raise ValueError("need at least one fixed vertex")
     W = stiffness_matrix(mesh) if matrix is None else matrix
-    n = mesh.n_vertices
-    vals = np.zeros(n)
-    is_fixed = np.zeros(n, dtype=bool)
+    return _solve_reduced(W, np.zeros(mesh.n_vertices), fixed)
+
+
+def _solve_reduced(W: sparse.csr_matrix, h: np.ndarray, fixed) -> np.ndarray:
+    """Solve (W @ u)[free] = h[free] for u, holding the (vertex, value) pairs.
+
+    The reduced right-hand side is h[free] - W[free][:, fixed] @ u[fixed];
+    a direct sparse factorization solves it. A singular reduced system (a
+    mesh part with no fixed vertex) raises ValueError.
+    """
+    vals = np.zeros(len(h))
+    is_fixed = np.zeros(len(h), dtype=bool)
     for v, val in fixed:
         is_fixed[v] = True
         vals[v] = val
     free = np.nonzero(~is_fixed)[0]
     if free.size == 0:
         return vals
-    Wff = W[free][:, free].tocsc()
-    rhs = -W[free][:, is_fixed] @ vals[is_fixed]
+    W_free = W[free]
+    rhs = h[free] - W_free[:, is_fixed] @ vals[is_fixed]
     try:
-        sol = splu(Wff).solve(rhs)
+        sol = splu(W_free[:, free].tocsc()).solve(rhs)
     except RuntimeError as e:
         raise ValueError(f"singular reduced system: {e}") from None
     if not np.all(np.isfinite(sol)):
@@ -155,23 +164,14 @@ def solve_poisson(mesh: TriMesh2D, h: np.ndarray, anchor) -> np.ndarray:
 
     ``anchor`` is a (vertex_index, value) pair. ``h`` must be orthogonal to
     constants (sum zero) for an exactly solvable system; the anchored direct
-    solve leaves a residual below 1e-9 on consistent right-hand sides.
+    solve leaves a residual below 1e-9 on consistent right-hand sides. A
+    singular reduced system (a mesh part without the anchor) raises
+    ValueError.
     """
     h = np.asarray(h, dtype=float)
-    n = mesh.n_vertices
-    if h.shape != (n,):
+    if h.shape != (mesh.n_vertices,):
         raise ValueError("h must be per-vertex")
-    av, aval = anchor
-    W = stiffness_matrix(mesh)
-    keep = np.ones(n, dtype=bool)
-    keep[av] = False
-    free = np.nonzero(keep)[0]
-    rhs = h[free] - W[free][:, [av]] @ np.array([aval])
-    sol = splu(W[free][:, free].tocsc()).solve(rhs)
-    out = np.empty(n)
-    out[av] = aval
-    out[free] = sol
-    return out
+    return _solve_reduced(stiffness_matrix(mesh), h, [anchor])
 
 
 def interpolate(mesh: TriMesh2D, values: np.ndarray, points: np.ndarray, locator=None) -> np.ndarray:

@@ -125,12 +125,20 @@ class ShapeSummary:
         }
 
 
-def _superior_dir(lm: Landmarks2D, centroid: np.ndarray) -> np.ndarray:
-    """Unit vector perpendicular to the AC-PC line pointing toward the CC."""
+def _superior_dir(lm: Landmarks2D, outline: np.ndarray) -> np.ndarray:
+    """Unit vector perpendicular to the AC-PC line pointing toward the CC.
+
+    The CC side is the side of the AC-PC line that holds the area centroid
+    of the closed ``outline``. When the line passes through the centroid
+    (within 1e-9 of the outline's extent) that side is rounding noise, so
+    the tie goes to a fixed side, the anterior direction turned by -90
+    degrees, and every mesh of a shape gets the same answer.
+    """
     u = lm.anterior_dir()
     m = np.array([-u[1], u[0]])
-    s = float(m @ (np.asarray(centroid) - (lm.ac + lm.pc) / 2.0))
-    return m if s >= 0 else -m
+    _, centroid, _ = polygon_moments(outline)
+    s = float(m @ (centroid - (lm.ac + lm.pc) / 2.0))
+    return m if s > 1e-9 * float(np.ptp(outline, axis=0).max()) else -m
 
 
 def _nearest_index(points: np.ndarray, anchor: np.ndarray) -> int:
@@ -153,8 +161,7 @@ def find_endpoints(
     """
     pts = contour.points
     u = lm.anterior_dir()
-    centroid = pts.mean(axis=0)
-    m = _superior_dir(lm, centroid)
+    m = _superior_dir(lm, pts)
     anchor_a = lm.ac + anterior_offset[0] * u + anterior_offset[1] * m
     anchor_p = lm.pc - posterior_offset[0] * u + posterior_offset[1] * m
 
@@ -181,16 +188,10 @@ def _split_boundary(mesh: TriMesh2D, lm: Landmarks2D):
     """
     loop = mesh.boundary_loop()
     vpts = mesh.vertices[loop]
-    u = lm.anterior_dir()
-    centroid = mesh.centroids().mean(axis=0)
-    m = _superior_dir(lm, centroid)
-
-    ia = _nearest_index(vpts, lm.ac)
-    ip = _nearest_index(vpts, lm.pc)
-    if ia == ip:
-        raise ValueError("anterior and posterior endpoints coincide")
-    loop = np.roll(loop, -ia)
-    ip = (ip - ia) % len(loop)
+    m = _superior_dir(lm, vpts)
+    ends = find_endpoints(Polyline(vpts, closed=True), lm)
+    loop = np.roll(loop, -ends.anterior)
+    ip = (ends.posterior - ends.anterior) % len(loop)
     arc1 = loop[1:ip]
     arc2 = loop[ip + 1 :]
     anterior = int(loop[0])
@@ -209,11 +210,11 @@ def _split_boundary(mesh: TriMesh2D, lm: Landmarks2D):
 def intercallosal_line(mesh: TriMesh2D, lm: Landmarks2D, n: int):
     """The CC midline: zero level set of the Laplace solution.
 
-    Splits the mesh boundary at the endpoint vertices nearest AC and PC,
-    solves the Laplace equation with -1 on the inferior arc, +1 on the
-    superior arc, and 0 at the two endpoints, then extracts the zero level
-    set and resamples it to n + 2 equidistant points running anterior to
-    posterior.
+    Splits the mesh boundary loop at the endpoint vertices picked by
+    :func:`find_endpoints`, solves the Laplace equation with -1 on the
+    inferior arc, +1 on the superior arc, and 0 at the two endpoints, then
+    extracts the zero level set and resamples it to n + 2 equidistant
+    points running anterior to posterior.
 
     Returns
     -------
@@ -249,30 +250,26 @@ def thickness_profile(mesh: TriMesh2D, f: np.ndarray, line: Polyline, n: int) ->
 
     Rotates the gradients of the Laplace solution by 90 degrees, solves the
     Poisson equation for the conjugate field g, and measures the length of
-    the level set of g through each interior line sample. A level path that
-    does not span from the inferior to the superior boundary is flagged
-    invalid (NaN) rather than interpolated.
+    the level path of g through each interior line sample: the level-set
+    component that crosses the triangle holding the sample. A level path
+    that does not span from the inferior to the superior boundary is
+    flagged invalid (NaN) rather than interpolated.
     """
     if len(line.points) != n + 2:
         raise ValueError(f"line must have n + 2 = {n + 2} points, got {len(line.points)}")
     g_field = conjugate_field(mesh, f, line)
     locator = fem.TriangleLocator(mesh)
-    samples = line.points[1:-1]
-    g_at = fem.interpolate(mesh, g_field, samples, locator)
 
     thickness = np.full(n, np.nan)
     valid = np.zeros(n, dtype=bool)
-    for k in range(n):
-        comps = fem.level_set_components(mesh, g_field, float(g_at[k]))
-        if not comps:
+    for k, p in enumerate(line.points[1:-1]):
+        tid, bary = locator.locate(p)
+        level = float(g_field[mesh.triangles[tid]] @ bary)
+        comps = fem.level_set_components(mesh, g_field, level)
+        path = next((c for c in comps if tid in c["tri_ids"]), None)
+        if path is None or not spans_inferior_superior(f, path):
             continue
-        best = min(
-            comps,
-            key=lambda c: float(((c["points"] - samples[k]) ** 2).sum(axis=1).min()),
-        )
-        if not spans_inferior_superior(f, best):
-            continue
-        thickness[k] = polyline_length(best["points"])
+        thickness[k] = polyline_length(path["points"])
         valid[k] = thickness[k] > 0
 
     length, curvature = length_and_curvature(line)

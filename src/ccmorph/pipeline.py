@@ -32,7 +32,7 @@ from .morphometry import (
 from .subseg import SubsegScheme, subsegment
 from .transforms import Landmarks, Plane, acpc_standardize
 from .triangulate import triangulate
-from .volume import Volume, load_volume
+from .volume import NiftiError, Volume, load_volume
 
 __all__ = [
     "CaseSpec",
@@ -129,6 +129,15 @@ def _load_plane(path) -> Plane:
         raise InputError(f"invalid plane file {path}: {e}") from None
 
 
+def _load_input_volume(path, what) -> Volume:
+    try:
+        return load_volume(path)
+    except FileNotFoundError:
+        raise InputError(f"{what} not found: {path}") from None
+    except NiftiError as e:
+        raise InputError(f"invalid {what} {path}: {e}") from None
+
+
 def run_case(case: CaseSpec, cfg: RunConfig, out_dir=None) -> dict:
     """Run the full geometry pipeline for one case.
 
@@ -173,10 +182,7 @@ def run_case(case: CaseSpec, cfg: RunConfig, out_dir=None) -> dict:
         state["lm3"] = _load_landmarks(case.landmarks)
 
     def s_inputs():
-        try:
-            state["vol"] = load_volume(case.labels)
-        except FileNotFoundError:
-            raise InputError(f"label volume not found: {case.labels}") from None
+        state["vol"] = _load_input_volume(case.labels, "label volume")
         if not state["vol"].is_label_map():
             raise InputError("labels volume must be an integer label map")
 
@@ -185,7 +191,7 @@ def run_case(case: CaseSpec, cfg: RunConfig, out_dir=None) -> dict:
         if case.plane:
             plane = _load_plane(case.plane)
         elif cfg.template_seg and cfg.template_plane:
-            template = load_volume(cfg.template_seg)
+            template = _load_input_volume(cfg.template_seg, "template segmentation")
             tplane = _load_plane(cfg.template_plane)
             plane, transform = midsagittal_plane(vol, template, tplane)
             write_atomic(out / "transform.json", transform.to_json() + "\n")

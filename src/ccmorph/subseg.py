@@ -104,7 +104,6 @@ def subsegment(
     """
     cent = mesh.centroids()
     u = lm.anterior_dir()  # points anterior
-    m_sup = _superior_dir(lm, cent.mean(axis=0))
     ap = -u  # anterior -> posterior direction
 
     if scheme.kind in ("witelson", "hofer_frahm"):
@@ -149,6 +148,7 @@ def subsegment(
     if scheme.kind == "hampel":
         # rectangle fitted around the CC, axis-aligned in the standardized
         # frame; rays fan 180 degrees from a midpoint on the inferior border
+        m_sup = _superior_dir(lm, mesh.vertices[mesh.boundary_loop()])
         pr_u = mesh.vertices @ ap
         pr_m = mesh.vertices @ m_sup
         mid = 0.5 * (pr_u.min() + pr_u.max()) * ap + pr_m.min() * m_sup

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import gzip
 import struct
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,11 +122,15 @@ def load_volume(path) -> Volume:
     Raises
     ------
     NiftiError
-        If the header is malformed (the message names the offending field)
-        or the datatype is unsupported.
+        If the header is malformed (the message names the offending field),
+        the datatype is unsupported, or the (gzip) stream is truncated or
+        corrupt.
     """
-    with _open_maybe_gz(path, "rb") as f:
-        raw = f.read()
+    try:
+        with _open_maybe_gz(path, "rb") as f:
+            raw = f.read()
+    except (EOFError, gzip.BadGzipFile, zlib.error) as e:
+        raise NiftiError(f"truncated or corrupt file: {e}") from None
     if len(raw) < _HDR_SIZE:
         raise NiftiError("malformed header: file shorter than 348-byte header")
 

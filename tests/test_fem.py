@@ -151,6 +151,13 @@ class TestPoisson:
         g = fem.solve_poisson(square_mesh, np.zeros(square_mesh.n_vertices), (3, 5.0))
         np.testing.assert_allclose(g, 5.0, atol=1e-10)
 
+    def test_singular_system_raises_value_error(self):
+        # two disjoint triangles: the one without the anchor has no fixed value
+        verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [3.0, 0.0], [4.0, 0.0], [3.0, 1.0]])
+        mesh = TriMesh2D(verts, np.array([[0, 1, 2], [3, 4, 5]]), np.ones(6, dtype=bool))
+        with pytest.raises(ValueError, match="singular reduced system"):
+            fem.solve_poisson(mesh, np.zeros(6), (0, 0.0))
+
 
 class TestLevelSets:
     def test_planar_cut(self, square_mesh):

@@ -7,6 +7,7 @@ from ccmorph.phantoms import (
     half_annulus_contour,
     half_annulus_landmarks,
     rectangle_contour,
+    rectangle_grid_mesh,
     rectangle_landmarks,
 )
 
@@ -75,6 +76,20 @@ class TestIntercallosalLine:
         line = rect_case["line"]
         # anterior anchor is on the x = 0 side
         assert line.points[0][0] < line.points[-1][0]
+
+    def test_far_landmark_warning(self, rect_case):
+        lm = mo.Landmarks2D(np.array([-200.0, 1.5]), np.array([22.0, 1.5]))
+        with pytest.warns(UserWarning, match="50 mm"):
+            mo.intercallosal_line(rect_case["mesh"], lm, 10)
+
+    def test_superior_side_same_on_every_mesh(self, rect_case):
+        # the AC-PC line runs through the strip's centroid; the tie must pick
+        # the same long side as superior on a triangulated and a grid mesh
+        grid = rectangle_grid_mesh(20.0, 3.0, 0.25)
+        _, f_grid = mo.intercallosal_line(grid, rectangle_landmarks(), 10)
+        for mesh, f in ((rect_case["mesh"], rect_case["f"]), (grid, f_grid)):
+            top = f[np.abs(mesh.vertices[:, 1] - 3.0) < 1e-9]
+            assert len(top) and np.all(top == 1.0)
 
 
 class TestThicknessProfile:

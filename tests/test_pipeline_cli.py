@@ -313,6 +313,26 @@ class TestCLI:
         )
         assert code == 2
 
+    def test_removed_config_key_exit_code_2(self, phantom_files, tmp_path, capsys):
+        (tmp_path / "cfg.txt").write_text("solver_tol = 1e-10\n")
+        code = main(
+            [
+                "thickness",
+                "--labels",
+                str(phantom_files / "labels.nii.gz"),
+                "--landmarks",
+                str(phantom_files / "lm.json"),
+                "--plane",
+                str(phantom_files / "plane.json"),
+                "--out",
+                str(tmp_path / "x"),
+                "--config",
+                str(tmp_path / "cfg.txt"),
+            ]
+        )
+        assert code == 2
+        assert "unknown config key" in capsys.readouterr().err
+
     def test_eval_subcommand(self, phantom_files, tmp_path, capsys):
         code = main(
             [

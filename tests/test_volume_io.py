@@ -191,3 +191,73 @@ def test_volume_invariants():
     assert v.is_label_map()
     w = Volume(np.zeros((2, 2, 2)) - 0.5, (1, 1, 1), np.eye(4))
     assert not w.is_label_map()
+
+
+# Seeded malformed files. Each must raise NiftiError from load_volume and
+# exit 2 (bad input) from every command that reads a volume.
+BAD_CASES = ["truncated_gz", "garbled_gz", "short_header", "garbled_sizeof_hdr", "garbled_magic"]
+
+
+@pytest.fixture(scope="module")
+def bad_volumes(tmp_path_factory):
+    from ccmorph.transforms import Landmarks, Plane
+
+    root = tmp_path_factory.mktemp("bad_nifti")
+    rng = np.random.default_rng(20)
+    vol = Volume(rng.integers(0, 3, size=(6, 6, 6)).astype(np.uint8), (1.0, 1.0, 1.0), np.eye(4))
+    save_volume(vol, root / "good.nii")
+    raw = (root / "good.nii").read_bytes()
+    gz = gzip.compress(raw, mtime=0)
+    garbled_gz = bytearray(gz)
+    # flip a byte in the first half of the deflate data (after the 10-byte
+    # gzip header), where no flip leaves the decompressed bytes intact
+    garbled_gz[int(rng.integers(10, len(gz) // 2))] ^= 0xFF
+    sizeof = 348
+    while sizeof == 348 or struct.unpack(">i", struct.pack("<i", sizeof))[0] == 348:
+        sizeof = int(rng.integers(-(2**31), 2**31))
+    files = {
+        "truncated_gz": ("nii.gz", gz[: int(rng.integers(0, len(gz)))]),
+        "garbled_gz": ("nii.gz", bytes(garbled_gz)),
+        "short_header": ("nii", raw[: int(rng.integers(0, 348))]),
+        "garbled_sizeof_hdr": ("nii", struct.pack("<i", sizeof) + raw[4:]),
+        "garbled_magic": ("nii", raw[:344] + rng.bytes(4) + raw[348:]),
+    }
+    paths = {"good": root / "good.nii", "lm": root / "lm.json", "plane": root / "plane.json"}
+    for name, (ext, blob) in files.items():
+        paths[name] = root / f"{name}.{ext}"
+        paths[name].write_bytes(blob)
+    paths["lm"].write_text(Landmarks(np.array([3.0, 4.0, 1.0]), np.array([3.0, 1.0, 1.0])).to_json())
+    paths["plane"].write_text(Plane(np.array([1.0, 0.0, 0.0]), 3.0).to_json())
+    return paths
+
+
+@pytest.mark.parametrize("case", BAD_CASES)
+def test_malformed_file_raises_nifti_error(bad_volumes, case):
+    with pytest.raises(NiftiError):
+        load_volume(bad_volumes[case])
+
+
+@pytest.mark.parametrize("case", BAD_CASES)
+@pytest.mark.parametrize("command", ["thickness", "midplane", "eval"])
+def test_malformed_file_exits_2(bad_volumes, case, command, tmp_path):
+    from ccmorph.cli import main
+
+    bad, good = str(bad_volumes[case]), str(bad_volumes["good"])
+    lm, plane, out = str(bad_volumes["lm"]), str(bad_volumes["plane"]), str(tmp_path / "out")
+    argv = {
+        "thickness": ["thickness", "--labels", bad, "--landmarks", lm, "--plane", plane, "--out", out],
+        "midplane": ["midplane", "--subject", bad, "--template-seg", good, "--template-plane", plane, "--out", out],
+        "eval": ["eval", "--pred", bad, "--ref", good],
+    }[command]
+    assert main(argv) == 2
+
+
+def test_malformed_template_is_input_error(bad_volumes, tmp_path):
+    from ccmorph.config import RunConfig
+    from ccmorph.pipeline import CaseSpec, run_case
+
+    case = CaseSpec("tpl", str(bad_volumes["good"]), str(bad_volumes["lm"]))
+    cfg = RunConfig(template_seg=str(bad_volumes["truncated_gz"]), template_plane=str(bad_volumes["plane"]))
+    status = run_case(case, cfg.validate(), tmp_path / "out")
+    assert status["error_kind"] == "input"
+    assert [s["status"] for s in status["stages"][:3]] == ["ok", "ok", "failed"]
