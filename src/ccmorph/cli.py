@@ -14,9 +14,12 @@ import sys
 from pathlib import Path
 
 from .config import RunConfig
+from .midplane import midsagittal_plane
 from .pipeline import (
     CaseSpec,
     InputError,
+    _load_input_volume,
+    _load_plane,
     run_batch,
     run_case,
     run_eval,
@@ -117,10 +120,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return _dispatch(args)
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except (ValueError, FileNotFoundError) as e:
+    except (ValueError, FileNotFoundError) as e:  # InputError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except Exception as e:  # noqa: BLE001
@@ -130,15 +130,9 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     if args.cmd == "midplane":
-        from .midplane import midsagittal_plane
-        from .transforms import Plane
-        from .volume import load_volume
-
-        subject = load_volume(args.subject)
-        template = load_volume(args.template_seg)
-        with open(args.template_plane, "r", encoding="utf-8") as f:
-            tplane = Plane.from_json(f.read())
-        plane, transform = midsagittal_plane(subject, template, tplane)
+        subject = _load_input_volume(args.subject, "subject volume")
+        template = _load_input_volume(args.template_seg, "template segmentation")
+        plane, transform = midsagittal_plane(subject, template, _load_plane(args.template_plane))
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         write_atomic(out / "plane.json", plane.to_json() + "\n")
@@ -183,6 +177,8 @@ def _dispatch(args) -> int:
             raise InputError(f"case list not found: {args.cases}") from None
         except json.JSONDecodeError as e:
             raise InputError(f"invalid case list JSON: {e}") from None
+        if not isinstance(specs, list):
+            raise InputError(f"case list must be a JSON list, got {type(specs).__name__}")
         cases = [CaseSpec.from_dict(d) for d in specs]
         if len({c.case_id for c in cases}) != len(cases):
             raise InputError("case ids must be unique")

@@ -76,18 +76,21 @@ class TriMesh2D:
             out[:, k] = np.arctan2(np.abs(cross), (u * w).sum(axis=1))
         return out
 
-    def edges(self) -> np.ndarray:
-        """Unique undirected edges, shape (E, 2), sorted pairs."""
+    def _directed_edges(self) -> tuple:
+        """All 3T directed edges (u, v) and their undirected keys min * V + max."""
         t = self.triangles
         e = np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-        return np.unique(np.sort(e, axis=1), axis=0)
+        return e, e.min(axis=1) * self.n_vertices + e.max(axis=1)
+
+    def edges(self) -> np.ndarray:
+        """Unique undirected edges, shape (E, 2), sorted pairs."""
+        key = np.unique(self._directed_edges()[1])
+        return np.column_stack(np.divmod(key, self.n_vertices))
 
     def boundary_edges(self) -> np.ndarray:
         """Directed boundary edges (u, v) with the interior to the left."""
-        t = self.triangles
-        e = np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-        key = np.sort(e, axis=1)
-        _, inv, counts = np.unique(key, axis=0, return_inverse=True, return_counts=True)
+        e, key = self._directed_edges()
+        _, inv, counts = np.unique(key, return_inverse=True, return_counts=True)
         return e[counts[inv] == 1]
 
     def boundary_loop(self) -> np.ndarray:

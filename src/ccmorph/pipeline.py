@@ -22,7 +22,7 @@ from . import fem, svgfig
 from .config import RunConfig
 from .contour import Mask2D, extract_contour, smooth_mask
 from .evalstats import GroupTable, dice, hausdorff95, ols_fit, thickness_group_map
-from .midplane import midsagittal_plane, resample_slab
+from .midplane import _label_table, midsagittal_plane, resample_slab
 from .morphometry import (
     Landmarks2D,
     intercallosal_line,
@@ -62,6 +62,8 @@ class CaseSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CaseSpec":
+        if not isinstance(d, dict):
+            raise InputError(f"case spec must be a JSON object, got {d!r}")
         try:
             return cls(
                 case_id=str(d["id"]),
@@ -109,24 +111,22 @@ def project_to_plane(points, e1, e2, origin) -> np.ndarray:
     return np.column_stack([pts @ e1, pts @ e2])
 
 
-def _load_landmarks(path) -> Landmarks:
+def _load_json_input(path, what, parse):
     try:
         with open(path, "r", encoding="utf-8") as f:
-            return Landmarks.from_json(f.read())
+            return parse(f.read())
     except FileNotFoundError:
-        raise InputError(f"landmark file not found: {path}") from None
-    except (json.JSONDecodeError, KeyError, ValueError) as e:
-        raise InputError(f"invalid landmark file {path}: {e}") from None
+        raise InputError(f"{what} file not found: {path}") from None
+    except (KeyError, TypeError, ValueError) as e:  # JSONDecodeError is a ValueError
+        raise InputError(f"invalid {what} file {path}: {e}") from None
+
+
+def _load_landmarks(path) -> Landmarks:
+    return _load_json_input(path, "landmark", Landmarks.from_json)
 
 
 def _load_plane(path) -> Plane:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            return Plane.from_json(f.read())
-    except FileNotFoundError:
-        raise InputError(f"plane file not found: {path}") from None
-    except (json.JSONDecodeError, KeyError, ValueError) as e:
-        raise InputError(f"invalid plane file {path}: {e}") from None
+    return _load_json_input(path, "plane", Plane.from_json)
 
 
 def _load_input_volume(path, what) -> Volume:
@@ -201,11 +201,11 @@ def run_case(case: CaseSpec, cfg: RunConfig, out_dir=None) -> dict:
         write_atomic(out / "plane.json", plane.to_json() + "\n")
 
     def s_pose():
-        vol = state["vol"]
-        mask = np.isin(vol.data, cfg.cc_labels)
-        if not mask.any():
+        labels, counts, centroids = _label_table(state["vol"])
+        cc = np.isin(labels, cfg.cc_labels)
+        if not cc.any():
             raise InputError(f"no CC labels {cfg.cc_labels} present in {case.labels}")
-        centroid = vol.voxel_to_world(np.argwhere(mask)).mean(axis=0)
+        centroid = counts[cc] @ centroids[cc] / counts[cc].sum()
         pose = acpc_standardize(state["lm3"], centroid)
         write_atomic(out / "pose.json", pose.to_json() + "\n")
 
@@ -329,11 +329,8 @@ def run_case(case: CaseSpec, cfg: RunConfig, out_dir=None) -> dict:
 
 def run_eval(pred_path, ref_path) -> dict:
     """DSC and HD95 between two label/binary volumes."""
-    try:
-        pred = load_volume(pred_path)
-        ref = load_volume(ref_path)
-    except FileNotFoundError as e:
-        raise InputError(str(e)) from None
+    pred = _load_input_volume(pred_path, "prediction")
+    ref = _load_input_volume(ref_path, "reference")
     if pred.dims != ref.dims:
         raise InputError(f"mask shapes differ: {pred.dims} vs {ref.dims}")
     mp = pred.data > 0

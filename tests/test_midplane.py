@@ -67,6 +67,122 @@ class TestLabelCentroids:
         np.testing.assert_allclose(cents[1], [12, 2, 2])
 
 
+def _reference_centroids(vol, other, labels=None):
+    """The earlier algorithm: whole-volume label sets, then one voxel scan per label."""
+    shared = np.intersect1d(np.unique(vol.data), np.unique(other.data))
+    shared = shared[shared > 0]
+    if labels is not None:
+        shared = np.intersect1d(shared, np.asarray(labels))
+    return [(int(lab), vol.voxel_to_world(np.argwhere(vol.data == lab)).mean(axis=0)) for lab in shared]
+
+
+def _random_affine(rng):
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    aff = np.eye(4)
+    aff[:3, :3] = q * rng.uniform(0.5, 2.0, 3)
+    aff[:3, 3] = rng.uniform(-100, 100, 3)
+    return aff
+
+
+def _random_label_volume(rng, ids, layout, shape=(13, 11, 9)):
+    data = rng.choice(np.concatenate([[0], ids]), size=shape).astype(np.int32)
+    if layout == "F":
+        data = np.asfortranarray(data)
+    elif layout == "strided":
+        data = np.repeat(data, 2, axis=1)[:, ::2]  # non-contiguous view, same values
+    assert data.flags.f_contiguous == (layout == "F") and data.flags.c_contiguous == (layout == "C")
+    return Volume(data, (1, 1, 1), _random_affine(rng))
+
+
+def _assert_same_centroids(got, ref, tol=1e-9):
+    assert [lab for lab, _ in got] == [lab for lab, _ in ref]
+    for (_, g), (_, r) in zip(got, ref):
+        assert np.max(np.abs(g - r)) < tol
+
+
+class TestLabelTable:
+    """``label_centroids`` against the per-label scan it replaced."""
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_label_scan(self, seed, layout):
+        rng = np.random.default_rng(seed)
+        ids = np.sort(rng.choice(np.arange(1, 5000), size=20, replace=False))
+        a = _random_label_volume(rng, ids[:16], layout)
+        b = _random_label_volume(rng, ids[4:], layout)
+        _assert_same_centroids(label_centroids(a, b), _reference_centroids(a, b))
+        _assert_same_centroids(label_centroids(b, a), _reference_centroids(b, a))
+        subset = list(ids[2:14:2]) + [99999]
+        _assert_same_centroids(label_centroids(a, b, subset), _reference_centroids(a, b, subset))
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+    def test_huge_label_ids(self, dtype):
+        # a dense bincount over label values would need 2**40 bins here
+        rng = np.random.default_rng(7)
+        ids = np.array([3, 2**31 + 5, 2**40], dtype=dtype)
+        data = rng.choice(np.concatenate([[0], ids]), size=(10, 9, 8)).astype(dtype)
+        vol = Volume(data, (1, 1, 1), _random_affine(rng))
+        got = label_centroids(vol, vol)
+        assert [lab for lab, _ in got] == [3, 2**31 + 5, 2**40]
+        _assert_same_centroids(got, _reference_centroids(vol, vol))
+
+    def test_background_only_is_insufficient(self):
+        v = Volume(np.zeros((4, 4, 4), dtype=np.uint8), (1, 1, 1), np.eye(4))
+        with pytest.raises(ValueError, match="insufficient correspondences: 0 shared"):
+            label_centroids(v, v)
+
+    def test_rejects_non_label_maps(self):
+        v = _label_volume([((1, 1, 1), 1), ((2, 2, 2), 2), ((3, 3, 3), 3)])
+        f = Volume(v.data.astype(float), (1, 1, 1), np.eye(4))
+        with pytest.raises(ValueError, match="integer label maps"):
+            label_centroids(v, f)
+
+
+class TestPoseCentroid:
+    def test_pose_matches_voxel_scan_centroid(self, tmp_path):
+        from ccmorph.config import RunConfig
+        from ccmorph.pipeline import CaseSpec, run_case
+        from ccmorph.transforms import Landmarks, acpc_standardize
+        from ccmorph.volume import load_volume, save_volume
+
+        rng = np.random.default_rng(3)
+        data = np.zeros((12, 30, 20), dtype=np.int32, order="F")
+        data[rng.random(data.shape) < 0.05] = 17  # non-CC labels must not count
+        data[rng.random(data.shape) < 0.02] = 4
+        for lab, (y0, y1, z0, z1) in zip(
+            range(251, 256), [(3, 5, 8, 10), (5, 11, 10, 14), (11, 18, 12, 15), (18, 20, 10, 14), (20, 27, 6, 12)]
+        ):
+            data[4:8, y0:y1, z0:z1] = lab  # unequal sizes
+        save_volume(Volume(data, (1.0, 0.8, 1.2), _random_affine(rng)), tmp_path / "labels.nii")
+        vol = load_volume(tmp_path / "labels.nii")  # the affine as stored (float32)
+        lm = Landmarks(vol.voxel_to_world([6, 24, 4])[0], vol.voxel_to_world([6, 6, 4])[0])
+        (tmp_path / "lm.json").write_text(lm.to_json())
+        (tmp_path / "plane.json").write_text(Plane(np.array([1.0, 0, 0]), 0.0).to_json())
+        case = CaseSpec("pose", str(tmp_path / "labels.nii"), str(tmp_path / "lm.json"), str(tmp_path / "plane.json"))
+        status = run_case(case, RunConfig().validate(), tmp_path / "out")
+        assert [s["status"] for s in status["stages"][:4]] == ["ok"] * 4
+
+        cc = np.isin(vol.data, [251, 252, 253, 254, 255])
+        expected = acpc_standardize(lm, vol.voxel_to_world(np.argwhere(cc)).mean(axis=0))
+        got = RigidTransform.from_json((tmp_path / "out" / "pose.json").read_text())
+        assert np.max(np.abs(got.as_matrix() - expected.as_matrix())) < 1e-9
+
+    def test_no_cc_labels_is_input_error(self, tmp_path):
+        from ccmorph.config import RunConfig
+        from ccmorph.pipeline import CaseSpec, run_case
+        from ccmorph.transforms import Landmarks
+        from ccmorph.volume import save_volume
+
+        vol = _label_volume([((1, 1, 1), 250), ((2, 2, 2), 256)])
+        save_volume(vol, tmp_path / "labels.nii")
+        (tmp_path / "lm.json").write_text(Landmarks(np.array([1.0, 5, 1]), np.array([1.0, 1, 1])).to_json())
+        (tmp_path / "plane.json").write_text(Plane(np.array([1.0, 0, 0]), 2.0).to_json())
+        case = CaseSpec("nocc", str(tmp_path / "labels.nii"), str(tmp_path / "lm.json"), str(tmp_path / "plane.json"))
+        status = run_case(case, RunConfig().validate(), tmp_path / "out")
+        assert status["error_kind"] == "input"
+        assert status["stages"][3]["name"] == "pose" and "no CC labels" in status["stages"][3]["error"]
+
+
 def _rotate_volume(vol: Volume, t: RigidTransform) -> Volume:
     return Volume(vol.data, vol.voxel_size, t.as_matrix() @ vol.affine)
 

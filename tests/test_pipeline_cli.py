@@ -387,6 +387,16 @@ class TestCLI:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "cases", [{"a": 1}, [1], ["x"]], ids=["object_not_list", "number_entry", "string_entry"]
+    )
+    def test_malformed_case_list_exit_code_2(self, tmp_path, capsys, cases):
+        (tmp_path / "cases.json").write_text(json.dumps(cases))
+        code = main(["pipeline", "--cases", str(tmp_path / "cases.json"), "--out", str(tmp_path / "d")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: case ") and "internal" not in err
+
     def test_stats_subcommand(self, tmp_path, capsys):
         rng = np.random.default_rng(31)
         _write_profiles(tmp_path, rng, 24)

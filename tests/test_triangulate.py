@@ -118,6 +118,17 @@ class TestBoundaryFlags:
         loop = annulus_case["mesh"].boundary_loop()
         assert len(loop) == int(annulus_case["mesh"].boundary_flags.sum())
 
+    @pytest.mark.parametrize("fixture", ["square_mesh", "annulus_case"])
+    def test_edge_keys_match_pair_unique(self, fixture, request):
+        # the row-wise np.unique over sorted vertex pairs that the 1-D keys replaced
+        mesh = request.getfixturevalue(fixture)
+        mesh = mesh["mesh"] if isinstance(mesh, dict) else mesh
+        t = mesh.triangles
+        e = np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
+        pairs, inv, counts = np.unique(np.sort(e, axis=1), axis=0, return_inverse=True, return_counts=True)
+        assert np.array_equal(mesh.edges(), pairs)
+        assert np.array_equal(mesh.boundary_edges(), e[counts[inv.ravel()] == 1])
+
 
 class TestOFF:
     def test_roundtrip(self, square_mesh):

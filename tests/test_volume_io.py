@@ -1,4 +1,5 @@
 import gzip
+import json
 import struct
 
 import numpy as np
@@ -261,3 +262,38 @@ def test_malformed_template_is_input_error(bad_volumes, tmp_path):
     status = run_case(case, cfg.validate(), tmp_path / "out")
     assert status["error_kind"] == "input"
     assert [s["status"] for s in status["stages"][:3]] == ["ok", "ok", "failed"]
+
+
+# Plane and landmark files that are valid JSON of the wrong shape. Each is
+# bad input (exit 2 with a message), never an internal error.
+BAD_PLANES = {"no_offset": {"normal": [1.0, 0.0, 0.0]}, "list": [1, 2], "string": "x"}
+BAD_LANDMARKS = {"no_pc": {"ac": [3.0, 4.0, 1.0]}, "list": [1, 2], "string": "x"}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PLANES))
+@pytest.mark.parametrize("command", ["thickness", "midplane"])
+def test_bad_plane_file_exits_2(bad_volumes, case, command, tmp_path, capsys):
+    from ccmorph.cli import main
+
+    plane = tmp_path / "plane.json"
+    plane.write_text(json.dumps(BAD_PLANES[case]))
+    good, lm, out = str(bad_volumes["good"]), str(bad_volumes["lm"]), str(tmp_path / "out")
+    argv = {
+        "thickness": ["thickness", "--labels", good, "--landmarks", lm, "--plane", str(plane), "--out", out],
+        "midplane": ["midplane", "--subject", good, "--template-seg", good, "--template-plane", str(plane), "--out", out],
+    }[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "invalid plane file" in captured.out + captured.err
+
+
+@pytest.mark.parametrize("case", sorted(BAD_LANDMARKS))
+def test_bad_landmark_file_is_input_error(bad_volumes, case, tmp_path):
+    from ccmorph.config import RunConfig
+    from ccmorph.pipeline import CaseSpec, run_case
+
+    (tmp_path / "lm.json").write_text(json.dumps(BAD_LANDMARKS[case]))
+    spec = CaseSpec("lm", str(bad_volumes["good"]), str(tmp_path / "lm.json"), str(bad_volumes["plane"]))
+    status = run_case(spec, RunConfig().validate(), tmp_path / "out")
+    assert status["error_kind"] == "input"
+    assert status["stages"][0]["error"].startswith("InputError: invalid landmark file")
