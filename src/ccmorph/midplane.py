@@ -16,24 +16,6 @@ __all__ = [
 ]
 
 
-def _label_table(vol: Volume):
-    """(labels, voxel counts, world centroids) of ``vol``'s non-zero labels, in one pass.
-
-    Rows follow the sorted distinct labels, so the table's size does not
-    depend on the label values.
-    """
-    order = "F" if vol.data.flags.f_contiguous and not vol.data.flags.c_contiguous else "C"
-    flat = vol.data.ravel(order=order)  # a view for C- or Fortran-ordered data
-    idx = np.flatnonzero(flat)
-    values = flat[idx]
-    labels = np.unique(values)
-    rows = np.searchsorted(labels, values)  # ~4x faster than np.unique's argsort-based inverse
-    counts = np.bincount(rows, minlength=len(labels))
-    ijk = np.unravel_index(idx, vol.dims, order=order)
-    sums = np.column_stack([np.bincount(rows, weights=a, minlength=len(labels)) for a in ijk])
-    return labels, counts, vol.voxel_to_world(sums / counts[:, None])
-
-
 def label_centroids(vol: Volume, other: Volume, labels=None):
     """World-space centroids of ``vol`` for labels present in both volumes.
 
@@ -47,8 +29,8 @@ def label_centroids(vol: Volume, other: Volume, labels=None):
     """
     if not vol.is_label_map() or not other.is_label_map():
         raise ValueError("label_centroids requires integer label maps")
-    labs, _, cents = _label_table(vol)
-    shared = np.isin(labs, _label_table(other)[0])
+    labs, _, cents = vol.label_table
+    shared = np.isin(labs, other.label_table[0])
     if labels is not None:
         shared &= np.isin(labs, np.asarray(labels))
     if shared.sum() < 3:

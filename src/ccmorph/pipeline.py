@@ -22,7 +22,7 @@ from . import fem, svgfig
 from .config import RunConfig
 from .contour import Mask2D, extract_contour, smooth_mask
 from .evalstats import GroupTable, dice, hausdorff95, ols_fit, thickness_group_map
-from .midplane import _label_table, midsagittal_plane, resample_slab
+from .midplane import midsagittal_plane, resample_slab
 from .morphometry import (
     Landmarks2D,
     intercallosal_line,
@@ -201,7 +201,7 @@ def run_case(case: CaseSpec, cfg: RunConfig, out_dir=None) -> dict:
         write_atomic(out / "plane.json", plane.to_json() + "\n")
 
     def s_pose():
-        labels, counts, centroids = _label_table(state["vol"])
+        labels, counts, centroids = state["vol"].label_table
         cc = np.isin(labels, cfg.cc_labels)
         if not cc.any():
             raise InputError(f"no CC labels {cfg.cc_labels} present in {case.labels}")
@@ -484,7 +484,15 @@ def run_batch(cases, cfg: RunConfig, out_root) -> list:
     """Run many cases, optionally with a process pool; outputs are case-local."""
     out_root = Path(out_root)
     jobs = [(case, cfg, out_root / case.case_id) for case in cases]
-    threads = int(os.environ.get("CCMORPH_THREADS", cfg.threads))
+    threads = cfg.threads
+    env = os.environ.get("CCMORPH_THREADS")
+    if env is not None:
+        try:
+            threads = int(env)
+        except ValueError:
+            threads = 0
+        if threads < 1:
+            raise InputError(f"CCMORPH_THREADS must be an integer >= 1, got {env!r}")
     if threads > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=threads) as ex:
             return list(ex.map(_run_case_star, jobs))

@@ -131,6 +131,16 @@ class TestLabelTable:
         with pytest.raises(ValueError, match="insufficient correspondences: 0 shared"):
             label_centroids(v, v)
 
+    def test_table_is_kept_and_read_only(self):
+        rng = np.random.default_rng(11)
+        vol = _random_label_volume(rng, [2, 5, 9, 40], "F")
+        table = vol.label_table
+        assert vol.label_table is table
+        assert [int(lab) for lab in table[0]] == [2, 5, 9, 40]
+        for arr in table:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+
     def test_rejects_non_label_maps(self):
         v = _label_volume([((1, 1, 1), 1), ((2, 2, 2), 2), ((3, 3, 3), 3)])
         f = Volume(v.data.astype(float), (1, 1, 1), np.eye(4))
@@ -138,26 +148,34 @@ class TestLabelTable:
             label_centroids(v, f)
 
 
+def _write_cc_case(tmp_path):
+    """labels.nii (a CC split over labels 251-255 plus two other labels), lm.json, plane.json."""
+    from ccmorph.transforms import Landmarks
+    from ccmorph.volume import load_volume, save_volume
+
+    rng = np.random.default_rng(3)
+    data = np.zeros((12, 30, 20), dtype=np.int32, order="F")
+    data[rng.random(data.shape) < 0.05] = 17  # non-CC labels must not count
+    data[rng.random(data.shape) < 0.02] = 4
+    for lab, (y0, y1, z0, z1) in zip(
+        range(251, 256), [(3, 5, 8, 10), (5, 11, 10, 14), (11, 18, 12, 15), (18, 20, 10, 14), (20, 27, 6, 12)]
+    ):
+        data[4:8, y0:y1, z0:z1] = lab  # unequal sizes
+    save_volume(Volume(data, (1.0, 0.8, 1.2), _random_affine(rng)), tmp_path / "labels.nii")
+    vol = load_volume(tmp_path / "labels.nii")  # the affine as stored (float32)
+    lm = Landmarks(vol.voxel_to_world([6, 24, 4])[0], vol.voxel_to_world([6, 6, 4])[0])
+    (tmp_path / "lm.json").write_text(lm.to_json())
+    (tmp_path / "plane.json").write_text(Plane(np.array([1.0, 0, 0]), 0.0).to_json())
+    return vol, lm
+
+
 class TestPoseCentroid:
     def test_pose_matches_voxel_scan_centroid(self, tmp_path):
         from ccmorph.config import RunConfig
         from ccmorph.pipeline import CaseSpec, run_case
-        from ccmorph.transforms import Landmarks, acpc_standardize
-        from ccmorph.volume import load_volume, save_volume
+        from ccmorph.transforms import acpc_standardize
 
-        rng = np.random.default_rng(3)
-        data = np.zeros((12, 30, 20), dtype=np.int32, order="F")
-        data[rng.random(data.shape) < 0.05] = 17  # non-CC labels must not count
-        data[rng.random(data.shape) < 0.02] = 4
-        for lab, (y0, y1, z0, z1) in zip(
-            range(251, 256), [(3, 5, 8, 10), (5, 11, 10, 14), (11, 18, 12, 15), (18, 20, 10, 14), (20, 27, 6, 12)]
-        ):
-            data[4:8, y0:y1, z0:z1] = lab  # unequal sizes
-        save_volume(Volume(data, (1.0, 0.8, 1.2), _random_affine(rng)), tmp_path / "labels.nii")
-        vol = load_volume(tmp_path / "labels.nii")  # the affine as stored (float32)
-        lm = Landmarks(vol.voxel_to_world([6, 24, 4])[0], vol.voxel_to_world([6, 6, 4])[0])
-        (tmp_path / "lm.json").write_text(lm.to_json())
-        (tmp_path / "plane.json").write_text(Plane(np.array([1.0, 0, 0]), 0.0).to_json())
+        vol, lm = _write_cc_case(tmp_path)
         case = CaseSpec("pose", str(tmp_path / "labels.nii"), str(tmp_path / "lm.json"), str(tmp_path / "plane.json"))
         status = run_case(case, RunConfig().validate(), tmp_path / "out")
         assert [s["status"] for s in status["stages"][:4]] == ["ok"] * 4
@@ -181,6 +199,30 @@ class TestPoseCentroid:
         status = run_case(case, RunConfig().validate(), tmp_path / "out")
         assert status["error_kind"] == "input"
         assert status["stages"][3]["name"] == "pose" and "no CC labels" in status["stages"][3]["error"]
+
+
+class TestLabelTableBuilds:
+    """One counting pass per loaded volume: registration and pose share it."""
+
+    @pytest.mark.parametrize("path, builds", [("plane", 1), ("template", 2)])
+    def test_builds_per_case(self, tmp_path, monkeypatch, path, builds):
+        from ccmorph.config import RunConfig
+        from ccmorph.pipeline import CaseSpec, run_case
+
+        _write_cc_case(tmp_path)
+        built = []
+        build = Volume.label_table.func
+        monkeypatch.setattr(Volume.label_table, "func", lambda vol: built.append(vol) or build(vol))
+        if path == "plane":
+            case = CaseSpec("c", str(tmp_path / "labels.nii"), str(tmp_path / "lm.json"), str(tmp_path / "plane.json"))
+            cfg = RunConfig()
+        else:
+            case = CaseSpec("c", str(tmp_path / "labels.nii"), str(tmp_path / "lm.json"))
+            cfg = RunConfig(template_seg=str(tmp_path / "labels.nii"), template_plane=str(tmp_path / "plane.json"))
+        status = run_case(case, cfg.validate(), tmp_path / "out")
+        assert [s["status"] for s in status["stages"][:4]] == ["ok"] * 4
+        assert len(built) == builds
+        assert len({id(v) for v in built}) == builds  # never twice for one volume
 
 
 def _rotate_volume(vol: Volume, t: RigidTransform) -> Volume:

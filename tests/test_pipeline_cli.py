@@ -7,7 +7,7 @@ import pytest
 
 from ccmorph.cli import main
 from ccmorph.config import RunConfig, parse_config_file
-from ccmorph.pipeline import CaseSpec, run_batch, run_case, run_eval, run_stats
+from ccmorph.pipeline import CaseSpec, InputError, run_batch, run_case, run_eval, run_stats
 from ccmorph.phantoms import rectangle_mask_volume
 from ccmorph.transforms import Plane
 from ccmorph.volume import Volume, save_volume
@@ -127,6 +127,18 @@ class TestBatch:
         cases = [_case(phantom_files, f"env{i}") for i in range(2)]
         statuses = run_batch(cases, _cfg(threads=1), tmp_path / "env")
         assert all(s["ok"] for s in statuses)
+
+    @pytest.mark.parametrize("value", ["0", "-2", "abc", ""])
+    def test_env_var_threads_must_be_positive_integer(self, phantom_files, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("CCMORPH_THREADS", value)
+        cases = [_case(phantom_files, f"bad{i}") for i in range(2)]
+        with pytest.raises(InputError, match="CCMORPH_THREADS must be an integer >= 1"):
+            run_batch(cases, _cfg(), tmp_path / "env")
+        assert not (tmp_path / "env").exists()  # checked before any case runs
+        specs = [{"id": c.case_id, "labels": c.labels, "landmarks": c.landmarks, "plane": c.plane} for c in cases]
+        (tmp_path / "cases.json").write_text(json.dumps(specs))
+        assert main(["pipeline", "--cases", str(tmp_path / "cases.json"), "--out", str(tmp_path / "d")]) == 2
+        assert "CCMORPH_THREADS" in capsys.readouterr().err
 
     def test_batch_continues_after_failure(self, phantom_files, tmp_path):
         good = _case(phantom_files, "good")

@@ -43,6 +43,24 @@ def test_roundtrip_gzip_and_values(tmp_path):
     np.testing.assert_allclose(back.affine, np.float32(aff))
 
 
+def _buffer_owner(arr):
+    while isinstance(arr, np.ndarray):
+        arr = arr.base
+    return arr
+
+
+@pytest.mark.parametrize("name", ["view.nii", "view.nii.gz"])
+def test_native_order_load_is_read_only_view(tmp_path, name):
+    data = np.random.default_rng(1).integers(0, 3000, size=(5, 6, 7)).astype(np.int32)
+    p = tmp_path / name
+    save_volume(Volume(data, (1.0, 1.0, 1.0), np.eye(4)), p)
+    back = load_volume(p)
+    assert not back.data.flags.writeable
+    assert not back.data.flags.owndata
+    assert isinstance(_buffer_owner(back.data), bytes)  # the bytes read, not a copy of them
+    np.testing.assert_array_equal(back.data, data)
+
+
 def _raw_header(
     dims=(4, 4, 4),
     datatype=2,
@@ -158,6 +176,20 @@ def test_scl_slope_applied(tmp_path):
     vol = load_volume(p)
     assert vol.data.dtype == np.float64
     assert vol.data.ravel(order="F")[3] == 2.0 * 3 + 10.0
+
+
+def test_vox_offset_not_a_multiple_of_itemsize(tmp_path):
+    hdr = bytearray(_raw_header(datatype=8, bitpix=32))
+    struct.pack_into("<f", hdr, 108, 353.0)
+    data = np.arange(64, dtype="<i4") * 100003 - 7
+    p = tmp_path / "odd.nii"
+    with open(p, "wb") as f:
+        f.write(bytes(hdr))
+        f.write(b"\0" * 5)
+        f.write(data.tobytes())
+    vol = load_volume(p)
+    assert vol.data.dtype == np.int32
+    np.testing.assert_array_equal(vol.data.ravel(order="F"), data)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.uint16, np.int32])
