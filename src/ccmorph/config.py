@@ -9,6 +9,30 @@ from dataclasses import dataclass, field
 __all__ = ["RunConfig", "parse_config_file"]
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return _is_int(v) or isinstance(v, float)
+
+
+def _list_of(check):
+    return lambda v: isinstance(v, (list, tuple)) and all(check(x) for x in v)
+
+
+# field annotation -> (what a value must be, its check)
+_TYPES = {
+    "float": ("a number", _is_number),
+    "int": ("an integer", _is_int),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "list[str]": ("a list of strings", _list_of(lambda v: isinstance(v, str))),
+    "list[int]": ("a list of integers", _list_of(_is_int)),
+    "list[float] | None": ("a list of numbers", lambda v: v is None or _list_of(_is_number)(v)),
+}
+
+
 @dataclass
 class RunConfig:
     """All tunable pipeline parameters with their documented defaults."""
@@ -18,29 +42,38 @@ class RunConfig:
     max_area_mm2: float = 0.25
     min_angle_deg: float = 20.0
     n_samples: int = 100
-    schemes: list = field(default_factory=lambda: ["shape_aware"])
-    fractions: list = None  # None -> per-scheme defaults
+    schemes: list[str] = field(default_factory=lambda: ["shape_aware"])
+    fractions: list[float] | None = None  # None -> per-scheme defaults
     slab_width_mm: float = 5.0
     slab_spacing_mm: float = 0.0  # 0 -> smallest voxel size
-    cc_labels: list = field(default_factory=lambda: [251, 252, 253, 254, 255])
+    cc_labels: list[int] = field(default_factory=lambda: [251, 252, 253, 254, 255])
     threads: int = 1
     write_svg: bool = True
     template_seg: str = ""
     template_plane: str = ""
 
     def validate(self) -> "RunConfig":
-        if self.sigma_vox <= 0:
+        """Check every field's type, then its range; each ValueError names the key."""
+        for f in dataclasses.fields(self):
+            want, ok = _TYPES[f.type]
+            value = getattr(self, f.name)
+            if not ok(value):
+                raise ValueError(f"config key {f.name!r} must be {want}, got {value!r}")
+        if not self.sigma_vox > 0:
             raise ValueError("sigma_vox must be positive")
         if not (0.0 < self.iso < 1.0):
             raise ValueError("iso must lie in (0, 1)")
-        if self.max_area_mm2 <= 0:
+        if not self.max_area_mm2 > 0:
             raise ValueError("max_area_mm2 must be positive")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-        if self.slab_width_mm <= 0 or self.slab_spacing_mm < 0:
+        if not (self.slab_width_mm > 0 and self.slab_spacing_mm >= 0):
             raise ValueError("slab geometry must be positive")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        fr = self.fractions or []
+        if any(not (0.0 < x < 1.0) for x in fr) or any(b <= a for a, b in zip(fr, fr[1:])):
+            raise ValueError("fractions must be strictly increasing within (0, 1)")
         from .subseg import SCHEME_KINDS
 
         for s in self.schemes:

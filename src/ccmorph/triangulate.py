@@ -120,7 +120,6 @@ class _Triangulator:
         self.edge2tri = {}  # directed edge (u, v) -> tid
         self.next_tid = 0
         self.last_tid = None
-        self.on_new_triangle = None  # callback(tid)
 
         cx = (bbox_lo[0] + bbox_hi[0]) / 2.0
         cy = (bbox_lo[1] + bbox_hi[1]) / 2.0
@@ -177,8 +176,6 @@ class _Triangulator:
         self.edge2tri[(b, c)] = tid
         self.edge2tri[(c, a)] = tid
         self.last_tid = tid
-        if self.on_new_triangle is not None:
-            self.on_new_triangle(tid)
         return tid
 
     def _drop_tri(self, tid):
@@ -268,9 +265,6 @@ class _Triangulator:
 
     # -- geometry in float coordinates --------------------------------------
 
-    def coords(self, vid):
-        return self.fx[vid], self.fy[vid]
-
     def tri_coords(self, tid):
         a, b, c = self.tris[tid]
         fx, fy = self.fx, self.fy
@@ -316,33 +310,31 @@ def _circumcenter(pa, pb, pc):
 
 
 class _Refiner:
-    """Conforming Delaunay refinement driver for one polygon."""
+    """Conforming Delaunay refinement driver for one polygon.
+
+    One rule places every refinement point p for a bad interior triangle t:
+    if p encroaches a constraint segment (lies inside its diametral circle),
+    those segments are split instead, each followed by the splits its
+    midpoint causes, and t is queued again; otherwise p is inserted and the
+    new triangles are queued. The circumcenter of t is tried first, then the
+    midpoint of its longest edge; t stalls if neither can be placed.
+    """
 
     def __init__(self, poly: np.ndarray, max_area: float, min_angle: float):
         self.poly = poly
         self.max_area = float(max_area)
         self.min_angle = float(min_angle)
-        lo = poly.min(axis=0)
-        hi = poly.max(axis=0)
-        self.tr = _Triangulator(lo, hi)
+        self.tr = _Triangulator(poly.min(axis=0), poly.max(axis=0))
         self.work = deque()
-        self.inside = {}
-        self.tr.on_new_triangle = self._new_tri_hook
-        self._inherit_flag = None
 
         # contour vertices and directed constraint segments
-        self.contour_vids = []
+        vids = []
         for x, y in poly:
             vid, cavity = self.tr.insert(x, y)
             if vid is None or cavity is None:
                 raise ValueError("contour points coincide after snapping; contour too fine")
-            self.contour_vids.append(vid)
-        n = len(self.contour_vids)
-        self.segs = {}  # directed (u, v) -> True, split into halves over time
-        for k in range(n):
-            u = self.contour_vids[k]
-            v = self.contour_vids[(k + 1) % n]
-            self.segs[(u, v)] = True
+            vids.append(vid)
+        self.segs = {seg: True for seg in zip(vids, vids[1:] + vids[:1])}  # split into halves over time
         self.unsplittable = set()
         self._seg_cache = None
 
@@ -383,52 +375,28 @@ class _Refiner:
         self._seg_cache = None
         return vid
 
-    def _resolve_encroachments(self, x, y):
-        """Split every segment whose diametral circle contains (x, y), recursively."""
-        stack = [(x, y)]
+    def _split(self, seg) -> bool:
+        """Split ``seg``, then every segment a new midpoint encroaches, recursively.
+
+        Returns whether ``seg`` itself was split.
+        """
+        first = self._split_segment(seg)
+        stack = [] if first is None else [first]
         while stack:
-            px, py = stack.pop()
-            for seg in self._encroached_by(px, py):
-                m = self._split_segment(seg)
+            m = stack.pop()
+            for s in self._encroached_by(self.tr.fx[m], self.tr.fy[m]):
+                m = self._split_segment(s)
                 if m is not None:
-                    stack.append((self.tr.fx[m], self.tr.fy[m]))
+                    stack.append(m)
+        return first is not None
 
-    # -- inside bookkeeping ---------------------------------------------------
-
-    def _new_tri_hook(self, tid):
-        if self._inherit_flag is not None:
-            self.inside[tid] = self._inherit_flag
-            if self._inherit_flag:
-                self.work.append(tid)
-
-    def _insert_tracked(self, x, y, inherit, hint=None):
-        self._inherit_flag = inherit
-        try:
-            vid, cavity = self.tr.insert(x, y, hint)
-        finally:
-            self._inherit_flag = None
-        if cavity:
-            for t in cavity:
-                self.inside.pop(t, None)
-        return vid, cavity
-
-    def _flood_inside(self):
-        """Exact interior classification from the directed constraint edges."""
-        inside = {}
-        seeds = []
-        for (u, v) in self.segs:
-            t = self.tr.edge2tri.get((u, v))
-            if t is not None:
-                seeds.append(t)
-        blocked = set()
-        for (u, v) in self.segs:
-            blocked.add((u, v))
-            blocked.add((v, u))
-        seen = set(seeds)
-        dq = deque(seeds)
-        while dq:
-            t = dq.popleft()
-            inside[t] = True
+    def _interior(self):
+        """Interior triangle ids in flood order, bounded by the directed constraint segments."""
+        blocked = set(self.segs) | {(v, u) for u, v in self.segs}
+        seeds = (self.tr.edge2tri.get(seg) for seg in self.segs)
+        order = list(dict.fromkeys(t for t in seeds if t is not None))
+        seen = set(order)
+        for t in order:  # the list grows while it is read: a breadth-first flood
             a, b, c = self.tr.tris[t]
             for u, v in ((a, b), (b, c), (c, a)):
                 if (u, v) in blocked:
@@ -436,10 +404,8 @@ class _Refiner:
                 nb = self.tr.edge2tri.get((v, u))
                 if nb is not None and nb not in seen:
                     seen.add(nb)
-                    dq.append(nb)
-        for t in self.tr.tris:
-            inside.setdefault(t, False)
-        return inside
+                    order.append(nb)
+        return order
 
     # -- phases ----------------------------------------------------------------
 
@@ -460,13 +426,10 @@ class _Refiner:
                 d2 = (fx - mx) ** 2 + (fy - my) ** 2
                 d2[u] = np.inf
                 d2[v] = np.inf
-                if (d2 < r2 * (1.0 - 1e-12)).any():
-                    m = self._split_segment(seg)
-                    if m is not None:
-                        self._resolve_encroachments(self.tr.fx[m], self.tr.fy[m])
-                        changed = True
-                        fx = np.asarray(self.tr.fx)
-                        fy = np.asarray(self.tr.fy)
+                if (d2 < r2 * (1.0 - 1e-12)).any() and self._split(seg):
+                    changed = True
+                    fx = np.asarray(self.tr.fx)
+                    fy = np.asarray(self.tr.fy)
 
     def presplit_long_segments(self, target_len: float):
         changed = True
@@ -477,11 +440,8 @@ class _Refiner:
                     continue
                 u, v = seg
                 L = np.hypot(self.tr.fx[u] - self.tr.fx[v], self.tr.fy[u] - self.tr.fy[v])
-                if L > 1.3 * target_len:
-                    m = self._split_segment(seg)
-                    if m is not None:
-                        self._resolve_encroachments(self.tr.fx[m], self.tr.fy[m])
-                        changed = True
+                if L > 1.3 * target_len and self._split(seg):
+                    changed = True
 
     def seed_grid(self, spacing: float):
         """Hex-grid interior points away from the boundary."""
@@ -513,29 +473,20 @@ class _Refiner:
         for x, y in cand:
             if self._encroached_by(x, y):
                 continue
-            self._insert_tracked(x, y, inherit=None)
+            self.tr.insert(x, y)
 
     def refine(self):
         max_rounds = 40
         budget = 40 * len(self.tr.fx) + int(20.0 * abs(polygon_area(self.poly)) / self.max_area) + 4000
         for _ in range(max_rounds):
-            self.inside = self._flood_inside()
-            self.work = deque(t for t, flag in self.inside.items() if flag)
+            self.work = deque(self._interior())
             progressed = self._refine_pass(budget)
-            # verify: every inside triangle meets quality and all constraint
-            # segments are edges of the triangulation
+            # verify: all constraint segments are edges of the triangulation
+            # and every interior triangle meets quality
             missing = [s for s in self.segs if s not in self.tr.edge2tri]
             for seg in missing:
-                m = self._split_segment(seg)
-                if m is not None:
-                    self._resolve_encroachments(self.tr.fx[m], self.tr.fy[m])
-            self.inside = self._flood_inside()
-            bad = [
-                t
-                for t, flag in self.inside.items()
-                if flag and self._is_bad(t)
-            ]
-            if not bad and not missing:
+                self._split(seg)
+            if not missing and not any(self._is_bad(t) for t in self._interior()):
                 return
             if not progressed and not missing:
                 break
@@ -545,6 +496,37 @@ class _Refiner:
         area, ang = _tri_quality(*self.tr.tri_coords(tid))
         return area > self.max_area * (1.0 + 1e-12) or ang < self.min_angle - 1e-9
 
+    def _refinement_points(self, tid):
+        """The circumcenter of ``tid`` (when defined), then the midpoint of its longest edge."""
+        pts = self.tr.tri_coords(tid)
+        p, q = max(
+            ((pts[(k + 1) % 3], pts[(k + 2) % 3]) for k in range(3)),
+            key=lambda e: (e[0][0] - e[1][0]) ** 2 + (e[0][1] - e[1][1]) ** 2,
+        )
+        mid = (0.5 * (p[0] + q[0]), 0.5 * (p[1] + q[1]))
+        cc = _circumcenter(*pts)
+        return [mid] if cc is None else [cc, mid]
+
+    def _place(self, tid, x, y) -> int:
+        """Place the refinement point (x, y) of bad triangle ``tid`` (the rule above).
+
+        Returns the number of points placed: the segments split, or 1 for
+        an insertion, or 0 if the point could not be placed.
+        """
+        enc = self._encroached_by(x, y)
+        if enc:
+            placed = sum(self._split(seg) for seg in enc)
+            if placed and tid in self.tr.tris:
+                self.work.append(tid)
+            return placed
+        first = self.tr.next_tid
+        _, cavity = self.tr.insert(x, y, hint=tid)
+        if cavity is None:
+            return 0
+        # an insertion numbers its new triangles consecutively
+        self.work.extend(range(first, self.tr.next_tid))
+        return 1
+
     def _refine_pass(self, budget):
         progressed = False
         stall = set()
@@ -552,61 +534,22 @@ class _Refiner:
             if budget <= 0:
                 raise RuntimeError("mesh refinement exceeded its insertion budget")
             tid = self.work.popleft()
-            if tid not in self.tr.tris or not self.inside.get(tid, False):
+            if tid not in self.tr.tris or tid in stall or not self._is_bad(tid):
                 continue
-            if not self._is_bad(tid) or tid in stall:
-                continue
-            cc = _circumcenter(*self.tr.tri_coords(tid))
-            inserted = False
-            if cc is not None:
-                enc = self._encroached_by(cc[0], cc[1])
-                if enc:
-                    for seg in enc:
-                        m = self._split_segment(seg)
-                        if m is not None:
-                            self._resolve_encroachments(self.tr.fx[m], self.tr.fy[m])
-                            inserted = True
-                            budget -= 1
-                    if tid in self.tr.tris:
-                        self.work.append(tid)
-                    if not inserted:
-                        stall.add(tid)
-                    progressed = progressed or inserted
-                    continue
-                vid, cavity = self._insert_tracked(
-                    cc[0], cc[1], inherit=self.inside.get(tid, True), hint=tid
-                )
-                if vid is not None and cavity is not None:
-                    self._resolve_encroachments(cc[0], cc[1])
-                    inserted = True
-                    budget -= 1
-            if not inserted:
-                # fallback: split the longest edge of the bad triangle
-                (ax, ay), (bx, by), (cx, cy) = self.tr.tri_coords(tid)
-                pts = ((ax, ay), (bx, by), (cx, cy))
-                l2 = [
-                    (pts[(k + 1) % 3][0] - pts[(k + 2) % 3][0]) ** 2
-                    + (pts[(k + 1) % 3][1] - pts[(k + 2) % 3][1]) ** 2
-                    for k in range(3)
-                ]
-                k = int(np.argmax(l2))
-                mx = 0.5 * (pts[(k + 1) % 3][0] + pts[(k + 2) % 3][0])
-                my = 0.5 * (pts[(k + 1) % 3][1] + pts[(k + 2) % 3][1])
-                vid, cavity = self._insert_tracked(
-                    mx, my, inherit=self.inside.get(tid, True), hint=tid
-                )
-                if vid is not None and cavity is not None:
-                    self._resolve_encroachments(mx, my)
-                    inserted = True
-                    budget -= 1
-                else:
-                    stall.add(tid)
-            progressed = progressed or inserted
+            placed = 0
+            for x, y in self._refinement_points(tid):
+                placed = self._place(tid, x, y)
+                if placed:
+                    break
+            if placed:
+                budget -= placed
+                progressed = True
+            else:
+                stall.add(tid)
         return progressed
 
     def extract(self) -> TriMesh2D:
-        inside = self._flood_inside()
-        tids = sorted(t for t, flag in inside.items() if flag)
+        tids = sorted(self._interior())
         if not tids:
             raise RuntimeError("triangulation produced no interior triangles")
         used = sorted({v for t in tids for v in self.tr.tris[t]})
@@ -615,10 +558,9 @@ class _Refiner:
             [np.asarray(self.tr.fx)[used], np.asarray(self.tr.fy)[used]]
         )
         tris = np.array([[remap[v] for v in self.tr.tris[t]] for t in tids], dtype=np.int64)
-        flags = np.zeros(len(used), dtype=bool)
-        mesh = TriMesh2D(verts, tris, flags)
-        flags = np.zeros(len(used), dtype=bool)
-        flags[np.unique(mesh.boundary_edges())] = True
+        # refine() leaves every constraint segment an edge, so they are the mesh boundary
+        on_boundary = {u for u, _ in self.segs}
+        flags = np.array([v in on_boundary for v in used], dtype=bool)
         return TriMesh2D(verts, tris, flags)
 
 

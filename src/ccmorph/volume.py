@@ -127,10 +127,13 @@ class Volume:
         return table
 
     def is_label_map(self) -> bool:
+        """Whether the data are non-negative integers (one scan per volume)."""
+        return self._is_label_map
+
+    @functools.cached_property
+    def _is_label_map(self) -> bool:
         d = self.data
-        if not np.issubdtype(d.dtype, np.integer):
-            return False
-        return bool(d.min() >= 0)
+        return bool(np.issubdtype(d.dtype, np.integer) and np.min(d) >= 0)
 
 
 def _open_maybe_gz(path, mode):

@@ -325,8 +325,22 @@ class TestCLI:
         )
         assert code == 2
 
-    def test_removed_config_key_exit_code_2(self, phantom_files, tmp_path, capsys):
-        (tmp_path / "cfg.txt").write_text("solver_tol = 1e-10\n")
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("solver_tol = 1e-10", "unknown config key 'solver_tol'"),
+            ('threads = "abc"', "'threads' must be an integer"),
+            ('max_area_mm2 = "big"', "'max_area_mm2' must be a number"),
+            ("n_samples = 2.5", "'n_samples' must be an integer"),
+            ("fractions = [0.5, 0.2]", "fractions must be strictly increasing"),
+            ('write_svg = "no"', "'write_svg' must be true or false"),
+            ('schemes = "witelson"', "'schemes' must be a list of strings"),
+        ],
+        ids=["solver_tol", "threads", "max_area_mm2", "n_samples", "fractions", "write_svg", "schemes"],
+    )
+    def test_removed_config_key_exit_code_2(self, phantom_files, tmp_path, capsys, line, message):
+        # a removed key or a malformed value exits 2, naming the key, before any stage runs
+        (tmp_path / "cfg.txt").write_text(line + "\n")
         code = main(
             [
                 "thickness",
@@ -343,7 +357,8 @@ class TestCLI:
             ]
         )
         assert code == 2
-        assert "unknown config key" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_eval_subcommand(self, phantom_files, tmp_path, capsys):
         code = main(

@@ -1,9 +1,37 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from ccmorph import Landmarks2D, intercallosal_line, thickness_profile
 from ccmorph.contour import Polyline, polygon_area
 from ccmorph.phantoms import half_annulus_contour
 from ccmorph.triangulate import first_self_intersection, triangulate
+
+# Contours of contour_fuzz benchmark masks that the mesher failed on.
+# Recipe (ROADMAP item 4): `python3 ccbench/inputs.py --workload contour_fuzz
+# --seed S --out D`; mask k of D/masks.npz with pixel size p from
+# D/masks.json -> smooth_mask(Mask2D(mask, (p, p)), p) -> extract_contour(
+# np.pad(field, 1), 0.5, pixel_size=(p, p), origin=(-p, -p)). AC/PC and the
+# nominal thickness are the mask's entry in masks.json.
+FUZZ = json.loads((Path(__file__).parent / "data" / "fuzz_contours.json").read_text())
+
+
+def _fuzz_contour(name):
+    return Polyline(np.array(FUZZ[name]["contour"]), closed=True)
+
+
+@pytest.fixture(scope="module")
+def fuzz209_mesh():
+    case = FUZZ["seed209_m002"]
+    return triangulate(_fuzz_contour("seed209_m002"), case["max_area_mm2"])
+
+
+@pytest.fixture(scope="module")
+def disc_mesh():
+    t = np.linspace(0.0, 2.0 * np.pi, 48, endpoint=False)
+    return triangulate(Polyline(np.column_stack([np.cos(t), np.sin(t)]), closed=True), 0.01)
 
 
 def _square(side=1.0):
@@ -107,9 +135,32 @@ class TestValidation:
         assert abs(mesh.area() - 1.0) < 1e-9
 
 
+class TestFuzzRegressions:
+    def test_seed209_m002_meshes(self, fuzz209_mesh):
+        """Seed 209 mask m002 at max_area 0.1, 466 contour vertices (recipe above).
+
+        It raised "degenerate insertion at the hull" while the longest-edge
+        fallback inserted its point without the encroachment check.
+        """
+        case = FUZZ["seed209_m002"]
+        assert len(case["contour"]) == 466
+        lm = Landmarks2D(np.array(case["ac"]), np.array(case["pc"]))
+        line, f = intercallosal_line(fuzz209_mesh, lm, 100)
+        profile = thickness_profile(fuzz209_mesh, f, line, 100)
+        median = float(np.nanmedian(profile.thickness_mm[9:89]))  # samples 10..89
+        assert abs(median - case["thickness_mm"]) <= 0.10 * case["thickness_mm"]
+
+    @pytest.mark.xfail(strict=True, raises=RuntimeError, reason="known mesher failure, ROADMAP item 4")
+    def test_seed104_m010_meshes(self):
+        """Seed 104 mask m010 at max_area 0.5 (recipe above) still loses a segment."""
+        triangulate(_fuzz_contour("seed104_m010"), FUZZ["seed104_m010"]["max_area_mm2"])
+
+
 class TestBoundaryFlags:
-    def test_flags_match_boundary_edges(self, square_mesh):
-        mesh = square_mesh
+    @pytest.mark.parametrize("fixture", ["square_mesh", "annulus_case", "disc_mesh", "fuzz209_mesh"])
+    def test_flags_match_boundary_edges(self, fixture, request):
+        mesh = request.getfixturevalue(fixture)
+        mesh = mesh["mesh"] if isinstance(mesh, dict) else mesh
         onboundary = np.zeros(mesh.n_vertices, dtype=bool)
         onboundary[np.unique(mesh.boundary_edges())] = True
         assert np.array_equal(onboundary, mesh.boundary_flags)

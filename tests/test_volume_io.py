@@ -226,6 +226,18 @@ def test_volume_invariants():
     assert not w.is_label_map()
 
 
+def test_is_label_map_scans_each_volume_once(monkeypatch):
+    scanned = []
+    real_min = np.min
+    monkeypatch.setattr(np, "min", lambda a, *args, **kw: scanned.append(a.size) or real_min(a, *args, **kw))
+    labels = Volume(np.arange(24, dtype=np.int32).reshape(2, 3, 4), (1, 1, 1), np.eye(4))
+    signed = Volume(np.arange(-1, 7, dtype=np.int16).reshape(2, 2, 2), (1, 1, 1), np.eye(4))
+    scalar = Volume(np.zeros((2, 2, 2)), (1, 1, 1), np.eye(4))
+    for _ in range(3):
+        assert labels.is_label_map() and not signed.is_label_map() and not scalar.is_label_map()
+    assert scanned == [24, 8]  # one scan per integer volume, none for floats
+
+
 # Seeded malformed files. Each must raise NiftiError from load_volume and
 # exit 2 (bad input) from every command that reads a volume.
 BAD_CASES = ["truncated_gz", "garbled_gz", "short_header", "garbled_sizeof_hdr", "garbled_magic"]
