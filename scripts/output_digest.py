@@ -1,0 +1,128 @@
+#!/usr/bin/env python3
+"""SHA-256 digest of every per-case output on a fixed set of inputs.
+
+Runs ``run_case`` with all six sub-segmentation schemes on:
+
+- the rectangle and arch phantoms (``rectangle_mask_volume``,
+  ``arch_mask_volume``, known plane, 1 mm slab spacing);
+- the 16 ``arch_cohort`` seed-7 slabs and the ``wholebrain_template``
+  seed-7 label map (template path), both built by ``ccbench/inputs.py``;
+
+and runs ``scripts/run_phantom_case.py`` as it is. It writes one JSON object
+mapping each output file (relative to the work directory) to its SHA-256;
+``status.json`` holds timings and is left out. Two checkouts give the same
+outputs when their digests are equal:
+
+    PYTHONPATH=A/src python3 scripts/output_digest.py a.json
+    PYTHONPATH=B/src python3 scripts/output_digest.py b.json
+    diff a.json b.json
+
+Usage: python3 scripts/output_digest.py OUT.json [--work DIR]
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+import ccmorph
+from ccmorph.config import RunConfig
+from ccmorph.phantoms import arch_mask_volume, rectangle_mask_volume
+from ccmorph.pipeline import CaseSpec, run_case
+from ccmorph.subseg import SCHEME_KINDS
+from ccmorph.transforms import Plane
+from ccmorph.volume import save_volume
+
+REPO = Path(__file__).resolve().parent.parent
+SEED = 7
+# child processes import the same ccmorph as this one, whatever the working directory
+ENV = dict(os.environ, PYTHONPATH=str(Path(ccmorph.__file__).resolve().parent.parent))
+
+
+def _run(script: Path, *args) -> None:
+    subprocess.run([sys.executable, str(script), *map(str, args)], check=True, env=ENV, stdout=subprocess.DEVNULL)
+
+
+def _inputs(workload: str, out: Path) -> None:
+    _run(REPO / "ccbench" / "inputs.py", "--workload", workload, "--seed", SEED, "--out", out)
+
+
+def _phantom(name: str, vol, lm, root: Path) -> CaseSpec:
+    root.mkdir(parents=True, exist_ok=True)
+    save_volume(vol, root / "labels.nii.gz")
+    (root / "lm.json").write_text(lm.to_json())
+    (root / "plane.json").write_text(Plane(np.array([1.0, 0.0, 0.0]), 0.0).to_json())
+    return CaseSpec(name, str(root / "labels.nii.gz"), str(root / "lm.json"), str(root / "plane.json"))
+
+
+def run_all(work: Path) -> None:
+    schemes = list(SCHEME_KINDS)
+    known_plane = RunConfig(slab_spacing_mm=1.0, schemes=schemes).validate()
+
+    for name, (vol, lm) in (("rect", rectangle_mask_volume()), ("arch", arch_mask_volume())):
+        case = _phantom(name, vol, lm, work / "inputs" / name)
+        run_case(case, known_plane, work / "out" / name)
+
+    script = work / "inputs" / "run_phantom_case"
+    _run(REPO / "scripts" / "run_phantom_case.py", script)
+    shutil.move(script / "case", work / "out" / "run_phantom_case")  # its inputs are not outputs
+
+    cohort = work / "inputs" / "arch_cohort"
+    _inputs("arch_cohort", cohort)
+    for case_id in sorted(c["id"] for c in json.loads((cohort / "truth.json").read_text())["cases"]):
+        case = CaseSpec(
+            case_id, str(cohort / f"{case_id}.nii"), str(cohort / f"{case_id}_lm.json"), str(cohort / "plane.json")
+        )
+        run_case(case, known_plane, work / "out" / "arch_cohort" / case_id)
+
+    brain = work / "inputs" / "wholebrain_template"
+    _inputs("wholebrain_template", brain)
+    template = RunConfig(
+        schemes=schemes,
+        template_seg=str(brain / "template.nii"),
+        template_plane=str(brain / "template_plane.json"),
+    ).validate()
+    case = CaseSpec("subject", str(brain / "subject.nii"), str(brain / "subject_lm.json"))
+    run_case(case, template, work / "out" / "wholebrain_template")
+
+
+def digests(out: Path) -> dict:
+    return {
+        str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted(out.rglob("*"))
+        if p.is_file() and p.name != "status.json"
+    }
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("out", help="JSON file to write")
+    ap.add_argument("--work", default="", help="work directory to keep (default: a temporary one)")
+    args = ap.parse_args(argv)
+    out = Path(args.out).resolve()
+    home = Path.cwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(args.work or tmp)
+        if (work / "out").exists():
+            ap.error(f"{work / 'out'} exists")
+        work.mkdir(parents=True, exist_ok=True)
+        os.chdir(work)  # relative input paths keep config.txt free of the work directory
+        try:
+            run_all(Path("."))
+            table = digests(Path("out"))
+        finally:
+            os.chdir(home)
+    out.write_text(json.dumps(table, sort_keys=True, indent=1) + "\n")
+    print(f"{len(table)} outputs digested into {args.out}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

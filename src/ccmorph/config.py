@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 __all__ = ["RunConfig", "parse_config_file"]
@@ -59,12 +60,16 @@ class RunConfig:
             value = getattr(self, f.name)
             if not ok(value):
                 raise ValueError(f"config key {f.name!r} must be {want}, got {value!r}")
+            if f.type == "float" and not math.isfinite(value):
+                raise ValueError(f"config key {f.name!r} must be finite, got {value!r}")
         if not self.sigma_vox > 0:
             raise ValueError("sigma_vox must be positive")
         if not (0.0 < self.iso < 1.0):
             raise ValueError("iso must lie in (0, 1)")
         if not self.max_area_mm2 > 0:
             raise ValueError("max_area_mm2 must be positive")
+        if not 0.0 <= self.min_angle_deg < 34.0:  # refinement does not terminate above ~34 degrees
+            raise ValueError("min_angle_deg must lie in [0, 34)")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
         if not (self.slab_width_mm > 0 and self.slab_spacing_mm >= 0):

@@ -174,69 +174,37 @@ def solve_poisson(mesh: TriMesh2D, h: np.ndarray, anchor) -> np.ndarray:
     return _solve_reduced(stiffness_matrix(mesh), h, [anchor])
 
 
-def interpolate(mesh: TriMesh2D, values: np.ndarray, points: np.ndarray, locator=None) -> np.ndarray:
+def interpolate(mesh: TriMesh2D, values: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Barycentric interpolation of a vertex field at arbitrary points."""
     values = np.asarray(values, dtype=float)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    loc = locator if locator is not None else TriangleLocator(mesh)
     out = np.empty(len(pts))
     for k, p in enumerate(pts):
-        tid, bary = loc.locate(p)
+        tid, bary = _locate(mesh, p)
         out[k] = float(values[mesh.triangles[tid]] @ bary)
     return out
 
 
-class TriangleLocator:
-    """Uniform-grid point locator over a triangle mesh."""
+def _locate(mesh: TriMesh2D, p):
+    """(triangle id, barycentric coords clipped to [0, 1]) of the first triangle holding p.
 
-    def __init__(self, mesh: TriMesh2D, cells: int = 64):
-        self.mesh = mesh
-        v = mesh.vertices
-        self.lo = v.min(axis=0)
-        hi = v.max(axis=0)
-        span = np.maximum(hi - self.lo, 1e-12)
-        self.n = max(4, min(cells, int(np.sqrt(mesh.n_triangles)) + 1))
-        self.h = span / self.n
-        a, b, c = mesh.corners()
-        tlo = np.minimum(np.minimum(a, b), c)
-        thi = np.maximum(np.maximum(a, b), c)
-        ilo = np.clip(((tlo - self.lo) / self.h).astype(int), 0, self.n - 1)
-        ihi = np.clip(((thi - self.lo) / self.h).astype(int), 0, self.n - 1)
-        self.bins = {}
-        for t in range(mesh.n_triangles):
-            for i in range(ilo[t, 0], ihi[t, 0] + 1):
-                for j in range(ilo[t, 1], ihi[t, 1] + 1):
-                    self.bins.setdefault((i, j), []).append(t)
-
-    def locate(self, p):
-        """(triangle id, barycentric coords) for the triangle containing p.
-
-        Falls back to the nearest triangle (clamped barycentrics) when p is
-        marginally outside the mesh.
-        """
-        i = int(np.clip((p[0] - self.lo[0]) / self.h[0], 0, self.n - 1))
-        j = int(np.clip((p[1] - self.lo[1]) / self.h[1], 0, self.n - 1))
-        v = self.mesh.vertices
-        t = self.mesh.triangles
-        best = None
-        for di in (0, -1, 1):
-            for dj in (0, -1, 1):
-                for tid in self.bins.get((i + di, j + dj), ()):
-                    bary = _barycentric(v[t[tid]], p)
-                    m = bary.min()
-                    if m >= -1e-12:
-                        return tid, np.clip(bary, 0.0, 1.0)
-                    if best is None or m > best[1]:
-                        best = (tid, m, bary)
-        if best is None:
-            # point far outside any bin; brute-force nearest centroid
-            cent = self.mesh.centroids()
-            tid = int(np.argmin(((cent - p) ** 2).sum(axis=1)))
-            bary = _barycentric(v[t[tid]], p)
-            return tid, np.clip(bary, 0.0, None) / max(np.clip(bary, 0.0, None).sum(), 1e-30)
-        tid, _, bary = best
-        bary = np.clip(bary, 0.0, None)
-        return tid, bary / max(bary.sum(), 1e-30)
+    A triangle holds p when its smallest coordinate is >= -1e-12. If none
+    does, the least-negative one is taken, with normalized coordinates.
+    """
+    v, t, q = mesh.vertices, mesh.triangles, np.asarray(p, dtype=float)
+    # corners relative to p, (3, T) each; cross[k] is twice the area of
+    # (p, corner k, corner k + 1), so cross over its sum are barycentrics
+    x, y = np.take(v[:, 0] - q[0], t.T), np.take(v[:, 1] - q[1], t.T)
+    cross = x * np.roll(y, -1, axis=0) - y * np.roll(x, -1, axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lowest = cross.min(axis=0) / cross.sum(axis=0)
+    for tid in np.flatnonzero(lowest >= -1e-9):  # a shortlist: _barycentric decides
+        bary = _barycentric(v[t[tid]], q)
+        if bary.min() >= -1e-12:
+            return int(tid), np.clip(bary, 0.0, 1.0)
+    tid = int(np.nanargmax(lowest))
+    bary = np.clip(_barycentric(v[t[tid]], q), 0.0, None)
+    return tid, bary / max(bary.sum(), 1e-30)
 
 
 def _barycentric(tri, p):
@@ -247,6 +215,64 @@ def _barycentric(tri, p):
     except np.linalg.LinAlgError:
         return np.array([-1.0, -1.0, -1.0])
     return np.array([1.0 - uv[0] - uv[1], uv[0], uv[1]])
+
+
+def _snapped(mesh: TriMesh2D, values: np.ndarray, level: float) -> np.ndarray:
+    v = np.asarray(values, dtype=float).copy()
+    if v.shape != (mesh.n_vertices,):
+        raise ValueError("values must be per-vertex")
+    v[np.abs(v - level) < _LEVEL_SNAP] = level + _LEVEL_SNAP
+    return v
+
+
+def _trace(mesh: TriMesh2D, v: np.ndarray, level: float, tid: int):
+    """(first edge, component) of the level path of snapped ``v`` through ``tid``, or None.
+
+    Walks ``mesh.neighbors`` both ways from ``tid``. Edges are sorted vertex
+    pairs; an open path runs from its smaller end edge, a loop from its
+    smallest edge through the lower-numbered of that edge's two triangles.
+    """
+    t, nb, above = mesh.triangles, mesh.neighbors, v > level
+
+    def crossed(s):  # (k, sorted edge) for each edge k -> k+1 of s the level crosses
+        tri, up = t[s].tolist(), above[t[s]].tolist()  # index k - 2 is corner k + 1 (mod 3)
+        return [(k, tuple(sorted((tri[k], tri[k - 2])))) for k in range(3) if up[k] != up[k - 2]]
+
+    halves = []
+    for k, e in crossed(tid):  # none, or the two edges the path leaves tid by
+        edges, tris, s = [e], [], tid
+        while (nxt := int(nb[s, k])) not in (-1, tid):
+            k, e = next(c for c in crossed(nxt) if c[1] != edges[-1])
+            edges.append(e)
+            tris.append(nxt)
+            s = nxt
+        if nxt == tid:  # a loop: tris[i] lies between edges i and i + 1
+            tris.append(tid)
+            i = min(range(len(edges)), key=edges.__getitem__)
+            if tris[i] > tris[i - 1]:  # leave the smallest edge by its lower-numbered triangle
+                edges, tris, i = edges[::-1], tris[-2::-1] + tris[-1:], len(edges) - 1 - i
+            edges, tris = edges[i:] + edges[:i], tris[i:] + tris[:i]
+            break
+        halves.append((edges, tris))
+    else:
+        if not halves:
+            return None
+        (ea, ta), (eb, tb) = halves
+        edges, tris = eb[::-1] + ea, tb[::-1] + [tid] + ta
+        if edges[0] > edges[-1]:
+            edges, tris = edges[::-1], tris[::-1]
+    closed = nxt == tid
+    e = np.array(edges, dtype=np.int64)
+    frac = (level - v[e[:, 0]]) / (v[e[:, 1]] - v[e[:, 0]])
+    pts = (1.0 - frac)[:, None] * mesh.vertices[e[:, 0]] + frac[:, None] * mesh.vertices[e[:, 1]]
+    end_edges = None if closed else (tuple(e[0]), tuple(e[-1]))
+    return edges[0], {"points": pts, "closed": closed, "end_edges": end_edges, "tri_ids": np.array(tris)}
+
+
+def _level_path(mesh: TriMesh2D, values: np.ndarray, level: float, tid: int):
+    """The :func:`level_set_components` component through triangle ``tid``, or None."""
+    path = _trace(mesh, _snapped(mesh, values, level), level, tid)
+    return None if path is None else path[1]
 
 
 def level_set_components(mesh: TriMesh2D, values: np.ndarray, level: float):
@@ -260,97 +286,20 @@ def level_set_components(mesh: TriMesh2D, values: np.ndarray, level: float):
       the endpoints lie on (None for loops),
     - ``tri_ids``: triangle index per segment.
 
+    Open paths come before loops, each in the order of their first edge.
     Vertex values within 1e-12 of the level are nudged by +1e-12 so no
     crossing is degenerate.
     """
-    v = np.asarray(values, dtype=float).copy()
-    if v.shape != (mesh.n_vertices,):
-        raise ValueError("values must be per-vertex")
-    snap = np.abs(v - level) < _LEVEL_SNAP
-    v[snap] = level + _LEVEL_SNAP
-
-    t = mesh.triangles
-    above = v[t] > level
-    count = above.sum(axis=1)
-    crossed = np.nonzero((count == 1) | (count == 2))[0]
-    if crossed.size == 0:
-        return []
-
-    tc = t[crossed]
-    ab = above[crossed]
-    # orient so exactly one vertex is on the "single" side
-    flip = ab.sum(axis=1) == 2
-    ab[flip] = ~ab[flip]
-    idx_single = np.argmax(ab, axis=1)
-    i0 = tc[np.arange(len(tc)), idx_single]
-    i1 = tc[np.arange(len(tc)), (idx_single + 1) % 3]
-    i2 = tc[np.arange(len(tc)), (idx_single + 2) % 3]
-
-    e1 = np.sort(np.column_stack([i0, i1]), axis=1)
-    e2 = np.sort(np.column_stack([i0, i2]), axis=1)
-    edges = np.vstack([e1, e2])
-    uniq, inv = np.unique(edges, axis=0, return_inverse=True)
-    frac = (level - v[uniq[:, 0]]) / (v[uniq[:, 1]] - v[uniq[:, 0]])
-    pts = (1.0 - frac)[:, None] * mesh.vertices[uniq[:, 0]] + frac[:, None] * mesh.vertices[uniq[:, 1]]
-
-    m = len(tc)
-    seg_a = inv[:m]
-    seg_b = inv[m:]
-
-    adj = {}
-    for k in range(m):
-        a_, b_ = int(seg_a[k]), int(seg_b[k])
-        adj.setdefault(a_, []).append((b_, int(crossed[k])))
-        adj.setdefault(b_, []).append((a_, int(crossed[k])))
-
-    visited_seg = set()
-    comps = []
-
-    def walk(start):
-        path = [start]
-        tris = []
-        cur = start
-        while True:
-            nxt = None
-            for nb, tid in adj[cur]:
-                if (min(cur, nb), max(cur, nb), tid) in visited_seg:
-                    continue
-                nxt = (nb, tid)
-                break
-            if nxt is None:
-                return path, tris, False
-            nb, tid = nxt
-            visited_seg.add((min(cur, nb), max(cur, nb), tid))
-            path.append(nb)
-            tris.append(tid)
-            cur = nb
-            if cur == start:
-                return path[:-1], tris, True
-
-    # consume open paths from their degree-1 ends first, then loops
-    order = sorted(adj, key=lambda n: (len(adj[n]) != 1, n))
-    for start in order:
-        remaining = any(
-            (min(start, nb), max(start, nb), tid) not in visited_seg
-            for nb, tid in adj[start]
-        )
-        if not remaining:
-            continue
-        path, tris, closed = walk(start)
-        if len(path) < 2:
-            continue
-        end_edges = None
-        if not closed:
-            end_edges = (tuple(uniq[path[0]]), tuple(uniq[path[-1]]))
-        comps.append(
-            {
-                "points": pts[path],
-                "closed": closed,
-                "end_edges": end_edges,
-                "tri_ids": np.array(tris, dtype=np.int64),
-            }
-        )
-    return comps
+    v = _snapped(mesh, values, level)
+    count = (v[mesh.triangles] > level).sum(axis=1)
+    seen = np.zeros(mesh.n_triangles, dtype=bool)
+    paths = []
+    for tid in np.flatnonzero((count == 1) | (count == 2)):
+        if not seen[tid]:
+            start, comp = _trace(mesh, v, level, int(tid))
+            seen[comp["tri_ids"]] = True
+            paths.append((comp["closed"], start, comp))
+    return [comp for *_, comp in sorted(paths, key=lambda p: p[:2])]
 
 
 def extract_level_set(mesh: TriMesh2D, values: np.ndarray, level: float):

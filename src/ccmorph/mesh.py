@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,11 +88,29 @@ class TriMesh2D:
         key = np.unique(self._directed_edges()[1])
         return np.column_stack(np.divmod(key, self.n_vertices))
 
+    @functools.cached_property
+    def neighbors(self) -> np.ndarray:
+        """Read-only (T, 3) adjacency: entry k is the triangle across edge k -> k+1, or -1.
+
+        Built on first use by pairing equal edge keys; an edge of more than
+        two triangles raises ValueError.
+        """
+        n = self.n_triangles
+        key = self._directed_edges()[1]  # directed edge j is edge j // n of triangle j % n
+        order = np.argsort(key)
+        same = key[order[1:]] == key[order[:-1]]
+        if np.any(same[1:] & same[:-1]):
+            raise ValueError("mesh edge shared by more than two triangles")
+        a, b = order[:-1][same], order[1:][same]
+        flat = np.full(3 * n, -1, dtype=np.int64)
+        flat[a], flat[b] = b % n, a % n
+        nb = np.ascontiguousarray(flat.reshape(3, n).T)
+        nb.flags.writeable = False
+        return nb
+
     def boundary_edges(self) -> np.ndarray:
         """Directed boundary edges (u, v) with the interior to the left."""
-        e, key = self._directed_edges()
-        _, inv, counts = np.unique(key, return_inverse=True, return_counts=True)
-        return e[counts[inv] == 1]
+        return self._directed_edges()[0][self.neighbors.T.ravel() == -1]
 
     def boundary_loop(self) -> np.ndarray:
         """The ordered boundary vertex loop (single loop required)."""

@@ -250,23 +250,22 @@ def thickness_profile(mesh: TriMesh2D, f: np.ndarray, line: Polyline, n: int) ->
 
     Rotates the gradients of the Laplace solution by 90 degrees, solves the
     Poisson equation for the conjugate field g, and measures the length of
-    the level path of g through each interior line sample: the level-set
-    component that crosses the triangle holding the sample. A level path
+    the level path of g through each interior line sample, traced through
+    the triangle adjacency both ways from the triangle holding the sample
+    (the level-set component that crosses that triangle). A level path
     that does not span from the inferior to the superior boundary is
     flagged invalid (NaN) rather than interpolated.
     """
     if len(line.points) != n + 2:
         raise ValueError(f"line must have n + 2 = {n + 2} points, got {len(line.points)}")
     g_field = conjugate_field(mesh, f, line)
-    locator = fem.TriangleLocator(mesh)
 
     thickness = np.full(n, np.nan)
     valid = np.zeros(n, dtype=bool)
     for k, p in enumerate(line.points[1:-1]):
-        tid, bary = locator.locate(p)
+        tid, bary = fem._locate(mesh, p)
         level = float(g_field[mesh.triangles[tid]] @ bary)
-        comps = fem.level_set_components(mesh, g_field, level)
-        path = next((c for c in comps if tid in c["tri_ids"]), None)
+        path = fem._level_path(mesh, g_field, level, tid)
         if path is None or not spans_inferior_superior(f, path):
             continue
         thickness[k] = polyline_length(path["points"])

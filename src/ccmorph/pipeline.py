@@ -374,25 +374,35 @@ def read_group_table(table_path, profiles_dir) -> tuple:
     thickness = []
     with open(table_path, "r", encoding="utf-8", newline="") as f:
         reader = csv.DictReader(f)
-        needed = {"case_id", "group", "age", "sex", "tbv"}
-        if reader.fieldnames is None or not needed.issubset(set(reader.fieldnames)):
+        needed = ("case_id", "group", "age", "sex", "tbv")
+        if reader.fieldnames is None or not set(needed).issubset(reader.fieldnames):
             raise InputError(f"group table must have columns {sorted(needed)}")
-        for row in reader:
-            cid = row["case_id"].strip()
+        for raw in reader:
+            row = {k: (raw[k] or "").strip() for k in needed}  # a short row gives None
+            cid = row["case_id"]
+            for col in needed:
+                if not row[col]:
+                    raise InputError(f"group table line {reader.line_num}: case {cid!r} has no {col} value")
             prof = Path(profiles_dir) / cid / "profile.csv"
             if not prof.exists():
                 raise InputError(f"profile not found for case {cid}: {prof}")
-            g = _GROUP_CODES.get(row["group"].strip().lower())
-            s = _SEX_CODES.get(row["sex"].strip().lower())
+            g = _GROUP_CODES.get(row["group"].lower())
+            s = _SEX_CODES.get(row["sex"].lower())
             if g is None:
                 raise InputError(f"unknown group value {row['group']!r} for case {cid}")
             if s is None:
                 raise InputError(f"unknown sex value {row['sex']!r} for case {cid}")
+            for col, out in (("age", age), ("tbv", tbv)):
+                try:
+                    value = float(row[col])
+                except ValueError:
+                    value = np.nan
+                if not np.isfinite(value):
+                    raise InputError(f"{col} value {row[col]!r} for case {cid} is not a finite number")
+                out.append(value)
             ids.append(cid)
             group.append(g)
             sex.append(s)
-            age.append(float(row["age"]))
-            tbv.append(float(row["tbv"]))
             thickness.append(_read_profile_csv(prof))
     if not ids:
         raise InputError("insufficient data: empty group table")

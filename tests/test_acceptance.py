@@ -216,10 +216,9 @@ def test_criterion_4_level_set_orthogonality():
     dev = np.abs(np.degrees(np.arccos(np.clip(dot, -1, 1))) - 90.0)
     mean_dev = float((dev * ar).sum() / ar.sum())
 
-    loc = fem.TriangleLocator(mesh)
     sample_dev = []
     for p in line.points[1:-1]:
-        tid, _ = loc.locate(p)
+        tid, _ = fem._locate(mesh, p)
         sample_dev.append(dev[tid])
     mean_sample = float(np.mean(sample_dev))
 

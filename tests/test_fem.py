@@ -3,7 +3,8 @@ import pytest
 
 from ccmorph import fem
 from ccmorph.mesh import TriMesh2D
-from ccmorph.phantoms import rectangle_grid_mesh
+from ccmorph.phantoms import half_annulus_contour, rectangle_grid_mesh
+from ccmorph.triangulate import triangulate
 
 
 @pytest.fixture(scope="module")
@@ -218,3 +219,173 @@ class TestInterpolate:
     def test_field_csv(self):
         s = fem.field_to_csv(np.array([1.5, 2.0]))
         assert s == "vertex,value\n0,1.5\n1,2.0\n"
+
+
+def _reference_level_set_components(mesh, values, level):
+    """The whole-mesh edge-graph tracer that ``level_set_components`` replaced.
+
+    Kept as the oracle of the adjacency walk: it dedups the crossed edges
+    with ``np.unique``, links them into a dict graph and walks it from the
+    degree-1 nodes first, then from the loops' smallest edges.
+    """
+    v = np.asarray(values, dtype=float).copy()
+    v[np.abs(v - level) < 1e-12] = level + 1e-12
+    t = mesh.triangles
+    above = v[t] > level
+    count = above.sum(axis=1)
+    crossed = np.nonzero((count == 1) | (count == 2))[0]
+    if crossed.size == 0:
+        return []
+    tc = t[crossed]
+    ab = above[crossed]
+    flip = ab.sum(axis=1) == 2
+    ab[flip] = ~ab[flip]
+    idx_single = np.argmax(ab, axis=1)
+    rows = np.arange(len(tc))
+    i0 = tc[rows, idx_single]
+    i1 = tc[rows, (idx_single + 1) % 3]
+    i2 = tc[rows, (idx_single + 2) % 3]
+    e1 = np.sort(np.column_stack([i0, i1]), axis=1)
+    e2 = np.sort(np.column_stack([i0, i2]), axis=1)
+    uniq, inv = np.unique(np.vstack([e1, e2]), axis=0, return_inverse=True)
+    inv = inv.ravel()
+    frac = (level - v[uniq[:, 0]]) / (v[uniq[:, 1]] - v[uniq[:, 0]])
+    pts = (1.0 - frac)[:, None] * mesh.vertices[uniq[:, 0]] + frac[:, None] * mesh.vertices[uniq[:, 1]]
+    m = len(tc)
+    adj = {}
+    for k in range(m):
+        a_, b_ = int(inv[k]), int(inv[m + k])
+        adj.setdefault(a_, []).append((b_, int(crossed[k])))
+        adj.setdefault(b_, []).append((a_, int(crossed[k])))
+    visited = set()
+    comps = []
+
+    def walk(start):
+        path, tris, cur = [start], [], start
+        while True:
+            nxt = next(((nb, tid) for nb, tid in adj[cur] if (min(cur, nb), max(cur, nb), tid) not in visited), None)
+            if nxt is None:
+                return path, tris, False
+            nb, tid = nxt
+            visited.add((min(cur, nb), max(cur, nb), tid))
+            path.append(nb)
+            tris.append(tid)
+            cur = nb
+            if cur == start:
+                return path[:-1], tris, True
+
+    for start in sorted(adj, key=lambda n: (len(adj[n]) != 1, n)):
+        if all((min(start, nb), max(start, nb), tid) in visited for nb, tid in adj[start]):
+            continue
+        path, tris, closed = walk(start)
+        comps.append(
+            {
+                "points": pts[path],
+                "closed": closed,
+                "end_edges": None if closed else (tuple(uniq[path[0]]), tuple(uniq[path[-1]])),
+                "tri_ids": np.array(tris, dtype=np.int64),
+            }
+        )
+    return comps
+
+
+def _same_component(a, b):
+    return (
+        np.array_equal(a["points"], b["points"])
+        and a["closed"] == b["closed"]
+        and a["end_edges"] == b["end_edges"]
+        and np.array_equal(a["tri_ids"], b["tri_ids"])
+    )
+
+
+@pytest.fixture(scope="module")
+def trace_meshes():
+    return {
+        "grid": rectangle_grid_mesh(10.0, 8.0, 0.5),
+        "annulus": triangulate(half_annulus_contour(), 0.05),
+        "arch": triangulate(half_annulus_contour(22.0, 30.0, 240), 1.0),
+    }
+
+
+def _field(mesh, kind):
+    V = mesh.vertices
+    if kind == "radial":  # closed level curves around the centroid deepest inside the mesh
+        cent = mesh.centroids()
+        depth = np.linalg.norm(cent[:, None, :] - V[mesh.boundary_flags][None, :, :], axis=2).min(axis=1)
+        return ((V - cent[np.argmax(depth)]) ** 2).sum(axis=1)
+    if kind == "linear":
+        return 0.3 * V[:, 0] - 0.7 * V[:, 1]
+    return np.random.default_rng(5).standard_normal(mesh.n_vertices)
+
+
+def _levels(f):
+    # quantile levels, and two levels equal to vertex values (the 1e-12 snap)
+    return [float(q) for q in np.quantile(f, [0.05, 0.25, 0.5, 0.75, 0.95])] + [f[len(f) // 3], f[2 * len(f) // 3]]
+
+
+class TestLevelPathTracing:
+    @pytest.mark.parametrize("kind", ["radial", "linear", "random"])
+    @pytest.mark.parametrize("name", ["grid", "annulus", "arch"])
+    def test_matches_reference_tracer(self, trace_meshes, name, kind):
+        mesh = trace_meshes[name]
+        f = _field(mesh, kind)
+        for level in _levels(f):
+            got = fem.level_set_components(mesh, f, level)
+            ref = _reference_level_set_components(mesh, f, level)
+            assert len(got) == len(ref)
+            assert all(_same_component(a, b) for a, b in zip(got, ref))
+
+    @pytest.mark.parametrize("kind", ["radial", "linear", "random"])
+    @pytest.mark.parametrize("name", ["grid", "annulus", "arch"])
+    def test_level_path_through_any_triangle(self, trace_meshes, name, kind):
+        mesh = trace_meshes[name]
+        f = _field(mesh, kind)
+        level = float(np.quantile(f, 0.02 if kind == "radial" else 0.5))
+        comps = fem.level_set_components(mesh, f, level)
+        assert any(c["closed"] for c in comps) == (kind != "linear")
+        for c in comps:
+            for tid in c["tri_ids"]:
+                assert _same_component(fem._level_path(mesh, f, level, int(tid)), c)
+        uncrossed = np.setdiff1d(np.arange(mesh.n_triangles), np.concatenate([c["tri_ids"] for c in comps]))
+        assert fem._level_path(mesh, f, level, int(uncrossed[0])) is None
+
+
+def _brute_locate(mesh, p):
+    """First triangle (by id) whose barycentric coordinates hold p, else the least-negative one."""
+    barys = [fem._barycentric(mesh.vertices[tri], p) for tri in mesh.triangles]
+    for tid, bary in enumerate(barys):
+        if bary.min() >= -1e-12:
+            return tid, np.clip(bary, 0.0, 1.0)
+    tid = int(np.argmax([b.min() for b in barys]))
+    bary = np.clip(barys[tid], 0.0, None)
+    return tid, bary / bary.sum()
+
+
+class TestLocate:
+    @pytest.mark.parametrize("name", ["grid", "annulus"])
+    def test_matches_brute_force(self, name):
+        if name == "grid":
+            mesh = rectangle_grid_mesh(4.0, 3.0, 0.5)
+        else:
+            mesh = triangulate(half_annulus_contour(n_arc=48), 0.25)
+        rng = np.random.default_rng(3)
+        V = mesh.vertices
+        edges = mesh.edges()
+        be = mesh.boundary_edges()[rng.choice(len(mesh.boundary_edges()), 10, replace=False)]
+        d = V[be[:, 1]] - V[be[:, 0]]
+        outward = np.column_stack([d[:, 1], -d[:, 0]]) / np.linalg.norm(d, axis=1)[:, None]
+        mid = (V[be[:, 0]] + V[be[:, 1]]) / 2
+        points = np.vstack(
+            [
+                V[rng.choice(len(V), 20, replace=False)],  # held by several triangles
+                (V[edges[:, 0]] + V[edges[:, 1]])[rng.choice(len(edges), 20, replace=False)] / 2,
+                mesh.centroids()[rng.choice(mesh.n_triangles, 20, replace=False)],
+                mid + 1e-14 * outward,  # outside by less than the tolerance
+                mid + 1e-6 * outward,  # just outside the mesh
+            ]
+        )
+        for p in points:
+            tid, bary = fem._locate(mesh, p)
+            ref_tid, ref_bary = _brute_locate(mesh, p)
+            assert tid == ref_tid
+            assert np.array_equal(bary, ref_bary)

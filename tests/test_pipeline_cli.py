@@ -335,8 +335,28 @@ class TestCLI:
             ("fractions = [0.5, 0.2]", "fractions must be strictly increasing"),
             ('write_svg = "no"', "'write_svg' must be true or false"),
             ('schemes = "witelson"', "'schemes' must be a list of strings"),
+            ("max_area_mm2 = Infinity", "'max_area_mm2' must be finite"),
+            ("slab_width_mm = Infinity", "'slab_width_mm' must be finite"),
+            ("sigma_vox = Infinity", "'sigma_vox' must be finite"),
+            ("slab_spacing_mm = -Infinity", "'slab_spacing_mm' must be finite"),
+            ("min_angle_deg = NaN", "'min_angle_deg' must be finite"),
+            ("min_angle_deg = 40", "min_angle_deg must lie in [0, 34)"),
         ],
-        ids=["solver_tol", "threads", "max_area_mm2", "n_samples", "fractions", "write_svg", "schemes"],
+        ids=[
+            "solver_tol",
+            "threads",
+            "max_area_mm2",
+            "n_samples",
+            "fractions",
+            "write_svg",
+            "schemes",
+            "max_area_inf",
+            "slab_width_inf",
+            "sigma_vox_inf",
+            "slab_spacing_neg_inf",
+            "min_angle_nan",
+            "min_angle_40",
+        ],
     )
     def test_removed_config_key_exit_code_2(self, phantom_files, tmp_path, capsys, line, message):
         # a removed key or a malformed value exits 2, naming the key, before any stage runs
@@ -439,6 +459,31 @@ class TestCLI:
             ]
         )
         assert code == 0
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("c4,control", "case 'c4' has no age value"),
+            ("c4,control,,f,1.2e6", "case 'c4' has no age value"),
+            ("c4,control,40,f, ", "case 'c4' has no tbv value"),
+            ("c4,control,abc,f,1.2e6", "age value 'abc' for case c4 is not a finite number"),
+            ("c4,control,40,f,big", "tbv value 'big' for case c4 is not a finite number"),
+            ("c4,control,nan,f,1.2e6", "age value 'nan' for case c4 is not a finite number"),
+        ],
+        ids=["short_row", "empty_age", "blank_tbv", "age_abc", "tbv_big", "age_nan"],
+    )
+    def test_malformed_group_table_exit_code_2(self, tmp_path, capsys, row, message):
+        rng = np.random.default_rng(31)
+        _write_profiles(tmp_path, rng, 8)
+        (tmp_path / "c4").mkdir()
+        (tmp_path / "c4" / "profile.csv").write_text((tmp_path / "s000" / "profile.csv").read_text())
+        with open(tmp_path / "table.csv", "a") as f:
+            f.write(row + "\n")
+        table, out = str(tmp_path / "table.csv"), str(tmp_path / "st")
+        code = main(["stats", "--table", table, "--profiles", str(tmp_path), "--out", out])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert message in err and "internal" not in err
 
     def test_midplane_subcommand(self, tmp_path, capsys):
         from ccmorph.phantoms import label_ball_volume

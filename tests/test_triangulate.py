@@ -6,6 +6,7 @@ import pytest
 
 from ccmorph import Landmarks2D, intercallosal_line, thickness_profile
 from ccmorph.contour import Polyline, polygon_area
+from ccmorph.mesh import TriMesh2D
 from ccmorph.phantoms import half_annulus_contour
 from ccmorph.triangulate import first_self_intersection, triangulate
 
@@ -179,6 +180,39 @@ class TestBoundaryFlags:
         pairs, inv, counts = np.unique(np.sort(e, axis=1), axis=0, return_inverse=True, return_counts=True)
         assert np.array_equal(mesh.edges(), pairs)
         assert np.array_equal(mesh.boundary_edges(), e[counts[inv.ravel()] == 1])
+
+
+class TestNeighbors:
+    @pytest.mark.parametrize("fixture", ["square_mesh", "annulus_case", "disc_mesh", "fuzz209_mesh"])
+    def test_matches_brute_force_pairing(self, fixture, request):
+        mesh = request.getfixturevalue(fixture)
+        mesh = mesh["mesh"] if isinstance(mesh, dict) else mesh
+        sides = {}
+        for tid, tri in enumerate(mesh.triangles.tolist()):
+            for k in range(3):
+                sides.setdefault(frozenset((tri[k], tri[(k + 1) % 3])), []).append((tid, k))
+        expected = np.full((mesh.n_triangles, 3), -1)
+        for pair in sides.values():
+            if len(pair) == 2:
+                (t0, k0), (t1, k1) = pair
+                expected[t0, k0], expected[t1, k1] = t1, t0
+        nb = mesh.neighbors
+        assert np.array_equal(nb, expected)
+        # symmetric: every interior side is seen from both of its triangles
+        tid, k = np.nonzero(nb >= 0)
+        assert np.all((mesh.neighbors[nb[tid, k]] == tid[:, None]).sum(axis=1) == 1)
+
+    def test_read_only_and_built_once(self, square_mesh):
+        nb = square_mesh.neighbors
+        assert square_mesh.neighbors is nb
+        with pytest.raises(ValueError):
+            nb[0, 0] = 0
+
+    def test_three_triangle_edge_raises(self):
+        verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.5, 2.0]])
+        mesh = TriMesh2D(verts, np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]]), np.ones(5, dtype=bool))
+        with pytest.raises(ValueError, match="more than two triangles"):
+            mesh.neighbors
 
 
 class TestOFF:
