@@ -8,8 +8,13 @@ Runs ``run_case`` with all six sub-segmentation schemes on:
 - the 16 ``arch_cohort`` seed-7 slabs and the ``wholebrain_template``
   seed-7 label map (template path), both built by ``ccbench/inputs.py``;
 
-and runs ``scripts/run_phantom_case.py`` as it is. It writes one JSON object
-mapping each output file (relative to the work directory) to its SHA-256;
+runs ``scripts/run_phantom_case.py`` as it is, and writes the
+``extract_contour`` contour of each of the 16 ``contour_fuzz`` seed-15 masks
+twice: on the raw 0/1 mask (rich in saddle cells) and on the mask smoothed
+as the pipeline smooths it, both padded and at the default iso value.
+
+It writes one JSON object mapping each output file (relative to the work
+directory) to its SHA-256;
 ``status.json`` holds timings and is left out. Two checkouts give the same
 outputs when their digests are equal:
 
@@ -34,6 +39,7 @@ import numpy as np
 
 import ccmorph
 from ccmorph.config import RunConfig
+from ccmorph.contour import Mask2D, extract_contour, smooth_mask
 from ccmorph.phantoms import arch_mask_volume, rectangle_mask_volume
 from ccmorph.pipeline import CaseSpec, run_case
 from ccmorph.subseg import SCHEME_KINDS
@@ -42,6 +48,7 @@ from ccmorph.volume import save_volume
 
 REPO = Path(__file__).resolve().parent.parent
 SEED = 7
+FUZZ_SEED = 15
 # child processes import the same ccmorph as this one, whatever the working directory
 ENV = dict(os.environ, PYTHONPATH=str(Path(ccmorph.__file__).resolve().parent.parent))
 
@@ -50,8 +57,8 @@ def _run(script: Path, *args) -> None:
     subprocess.run([sys.executable, str(script), *map(str, args)], check=True, env=ENV, stdout=subprocess.DEVNULL)
 
 
-def _inputs(workload: str, out: Path) -> None:
-    _run(REPO / "ccbench" / "inputs.py", "--workload", workload, "--seed", SEED, "--out", out)
+def _inputs(workload: str, out: Path, seed: int = SEED) -> None:
+    _run(REPO / "ccbench" / "inputs.py", "--workload", workload, "--seed", seed, "--out", out)
 
 
 def _phantom(name: str, vol, lm, root: Path) -> CaseSpec:
@@ -91,6 +98,19 @@ def run_all(work: Path) -> None:
     ).validate()
     case = CaseSpec("subject", str(brain / "subject.nii"), str(brain / "subject_lm.json"))
     run_case(case, template, work / "out" / "wholebrain_template")
+
+    fuzz = work / "inputs" / "contour_fuzz"
+    _inputs("contour_fuzz", fuzz, FUZZ_SEED)
+    px = json.loads((fuzz / "masks.json").read_text())["pixel_mm"]
+    contours = work / "out" / "contour_fuzz"
+    contours.mkdir(parents=True)
+    cfg = RunConfig()
+    with np.load(fuzz / "masks.npz") as masks:
+        for name in sorted(masks.files):
+            mask = Mask2D(masks[name], (px, px))
+            for kind, field in (("raw", mask.data), ("smooth", smooth_mask(mask, cfg.sigma_vox * px))):
+                contour = extract_contour(np.pad(field, 1), cfg.iso, pixel_size=(px, px), origin=(-px, -px))
+                (contours / f"{name}_{kind}.csv").write_text(contour.to_csv())
 
 
 def digests(out: Path) -> dict:

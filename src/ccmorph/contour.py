@@ -126,36 +126,18 @@ def smooth_mask(mask: Mask2D, sigma_mm: float) -> np.ndarray:
     return ndimage.gaussian_filter(mask.data.astype(float), sigma=sig, mode="reflect", truncate=4.0)
 
 
-# marching squares: per-case list of corner-pair edges to connect. Corners are
-# numbered 0:(i,j) 1:(i+1,j) 2:(i+1,j+1) 3:(i,j+1); cell edges by the corner
-# pair they join. The case index sets bit c when corner c is above iso.
-_EDGE_OF = {(0, 1): 0, (1, 2): 1, (3, 2): 2, (0, 3): 3}
-
-
-def _cell_segments(case: int, center_above: bool):
-    # returns list of (edge_a, edge_b) pairs; segments oriented so the
-    # above-iso region lies to the left
-    table = {
-        0: [],
-        1: [(3, 0)],
-        2: [(0, 1)],
-        3: [(3, 1)],
-        4: [(1, 2)],
-        6: [(0, 2)],
-        7: [(3, 2)],
-        8: [(2, 3)],
-        9: [(2, 0)],
-        11: [(2, 1)],
-        12: [(1, 3)],
-        13: [(1, 0)],
-        14: [(0, 3)],
-        15: [],
-    }
-    if case == 5:
-        return [(3, 0), (1, 2)] if not center_above else [(3, 2), (1, 0)]
-    if case == 10:
-        return [(0, 1), (2, 3)] if not center_above else [(0, 3), (2, 1)]
-    return table[case]
+# marching squares. Corners are numbered 0:(i,j) 1:(i+1,j) 2:(i+1,j+1) 3:(i,j+1)
+# and a cell's case sets bit c when corner c is above iso. Edge e joins grid
+# points (i, j) + _EDGES[e][:2] and (i, j) + _EDGES[e][2:].
+_EDGES = ((0, 0, 1, 0), (1, 0, 1, 1), (0, 1, 1, 1), (0, 0, 0, 1))
+# (edge_a, edge_b) segments per case, oriented so the above-iso region lies to
+# the left; a saddle (5, 10) whose cell center is above iso is keyed case | 16
+_SEGMENTS = {
+    1: ((3, 0),), 2: ((0, 1),), 3: ((3, 1),), 4: ((1, 2),), 5: ((3, 0), (1, 2)),
+    6: ((0, 2),), 7: ((3, 2),), 8: ((2, 3),), 9: ((2, 0),), 10: ((0, 1), (2, 3)),
+    11: ((2, 1),), 12: ((1, 3),), 13: ((1, 0),), 14: ((0, 3),),
+    5 | 16: ((3, 2), (1, 0)), 10 | 16: ((0, 3), (2, 1)),
+}
 
 
 def extract_contour(
@@ -191,8 +173,9 @@ def extract_contour(
     # vertex on a grid edge, keyed so neighboring cells agree exactly
     verts: dict = {}
 
-    def edge_vertex(i0, j0, i1, j1):
-        key = (i0, j0, i1, j1)
+    def edge_vertex(i, j, e):
+        di0, dj0, di1, dj1 = _EDGES[e]
+        i0, j0, i1, j1 = key = (i + di0, j + dj0, i + di1, j + dj1)
         v = verts.get(key)
         if v is None:
             f0, f1 = f[i0, j0], f[i1, j1]
@@ -210,31 +193,15 @@ def extract_contour(
         segs.setdefault(a[0], []).append((a, b))
         segs.setdefault(b[0], []).append((b, a))
 
-    ni, nj = f.shape
-    corners_of = ((0, 0), (1, 0), (1, 1), (0, 1))
-    for i in range(ni - 1):
-        for j in range(nj - 1):
-            case = (
-                (1 if above[i, j] else 0)
-                | (2 if above[i + 1, j] else 0)
-                | (4 if above[i + 1, j + 1] else 0)
-                | (8 if above[i, j + 1] else 0)
-            )
-            if case in (0, 15):
-                continue
-            center_above = (f[i, j] + f[i + 1, j] + f[i + 1, j + 1] + f[i, j + 1]) / 4.0 > iso
-            for ea, eb in _cell_segments(case, center_above):
-                endpoints = []
-                for e in (ea, eb):
-                    if e == 0:
-                        endpoints.append(edge_vertex(i, j, i + 1, j))
-                    elif e == 1:
-                        endpoints.append(edge_vertex(i + 1, j, i + 1, j + 1))
-                    elif e == 2:
-                        endpoints.append(edge_vertex(i, j + 1, i + 1, j + 1))
-                    else:
-                        endpoints.append(edge_vertex(i, j, i, j + 1))
-                add_seg(endpoints[0], endpoints[1])
+    up = above.astype(np.uint8)
+    case = up[:-1, :-1] | up[1:, :-1] << 1 | up[1:, 1:] << 2 | up[:-1, 1:] << 3
+    center_above = (f[:-1, :-1] + f[1:, :-1] + f[1:, 1:] + f[:-1, 1:]) / 4.0 > iso
+    case[((case == 5) | (case == 10)) & center_above] |= 16
+    # crossed cells only, in row-major order: vertex ids follow first use
+    ii, jj = np.nonzero((case != 0) & (case != 15))
+    for i, j, c in zip(ii.tolist(), jj.tolist(), case[ii, jj].tolist()):
+        for ea, eb in _SEGMENTS[c]:
+            add_seg(edge_vertex(i, j, ea), edge_vertex(i, j, eb))
 
     if not segs:
         raise ValueError("empty contour: field does not cross the iso value")

@@ -50,8 +50,8 @@ class TriMesh2D:
 
     def corners(self) -> tuple:
         """Vertex coordinate arrays (a, b, c) per triangle, each (T, 2)."""
-        v, t = self.vertices, self.triangles
-        return v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
+        c = np.take(self.vertices, self.triangles, axis=0)  # (T, 3, 2) in one gather
+        return c[:, 0], c[:, 1], c[:, 2]
 
     def signed_areas(self) -> np.ndarray:
         a, b, c = self.corners()

@@ -123,24 +123,18 @@ def resample_slab(
     slab_affine[:3, 2] = plane.normal * spacing_mm
     slab_affine[:3, 3] = grid_origin
 
-    ii, jj, kk = np.meshgrid(np.arange(nu), np.arange(nv), np.arange(nsl), indexing="ij")
-    world = (
-        grid_origin
-        + ii[..., None] * sp_in * e1
-        + jj[..., None] * sp_in * e2
-        + kk[..., None] * spacing_mm * plane.normal
+    # one affine map, slab index -> world -> source voxel, applied by ndimage
+    nearest = vol.is_label_map()
+    data = ndimage.affine_transform(
+        vol.data,
+        np.linalg.inv(vol.affine) @ slab_affine,
+        output_shape=(nu, nv, nsl),
+        output=None if nearest else float,
+        order=0 if nearest else 1,
+        mode="constant",
+        cval=0.0,
+        prefilter=False,
     )
-    voxel = vol.world_to_voxel(world.reshape(-1, 3)).reshape(nu, nv, nsl, 3)
-    coords = np.moveaxis(voxel, -1, 0)
-
-    if vol.is_label_map():
-        data = ndimage.map_coordinates(
-            vol.data, coords, order=0, mode="constant", cval=0, prefilter=False
-        )
-    else:
-        data = ndimage.map_coordinates(
-            vol.data.astype(float), coords, order=1, mode="constant", cval=0.0, prefilter=False
-        )
     return Volume(data, np.array([sp_in, sp_in, spacing_mm]), slab_affine)
 
 

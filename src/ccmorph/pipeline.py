@@ -347,9 +347,13 @@ def _read_profile_csv(path) -> np.ndarray:
         header = f.readline().strip().split(",")
         if header[:2] != ["position_fraction", "thickness_mm"]:
             raise InputError(f"unexpected profile header in {path}")
-        for line in f:
-            _, t = line.strip().split(",")
-            rows.append(float(t))
+        for line_num, line in enumerate(f, start=2):
+            try:
+                _, t = line.strip().split(",")
+                rows.append(float(t))
+            except ValueError:
+                msg = f"profile {path} line {line_num}: expected position,thickness, got {line.strip()!r}"
+                raise InputError(msg) from None
     return np.array(rows)
 
 
@@ -477,12 +481,17 @@ def _read_summaries(table: GroupTable, summaries_dir):
         p = Path(summaries_dir) / cid / "summary.json"
         if not p.exists():
             return None
-        with open(p, "r", encoding="utf-8") as f:
-            d = json.load(f)
-        for k, v in d.items():
+        for k, v in _load_json_input(p, "summary", _json_object).items():
             if isinstance(v, (int, float)):
                 sums.setdefault(k, []).append(float(v))
     return {k: np.array(v) for k, v in sums.items() if len(v) == len(table.case_ids)}
+
+
+def _json_object(text) -> dict:
+    d = json.loads(text)
+    if not isinstance(d, dict):
+        raise TypeError(f"expected a JSON object, got {type(d).__name__}")
+    return d
 
 
 def _run_case_star(args):

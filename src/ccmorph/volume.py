@@ -38,6 +38,8 @@ _DTYPES = {
 _DTYPE_CODES = {np.dtype(v): k for k, v in _DTYPES.items()}
 
 _HDR_SIZE = 348
+_QFORM_FIELDS = ("quatern_b", "quatern_c", "quatern_d", "qoffset_x", "qoffset_y", "qoffset_z")
+_SROW_FIELDS = tuple(f"srow_{axis}[{k}]" for axis in "xyz" for k in range(4))
 
 
 @dataclass(frozen=True)
@@ -66,6 +68,8 @@ class Volume:
         affine = np.asarray(self.affine, dtype=float).reshape(4, 4)
         if np.any(voxel_size <= 0):
             raise ValueError(f"voxel sizes must be positive, got {voxel_size}")
+        if not np.all(np.isfinite(affine)):
+            raise NiftiError("non-finite affine")
         if abs(np.linalg.det(affine[:3, :3])) < 1e-12:
             raise NiftiError("singular affine")
         # expose read-only views; types are immutable after construction
@@ -197,14 +201,17 @@ def load_volume(path) -> Volume:
         raise NiftiError(f"malformed header: pixdim = {pixdim[1:4]}")
 
     vox_offset = struct.unpack(end + "f", raw[108:112])[0]
+    _check_finite(("vox_offset",), (vox_offset,))
     scl_slope, scl_inter = struct.unpack(end + "ff", raw[112:120])
     qform_code, sform_code = struct.unpack(end + "hh", raw[252:256])
     quatern = struct.unpack(end + "6f", raw[256:280])
     srow = np.array(struct.unpack(end + "12f", raw[280:328]), dtype=float).reshape(3, 4)
 
     if sform_code > 0:
+        _check_finite(_SROW_FIELDS, srow.ravel())
         affine = np.vstack([srow, [0.0, 0.0, 0.0, 1.0]])
     elif qform_code > 0:
+        _check_finite(_QFORM_FIELDS, quatern)
         affine = _qform_affine(quatern, pixdim)
     else:
         affine = np.diag([voxel_size[0], voxel_size[1], voxel_size[2], 1.0])
@@ -223,6 +230,12 @@ def load_volume(path) -> Volume:
         data = data.astype(np.float64) * scl_slope + scl_inter
 
     return Volume(data, voxel_size, affine)
+
+
+def _check_finite(names, values):
+    for name, value in zip(names, values):
+        if not np.isfinite(value):
+            raise NiftiError(f"malformed header: {name} = {value}")
 
 
 def _qform_affine(quatern, pixdim):

@@ -123,6 +123,101 @@ class TestExtractContour:
         assert abs(c.area() - np.pi * 15**2) / (np.pi * 15**2) < 0.05
 
 
+def _reference_contour(field, iso, pixel_size=(1.0, 1.0), origin=(0.0, 0.0)):
+    """The earlier algorithm: a Python case ladder over every cell of the grid."""
+    f = np.asarray(field, dtype=float)
+    px = np.broadcast_to(np.asarray(pixel_size, dtype=float).ravel(), (2,))
+    ox, oy = float(origin[0]), float(origin[1])
+    table = {1: [(3, 0)], 2: [(0, 1)], 3: [(3, 1)], 4: [(1, 2)], 6: [(0, 2)], 7: [(3, 2)], 8: [(2, 3)]}
+    table.update({9: [(2, 0)], 11: [(2, 1)], 12: [(1, 3)], 13: [(1, 0)], 14: [(0, 3)]})
+    saddles = {(5, False): [(3, 0), (1, 2)], (5, True): [(3, 2), (1, 0)]}
+    saddles.update({(10, False): [(0, 1), (2, 3)], (10, True): [(0, 3), (2, 1)]})
+    verts, segs = {}, {}
+
+    def edge_vertex(i0, j0, i1, j1):
+        if (i0, j0, i1, j1) not in verts:
+            t = (iso - f[i0, j0]) / (f[i1, j1] - f[i0, j0])
+            x = (i0 + t * (i1 - i0)) * px[0] + ox
+            y = (j0 + t * (j1 - j0)) * px[1] + oy
+            verts[i0, j0, i1, j1] = (len(verts), x, y)
+        return verts[i0, j0, i1, j1]
+
+    above = f > iso
+    for i in range(f.shape[0] - 1):
+        for j in range(f.shape[1] - 1):
+            case = int(above[i, j]) | 2 * above[i + 1, j] | 4 * above[i + 1, j + 1] | 8 * above[i, j + 1]
+            if case in (0, 15):
+                continue
+            center_above = (f[i, j] + f[i + 1, j] + f[i + 1, j + 1] + f[i, j + 1]) / 4.0 > iso
+            for ea, eb in saddles[case, center_above] if case in (5, 10) else table[case]:
+                ends = []
+                for e in (ea, eb):
+                    if e == 0:
+                        ends.append(edge_vertex(i, j, i + 1, j))
+                    elif e == 1:
+                        ends.append(edge_vertex(i + 1, j, i + 1, j + 1))
+                    elif e == 2:
+                        ends.append(edge_vertex(i, j + 1, i + 1, j + 1))
+                    else:
+                        ends.append(edge_vertex(i, j, i, j + 1))
+                segs.setdefault(ends[0][0], []).append((ends[0], ends[1]))
+                segs.setdefault(ends[1][0], []).append((ends[1], ends[0]))
+
+    visited, loops = set(), []
+    for start_id in sorted(segs):
+        if start_id in visited:
+            continue
+        cur, nxt = segs[start_id][0]
+        loop = [cur]
+        visited.add(cur[0])
+        while nxt[0] != start_id:
+            loop.append(nxt)
+            visited.add(nxt[0])
+            cand = segs[nxt[0]]
+            nxt = cand[0][1] if cand[0][1][0] != loop[-2][0] else cand[1][1]
+        loops.append(np.array([(x, y) for _, x, y in loop]))
+    best = max(loops, key=lambda L: abs(polygon_area(L)))
+    return best[::-1] if polygon_area(best) < 0 else best
+
+
+def _saddle_sides(field, iso):
+    """Set of cell-center sides (True = above iso) over the field's saddle cells."""
+    f = np.asarray(field, dtype=float)
+    a = f > iso
+    saddle = (a[:-1, :-1] == a[1:, 1:]) & (a[1:, :-1] == a[:-1, 1:]) & (a[:-1, :-1] != a[1:, :-1])
+    center = (f[:-1, :-1] + f[1:, :-1] + f[1:, 1:] + f[:-1, 1:]) / 4.0 > iso
+    return set(center[saddle].tolist())
+
+
+class TestExtractContourMatchesReference:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("iso", [0.3, 0.5, 0.7])
+    def test_random_field(self, seed, iso):
+        rng = np.random.default_rng([seed, 51])
+        field = np.pad(rng.random((int(rng.integers(12, 30)), int(rng.integers(12, 30)))), 1)
+        assert _saddle_sides(field, iso) == {False, True}  # both saddle cases, both center sides
+        px, origin = tuple(rng.uniform(0.3, 1.5, 2)), tuple(rng.uniform(-5.0, 5.0, 2))
+        got = extract_contour(field, iso, px, origin)
+        np.testing.assert_array_equal(got.points, _reference_contour(field, iso, px, origin))
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("iso", [0.25, 0.5, 0.75])
+    def test_smoothed_random_mask(self, seed, iso):
+        rng = np.random.default_rng([seed, 52])
+        mask = Mask2D((rng.random((40, 32)) < 0.55).astype(np.uint8), (0.5, 0.5))
+        field = np.pad(smooth_mask(mask, 0.4), 1)
+        got = extract_contour(field, iso, mask.pixel_size, (-0.5, -0.5))
+        np.testing.assert_array_equal(got.points, _reference_contour(field, iso, mask.pixel_size, (-0.5, -0.5)))
+
+    def test_binary_mask_saddles(self):
+        # a raw 0/1 mask: every saddle center sits at 0.5, so iso decides the side
+        rng = np.random.default_rng(53)
+        field = np.pad((rng.random((30, 30)) < 0.5).astype(float), 1)
+        for iso in (0.4, 0.6):
+            assert _saddle_sides(field, iso) == {iso < 0.5}
+            np.testing.assert_array_equal(extract_contour(field, iso).points, _reference_contour(field, iso))
+
+
 class TestPolyline:
     def test_closed_needs_three(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from ccmorph.midplane import (
     label_centroids,
@@ -339,6 +342,64 @@ class TestResampleSlab:
         slab = resample_slab(vol, Plane([0, 0, 1.0], 4.2), 5.0, 0.7)
         assert slab.data.dtype == np.int16
         assert set(np.unique(slab.data)) <= {0, 3}
+
+
+def _reference_slab_data(vol: Volume, slab: Volume) -> np.ndarray:
+    """The earlier algorithm: a world point per slab voxel, mapped to source voxels, then map_coordinates."""
+    A = slab.affine
+    ii, jj, kk = np.meshgrid(*(np.arange(n) for n in slab.dims), indexing="ij")
+    world = A[:3, 3] + ii[..., None] * A[:3, 0] + jj[..., None] * A[:3, 1] + kk[..., None] * A[:3, 2]
+    coords = np.moveaxis(vol.world_to_voxel(world.reshape(-1, 3)).reshape(*slab.dims, 3), -1, 0)
+    if vol.is_label_map():
+        return ndimage.map_coordinates(vol.data, coords, order=0, mode="constant", cval=0, prefilter=False)
+    return ndimage.map_coordinates(
+        vol.data.astype(float), coords, order=1, mode="constant", cval=0.0, prefilter=False
+    )
+
+
+def _random_plane(rng, vol: Volume) -> Plane:
+    """A randomly tilted plane through a random point near the volume center."""
+    n = rng.normal(size=3)
+    n /= np.linalg.norm(n)
+    point = vol.world_center() + rng.uniform(-2.0, 2.0, 3)
+    return Plane(n, float(n @ point))
+
+
+class TestResampleSlabMatchesReference:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_label_volume_exact(self, seed, layout):
+        rng = np.random.default_rng([seed, 41])
+        vol = _random_label_volume(rng, rng.choice(1000, 6, replace=False) + 1, layout)
+        slab = resample_slab(vol, _random_plane(rng, vol), rng.uniform(2.0, 6.0), rng.uniform(0.4, 1.5), 0.7)
+        ref = _reference_slab_data(vol, slab)
+        assert slab.data.dtype == vol.data.dtype and np.count_nonzero(ref) > 100
+        np.testing.assert_array_equal(slab.data, ref)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_float_volume_within_1e12(self, seed, dtype):
+        rng = np.random.default_rng([seed, 42])
+        vol = Volume(rng.normal(size=(13, 11, 9)).astype(dtype), (1, 1, 1), _random_affine(rng))
+        slab = resample_slab(vol, _random_plane(rng, vol), rng.uniform(2.0, 6.0), rng.uniform(0.4, 1.5))
+        ref = _reference_slab_data(vol, slab)
+        assert slab.data.dtype == np.float64 and np.count_nonzero(ref) > 100
+        np.testing.assert_allclose(slab.data, ref, rtol=0.0, atol=1e-12)
+
+    def test_no_per_voxel_coordinate_arrays(self):
+        # the slab is resampled from one 4x4 map: besides the output, nothing
+        # of the slab's size is allocated (the earlier algorithm held ~12x it)
+        rng = np.random.default_rng(43)
+        vol = Volume(rng.normal(size=(40, 40, 40)).astype(np.float32), (1, 1, 1), np.eye(4))
+        plane = Plane(np.array([1.0, 0.2, 0.1]) / np.linalg.norm([1.0, 0.2, 0.1]), 20.0)
+        tracemalloc.start()
+        try:
+            slab = resample_slab(vol, plane, 9.0, 0.5, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert slab.data.nbytes > 1_000_000
+        assert peak < 1.5 * slab.data.nbytes
 
 
 class TestPlaneDisagreement:

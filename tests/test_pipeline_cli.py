@@ -461,29 +461,50 @@ class TestCLI:
         assert code == 0
 
     @pytest.mark.parametrize(
-        "row, message",
+        "path, text, message",
         [
-            ("c4,control", "case 'c4' has no age value"),
-            ("c4,control,,f,1.2e6", "case 'c4' has no age value"),
-            ("c4,control,40,f, ", "case 'c4' has no tbv value"),
-            ("c4,control,abc,f,1.2e6", "age value 'abc' for case c4 is not a finite number"),
-            ("c4,control,40,f,big", "tbv value 'big' for case c4 is not a finite number"),
-            ("c4,control,nan,f,1.2e6", "age value 'nan' for case c4 is not a finite number"),
+            ("table.csv", "c4,control", "case 'c4' has no age value"),
+            ("table.csv", "c4,control,,f,1.2e6", "case 'c4' has no age value"),
+            ("table.csv", "c4,control,40,f, ", "case 'c4' has no tbv value"),
+            ("table.csv", "c4,control,abc,f,1.2e6", "age value 'abc' for case c4 is not a finite number"),
+            ("table.csv", "c4,control,40,f,big", "tbv value 'big' for case c4 is not a finite number"),
+            ("table.csv", "c4,control,nan,f,1.2e6", "age value 'nan' for case c4 is not a finite number"),
+            ("s000/summary.json", "[1, 2]", "invalid summary file {path}: expected a JSON object, got list"),
+            ("s000/summary.json", '{"area_mm2": 1,', "invalid summary file {path}: Expecting property name"),
+            ("s003/profile.csv", "position_fraction,thickness_mm\n0.5,4.0\n0.6\n", "profile {path} line 3:"),
+            ("s003/profile.csv", "position_fraction,thickness_mm\n0.5,4.0,1\n", "profile {path} line 2:"),
+            ("s003/profile.csv", "position_fraction,thickness_mm\n0.5,thick\n", "profile {path} line 2:"),
         ],
-        ids=["short_row", "empty_age", "blank_tbv", "age_abc", "tbv_big", "age_nan"],
+        ids=[
+            "short_row",
+            "empty_age",
+            "blank_tbv",
+            "age_abc",
+            "tbv_big",
+            "age_nan",
+            "summary_list",
+            "summary_bad_json",
+            "profile_one_field",
+            "profile_three_fields",
+            "profile_not_a_number",
+        ],
     )
-    def test_malformed_group_table_exit_code_2(self, tmp_path, capsys, row, message):
+    def test_malformed_group_table_exit_code_2(self, tmp_path, capsys, path, text, message):
+        # a bad table row goes after the table; any other file is written over a valid case
         rng = np.random.default_rng(31)
         _write_profiles(tmp_path, rng, 8)
         (tmp_path / "c4").mkdir()
         (tmp_path / "c4" / "profile.csv").write_text((tmp_path / "s000" / "profile.csv").read_text())
-        with open(tmp_path / "table.csv", "a") as f:
-            f.write(row + "\n")
+        if path == "table.csv":
+            with open(tmp_path / "table.csv", "a") as f:
+                f.write(text + "\n")
+        else:
+            (tmp_path / path).write_text(text)
         table, out = str(tmp_path / "table.csv"), str(tmp_path / "st")
         code = main(["stats", "--table", table, "--profiles", str(tmp_path), "--out", out])
         assert code == 2
         err = capsys.readouterr().err
-        assert message in err and "internal" not in err
+        assert message.format(path=tmp_path / path) in err and "internal" not in err
 
     def test_midplane_subcommand(self, tmp_path, capsys):
         from ccmorph.phantoms import label_ball_volume

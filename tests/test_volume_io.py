@@ -1,5 +1,6 @@
 import gzip
 import json
+import re
 import struct
 
 import numpy as np
@@ -220,6 +221,11 @@ def test_volume_invariants():
         Volume(np.zeros((2, 2, 2)), (1.0, 0.0, 1.0), np.eye(4))
     with pytest.raises(NiftiError):
         Volume(np.zeros((2, 2, 2)), (1, 1, 1), np.zeros((4, 4)))
+    for bad in (np.nan, np.inf):
+        affine = np.eye(4)
+        affine[1, 3] = bad
+        with pytest.raises(NiftiError, match="non-finite affine"):
+            Volume(np.zeros((2, 2, 2)), (1, 1, 1), affine)
     v = Volume(np.zeros((2, 2, 2), dtype=np.int32), (1, 1, 1), np.eye(4))
     assert v.is_label_map()
     w = Volume(np.zeros((2, 2, 2)) - 0.5, (1, 1, 1), np.eye(4))
@@ -239,8 +245,15 @@ def test_is_label_map_scans_each_volume_once(monkeypatch):
 
 
 # Seeded malformed files. Each must raise NiftiError from load_volume and
-# exit 2 (bad input) from every command that reads a volume.
-BAD_CASES = ["truncated_gz", "garbled_gz", "short_header", "garbled_sizeof_hdr", "garbled_magic"]
+# exit 2 (bad input) from every command that reads a volume. A header field
+# that is not finite is named in the message (the pattern to match).
+NON_FINITE = {
+    "vox_offset_inf": "vox_offset = inf",
+    "srow_nan": r"srow_[xyz]\[\d\] = nan",
+    "srow_inf": r"srow_[xyz]\[\d\] = -?inf",
+    "quatern_nan": r"(quatern_[bcd]|qoffset_[xyz]) = nan",
+}
+BAD_CASES = ["truncated_gz", "garbled_gz", "short_header", "garbled_sizeof_hdr", "garbled_magic", *NON_FINITE]
 
 
 @pytest.fixture(scope="module")
@@ -267,6 +280,16 @@ def bad_volumes(tmp_path_factory):
         "garbled_sizeof_hdr": ("nii", struct.pack("<i", sizeof) + raw[4:]),
         "garbled_magic": ("nii", raw[:344] + rng.bytes(4) + raw[348:]),
     }
+
+    def patch(blob, offset, fmt, *values):
+        return blob[:offset] + struct.pack(fmt, *values) + blob[offset + struct.calcsize(fmt) :]
+
+    srow_at = 280 + 4 * rng.choice(12, 2, replace=False)  # two of the 12 srow floats
+    qform = patch(raw, 252, "<hh", 1, 0)  # qform_code 1, sform_code 0
+    files["vox_offset_inf"] = ("nii", patch(raw, 108, "<f", np.inf))
+    files["srow_nan"] = ("nii", patch(raw, int(srow_at[0]), "<f", np.nan))
+    files["srow_inf"] = ("nii", patch(raw, int(srow_at[1]), "<f", rng.choice([-np.inf, np.inf])))
+    files["quatern_nan"] = ("nii", patch(qform, 256 + 4 * int(rng.integers(0, 6)), "<f", np.nan))
     paths = {"good": root / "good.nii", "lm": root / "lm.json", "plane": root / "plane.json"}
     for name, (ext, blob) in files.items():
         paths[name] = root / f"{name}.{ext}"
@@ -278,13 +301,13 @@ def bad_volumes(tmp_path_factory):
 
 @pytest.mark.parametrize("case", BAD_CASES)
 def test_malformed_file_raises_nifti_error(bad_volumes, case):
-    with pytest.raises(NiftiError):
+    with pytest.raises(NiftiError, match=NON_FINITE.get(case)):
         load_volume(bad_volumes[case])
 
 
 @pytest.mark.parametrize("case", BAD_CASES)
 @pytest.mark.parametrize("command", ["thickness", "midplane", "eval"])
-def test_malformed_file_exits_2(bad_volumes, case, command, tmp_path):
+def test_malformed_file_exits_2(bad_volumes, case, command, tmp_path, capsys):
     from ccmorph.cli import main
 
     bad, good = str(bad_volumes[case]), str(bad_volumes["good"])
@@ -295,6 +318,9 @@ def test_malformed_file_exits_2(bad_volumes, case, command, tmp_path):
         "eval": ["eval", "--pred", bad, "--ref", good],
     }[command]
     assert main(argv) == 2
+    captured = capsys.readouterr()
+    message = captured.out + captured.err  # names the file and, if not finite, the field
+    assert f"{bad}: " in message and re.search(NON_FINITE.get(case, ""), message)
 
 
 def test_malformed_template_is_input_error(bad_volumes, tmp_path):
