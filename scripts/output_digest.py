@@ -22,12 +22,24 @@ outputs when their digests are equal:
     PYTHONPATH=B/src python3 scripts/output_digest.py b.json
     diff a.json b.json
 
+When a change moves mesh bytes on purpose, ``--compare`` says by how much
+the measured values moved between two kept work directories: each
+``summary.json`` field's largest relative difference over the cases, the
+largest per-sample ``profile.csv`` difference, and every case's mesh
+vertex/triangle counts:
+
+    PYTHONPATH=A/src python3 scripts/output_digest.py a.json --work wa
+    PYTHONPATH=B/src python3 scripts/output_digest.py b.json --work wb
+    python3 scripts/output_digest.py --compare wa wb
+
 Usage: python3 scripts/output_digest.py OUT.json [--work DIR]
+       python3 scripts/output_digest.py --compare WORK_A WORK_B
 """
 
 import argparse
 import hashlib
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -121,11 +133,77 @@ def digests(out: Path) -> dict:
     }
 
 
+def _rel(a: float, b: float) -> float:
+    """|a - b| relative to the larger magnitude; 0 for equal values (NaN included), inf for NaN against a number."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if math.isnan(a) or math.isnan(b):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def _profile(path: Path) -> np.ndarray:
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+
+def _mesh_counts(path: Path) -> tuple:
+    with path.open() as f:
+        f.readline()  # OFF
+        n_v, n_t = f.readline().split()[:2]
+    return int(n_v), int(n_t)
+
+
+def compare(work_a: Path, work_b: Path) -> list:
+    """Lines describing how far the measured outputs of two work directories differ."""
+    cases_a = {p.parent.relative_to(work_a / "out") for p in (work_a / "out").rglob("summary.json")}
+    cases_b = {p.parent.relative_to(work_b / "out") for p in (work_b / "out").rglob("summary.json")}
+    lines = [f"only in {w}: {c}" for w, only in ((work_a, cases_a - cases_b), (work_b, cases_b - cases_a)) for c in sorted(only)]
+    cases = sorted(cases_a & cases_b)
+    worst = {}  # summary field -> (relative difference, case)
+    prof_rel, prof_abs, prof_at = 0.0, 0.0, "-"  # largest per-sample profile differences
+    meshes = []
+    for case in cases:
+        a, b = work_a / "out" / case, work_b / "out" / case
+        sa = json.loads((a / "summary.json").read_text())
+        sb = json.loads((b / "summary.json").read_text())
+        for key in sorted(sa.keys() | sb.keys()):
+            rel = _rel(float(sa[key]), float(sb[key])) if key in sa and key in sb else math.inf
+            if key not in worst or rel > worst[key][0]:
+                worst[key] = (rel, case)
+        pa, pb = _profile(a / "profile.csv"), _profile(b / "profile.csv")
+        if pa.shape != pb.shape or not np.array_equal(pa[:, 0], pb[:, 0]):
+            lines.append(f"profile.csv sample positions differ: {case}")
+        else:
+            for k, (ta, tb) in enumerate(zip(pa[:, 1].tolist(), pb[:, 1].tolist())):
+                rel = _rel(ta, tb)
+                if rel > prof_rel:
+                    prof_rel, prof_at = rel, f"{case} sample {k}"
+                if 0.0 < rel < math.inf:
+                    prof_abs = max(prof_abs, abs(ta - tb))
+        meshes.append((case, _mesh_counts(a / "mesh.off"), _mesh_counts(b / "mesh.off")))
+
+    lines.append(f"summary.json, largest relative difference over {len(cases)} cases:")
+    lines += [f"  {key:24s} {rel:.2e}  {case}" for key, (rel, case) in worst.items()]
+    lines.append(
+        f"profile.csv thickness_mm: largest relative difference {prof_rel:.2e} ({prof_at}), "
+        f"largest absolute {prof_abs:.2e} mm"
+    )
+    lines.append("mesh.off vertices/triangles:")
+    lines += [f"  {str(case):24s} {va}/{ta} -> {vb}/{tb}" for case, (va, ta), (vb, tb) in meshes]
+    return lines
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("out", help="JSON file to write")
+    ap.add_argument("out", nargs="?", help="JSON file to write")
     ap.add_argument("--work", default="", help="work directory to keep (default: a temporary one)")
+    ap.add_argument("--compare", nargs=2, metavar=("WORK_A", "WORK_B"), help="compare the outputs of two kept work directories")
     args = ap.parse_args(argv)
+    if args.compare:
+        print("\n".join(compare(*map(Path, args.compare))))
+        return 0
+    if not args.out:
+        ap.error("OUT.json is required without --compare")
     out = Path(args.out).resolve()
     home = Path.cwd()
     with tempfile.TemporaryDirectory() as tmp:

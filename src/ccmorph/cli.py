@@ -179,10 +179,7 @@ def _dispatch(args) -> int:
             raise InputError(f"invalid case list JSON: {e}") from None
         if not isinstance(specs, list):
             raise InputError(f"case list must be a JSON list, got {type(specs).__name__}")
-        cases = [CaseSpec.from_dict(d) for d in specs]
-        if len({c.case_id for c in cases}) != len(cases):
-            raise InputError("case ids must be unique")
-        statuses = run_batch(cases, cfg, args.out)
+        statuses = run_batch([CaseSpec.from_dict(d) for d in specs], cfg, args.out)
         n_fail = 0
         for st in statuses:
             ok = "ok" if st["ok"] else "FAILED"

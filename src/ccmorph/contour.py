@@ -54,6 +54,8 @@ class Polyline:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValueError("polyline points must be (n, 2)")
+        if not np.isfinite(pts).all():
+            raise ValueError("polyline points must be finite")
         # drop consecutive duplicates
         if len(pts) > 1:
             keep = np.ones(len(pts), dtype=bool)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -500,9 +501,16 @@ def _run_case_star(args):
 
 
 def run_batch(cases, cfg: RunConfig, out_root) -> list:
-    """Run many cases, optionally with a process pool; outputs are case-local."""
+    """Run many cases, optionally with a process pool; outputs are case-local.
+
+    Raises ``InputError`` before any case runs when two cases share an id
+    (they would write the same output directory).
+    """
     out_root = Path(out_root)
     jobs = [(case, cfg, out_root / case.case_id) for case in cases]
+    repeated = sorted(cid for cid, n in Counter(case.case_id for case, _, _ in jobs).items() if n > 1)
+    if repeated:
+        raise InputError(f"case ids must be unique, repeated: {', '.join(repeated)}")
     threads = cfg.threads
     env = os.environ.get("CCMORPH_THREADS")
     if env is not None:

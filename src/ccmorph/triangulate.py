@@ -5,70 +5,83 @@ coordinates are snapped to a fine integer grid for the predicates only;
 output vertices keep their original float coordinates), boundary conformity
 by diametral-circle encroachment splitting, and Ruppert-style refinement to
 a minimum angle and maximum triangle area. The boundary of the result
-contains every input contour vertex.
+contains every input contour vertex. Contour and seed points go in a biased
+randomized insertion order (BRIO, Amenta, Choi & Rote 2003), which keeps the
+expected work per insertion constant.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from itertools import chain, compress
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .contour import Polyline, polygon_area
 from .mesh import TriMesh2D
 
 __all__ = ["triangulate", "first_self_intersection"]
 
+_BRIO_SEED = 2003
+_HILBERT_BITS = 16
+
+
+def _widen(radius, pts):
+    """A KD-tree query radius widened past the rounding of distances at the
+    magnitude of ``pts``; the exact tests on the returned pairs decide."""
+    return radius * (1.0 + 1e-9) + 1e-12 * float(np.abs(pts).max())
+
+
+def _orient(p0, p1, q):
+    return (p1[..., 0] - p0[..., 0]) * (q[..., 1] - p0[..., 1]) - (
+        p1[..., 1] - p0[..., 1]
+    ) * (q[..., 0] - p0[..., 0])
+
 
 def first_self_intersection(points: np.ndarray):
     """Index pair (i, j) of the first intersecting segment pair, or None.
 
     Segments i and j are ``points[i]-points[i+1]`` (cyclic); adjacent
-    segments sharing an endpoint are ignored.
+    segments sharing an endpoint are ignored. Only segments whose midpoints
+    lie within twice the longest half-length of each other can meet, so the
+    exact tests run on those pairs alone; the answer is the lexicographically
+    smallest intersecting (i, j), i < j. The points must be finite (a
+    ``Polyline``'s are).
     """
     p = np.asarray(points, dtype=float)
     n = len(p)
+    if n < 4:
+        return None
     a = p
     b = np.roll(p, -1, axis=0)
-
-    def orient(p0, p1, q):
-        return (p1[..., 0] - p0[..., 0]) * (q[..., 1] - p0[..., 1]) - (
-            p1[..., 1] - p0[..., 1]
-        ) * (q[..., 0] - p0[..., 0])
-
-    for i in range(n - 2):
-        # candidate partners: j > i, not adjacent
-        j0 = i + 2
-        j1 = n if i > 0 else n - 1
-        if j0 >= j1:
-            continue
-        aj = a[j0:j1]
-        bj = b[j0:j1]
-        d1 = orient(a[i], b[i], aj)
-        d2 = orient(a[i], b[i], bj)
-        d3 = orient(aj, bj, a[i])
-        d4 = orient(aj, bj, b[i])
-        proper = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))
-        touching = (d1 == 0) | (d2 == 0) | (d3 == 0) | (d4 == 0)
-        # collinear overlap / endpoint touching counts as non-simple too,
-        # but only if the bounding boxes overlap
-        if touching.any():
-            lo_i = np.minimum(a[i], b[i])
-            hi_i = np.maximum(a[i], b[i])
-            lo_j = np.minimum(aj, bj)
-            hi_j = np.maximum(aj, bj)
-            bbox = np.all(lo_i <= hi_j, axis=1) & np.all(lo_j <= hi_i, axis=1)
-            # a touch is a true degeneracy only when the straddle test also
-            # says the segments meet
-            d1z = (d1 == 0) & _on_segment(a[i], b[i], aj)
-            d2z = (d2 == 0) & _on_segment(a[i], b[i], bj)
-            d3z = (d3 == 0) & _on_segment(aj, bj, np.broadcast_to(a[i], aj.shape))
-            d4z = (d4 == 0) & _on_segment(aj, bj, np.broadcast_to(b[i], aj.shape))
-            proper = proper | (bbox & (d1z | d2z | d3z | d4z))
-        hits = np.nonzero(proper)[0]
-        if hits.size:
-            return i, int(hits[0] + j0)
-    return None
+    reach = np.sqrt(((b - a) ** 2).sum(axis=1)).max()  # twice the longest half-length
+    i, j = cKDTree(0.5 * (a + b)).query_pairs(_widen(reach, p), output_type="ndarray").T
+    keep = (j - i >= 2) & ((i > 0) | (j < n - 1))  # not adjacent, cyclically
+    i, j = i[keep], j[keep]
+    ai, bi, aj, bj = a[i], b[i], a[j], b[j]
+    d1 = _orient(ai, bi, aj)
+    d2 = _orient(ai, bi, bj)
+    d3 = _orient(aj, bj, ai)
+    d4 = _orient(aj, bj, bi)
+    proper = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))
+    # collinear overlap / endpoint touching counts as non-simple too, but
+    # only if the bounding boxes overlap and the touching point lies on the
+    # other segment
+    bbox = np.all(np.minimum(ai, bi) <= np.maximum(aj, bj), axis=1) & np.all(
+        np.minimum(aj, bj) <= np.maximum(ai, bi), axis=1
+    )
+    touch = (
+        ((d1 == 0) & _on_segment(ai, bi, aj))
+        | ((d2 == 0) & _on_segment(ai, bi, bj))
+        | ((d3 == 0) & _on_segment(aj, bj, ai))
+        | ((d4 == 0) & _on_segment(aj, bj, bi))
+    )
+    hit = np.nonzero(proper | (bbox & touch))[0]
+    if not hit.size:
+        return None
+    k = hit[np.lexsort((j[hit], i[hit]))[0]]
+    return int(i[k]), int(j[k])
 
 
 def _on_segment(p0, p1, q):
@@ -77,32 +90,49 @@ def _on_segment(p0, p1, q):
     return np.all((q >= lo) & (q <= hi), axis=-1)
 
 
-def points_in_polygon(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
-    """Even-odd rule point-in-polygon test, vectorized over points."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    a = np.asarray(poly, dtype=float)
-    b = np.roll(a, -1, axis=0)
-    x, y = pts[:, 0][:, None], pts[:, 1][:, None]
-    ya, yb = a[:, 1][None, :], b[:, 1][None, :]
-    xa, xb = a[:, 0][None, :], b[:, 0][None, :]
-    cond = (ya <= y) != (yb <= y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xs = xa + (y - ya) * (xb - xa) / (yb - ya)
-    crossings = cond & (x < xs)
-    return crossings.sum(axis=1) % 2 == 1
+def _hilbert_index(x, y, bits):
+    """Position along the Hilbert curve of integer points in [0, 2**bits)^2."""
+    d = np.zeros_like(x)
+    for k in range(bits - 1, -1, -1):
+        s = 1 << k
+        rx = (x & s) > 0
+        ry = (y & s) > 0
+        d += s * s * ((3 * rx) ^ ry)
+        x, y = x & (s - 1), y & (s - 1)
+        flip = rx & ~ry
+        x = np.where(flip, s - 1 - x, x)
+        y = np.where(flip, s - 1 - y, y)
+        x, y = np.where(ry, x, y), np.where(ry, y, x)
+    return d
 
 
-def _dist_to_segments(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Min distance from each point to a set of segments (points x 1 result)."""
-    pts = np.atleast_2d(points)
-    d = b - a
-    l2 = (d * d).sum(axis=1)
-    l2 = np.where(l2 == 0, 1.0, l2)
-    t = ((pts[:, None, :] - a[None, :, :]) * d[None, :, :]).sum(axis=2) / l2[None, :]
-    t = np.clip(t, 0.0, 1.0)
-    proj = a[None, :, :] + t[:, :, None] * d[None, :, :]
-    dist = np.linalg.norm(pts[:, None, :] - proj, axis=2)
-    return dist.min(axis=1)
+def _brio_order(pts: np.ndarray) -> np.ndarray:
+    """Deterministic biased randomized insertion order of ``pts`` (indices).
+
+    A seeded permutation is cut into rounds that double in size; inside a
+    round the points follow the Hilbert curve, so each point location walk
+    starts next to the previous insertion.
+    """
+    n = len(pts)
+    perm = np.random.default_rng(_BRIO_SEED).permutation(n)
+    lo = pts.min(axis=0)
+    side = float((pts.max(axis=0) - lo).max()) or 1.0
+    q = ((pts - lo) * ((2**_HILBERT_BITS - 1) / side)).astype(np.int64)
+    h = _hilbert_index(q[:, 0], q[:, 1], _HILBERT_BITS)
+    cuts = [n]
+    while cuts[-1] > 64:
+        cuts.append(cuts[-1] // 2)
+    cuts = [0] + cuts[::-1]
+    rounds = (perm[c0:c1] for c0, c1 in zip(cuts, cuts[1:]))
+    return np.concatenate([r[np.argsort(h[r], kind="stable")] for r in rounds])
+
+
+def _ball_pairs(tree: cKDTree, centers: np.ndarray, radii: np.ndarray):
+    """(point, center) index arrays: the tree's points within ``radii`` of ``centers``."""
+    near = tree.query_ball_point(centers, _widen(radii, tree.data))
+    counts = np.fromiter(map(len, near), dtype=np.intp, count=len(near))
+    pts = np.fromiter(chain.from_iterable(near), dtype=np.intp, count=int(counts.sum()))
+    return pts, np.repeat(np.arange(len(near)), counts)
 
 
 class _Triangulator:
@@ -327,13 +357,13 @@ class _Refiner:
         self.tr = _Triangulator(poly.min(axis=0), poly.max(axis=0))
         self.work = deque()
 
-        # contour vertices and directed constraint segments
-        vids = []
-        for x, y in poly:
-            vid, cavity = self.tr.insert(x, y)
+        # contour vertices (in BRIO order) and directed constraint segments
+        vids = [0] * len(poly)
+        for k in _brio_order(poly).tolist():
+            vid, cavity = self.tr.insert(*poly[k])
             if vid is None or cavity is None:
                 raise ValueError("contour points coincide after snapping; contour too fine")
-            vids.append(vid)
+            vids[k] = vid
         self.segs = {seg: True for seg in zip(vids, vids[1:] + vids[:1])}  # split into halves over time
         self.unsplittable = set()
         self._seg_cache = None
@@ -444,53 +474,93 @@ class _Refiner:
                     changed = True
 
     def seed_grid(self, spacing: float):
-        """Hex-grid interior points away from the boundary."""
-        lo = self.poly.min(axis=0)
-        hi = self.poly.max(axis=0)
+        """Hex-grid interior points away from the boundary, inserted in BRIO order.
+
+        A candidate is kept when it is inside the polygon (even-odd rule),
+        farther than a margin from every polygon edge and encroaches no
+        constraint segment. Each hex row's edge crossings are sorted once;
+        the distance and encroachment tests run only on the candidate and
+        segment pairs a KD-tree ball query around each segment returns.
+        """
+        a = self.poly
+        b = np.roll(a, -1, axis=0)
+        lo = a.min(axis=0)
+        hi = a.max(axis=0)
         dy = spacing * np.sqrt(3.0) / 2.0
         ys = np.arange(lo[1] + 0.5 * dy, hi[1], dy)
         cand = []
         for row, y in enumerate(ys):
             off = 0.5 * spacing if row % 2 else 0.0
             xs = np.arange(lo[0] + 0.5 * spacing + off, hi[0], spacing)
+            cross = (a[:, 1] <= y) != (b[:, 1] <= y)
+            ya, yb, xa, xb = a[cross, 1], b[cross, 1], a[cross, 0], b[cross, 0]
+            xc = np.sort(xa + (y - ya) * (xb - xa) / (yb - ya))
+            xs = xs[(len(xc) - np.searchsorted(xc, xs, side="right")) % 2 == 1]  # odd crossings right of x
             cand.append(np.column_stack([xs, np.full(len(xs), y)]))
-        if not cand:
-            return
-        cand = np.vstack(cand)
-        ok = points_in_polygon(cand, self.poly)
-        cand = cand[ok]
+        cand = np.vstack(cand) if cand else np.empty((0, 2))
         if not len(cand):
             return
-        a = self.poly
-        b = np.roll(a, -1, axis=0)
-        margin = 0.62 * spacing
-        # chunk the distance test to bound memory
-        keep = np.zeros(len(cand), dtype=bool)
-        step = max(1, int(2e6 / max(len(a), 1)))
-        for s in range(0, len(cand), step):
-            keep[s : s + step] = _dist_to_segments(cand[s : s + step], a, b) > margin
-        cand = cand[keep]
-        for x, y in cand:
-            if self._encroached_by(x, y):
-                continue
-            self.tr.insert(x, y)
+        tree = cKDTree(cand)
+        keep = np.ones(len(cand), dtype=bool)
 
-    def refine(self):
+        margin = 0.62 * spacing
+        d = b - a
+        l2 = (d * d).sum(axis=1)
+        p, s = _ball_pairs(tree, 0.5 * (a + b), 0.5 * np.sqrt(l2) + margin)
+        l2 = np.where(l2 == 0, 1.0, l2)
+        t = np.clip(((cand[p] - a[s]) * d[s]).sum(axis=1) / l2[s], 0.0, 1.0)
+        dist = np.linalg.norm(cand[p] - (a[s] + t[:, None] * d[s]), axis=1)
+        keep[p[dist <= margin]] = False
+
+        _, mid, r2 = self._seg_arrays()
+        p, s = _ball_pairs(tree, mid, np.sqrt(r2))
+        d2 = (mid[s, 0] - cand[p, 0]) ** 2 + (mid[s, 1] - cand[p, 1]) ** 2
+        keep[p[d2 < r2[s] * (1.0 - 1e-12)]] = False
+
+        cand = cand[keep]
+        if len(cand):
+            for x, y in cand[_brio_order(cand)]:
+                self.tr.insert(x, y)
+
+    def refine(self) -> list:
+        """Refine until every interior triangle is good; returns the interior triangle ids."""
         max_rounds = 40
         budget = 40 * len(self.tr.fx) + int(20.0 * abs(polygon_area(self.poly)) / self.max_area) + 4000
+        interior = self._interior()
         for _ in range(max_rounds):
-            self.work = deque(self._interior())
+            self.work = deque(compress(interior, self._bad(interior)))
+            stamp = self.tr.next_tid
             progressed = self._refine_pass(budget)
             # verify: all constraint segments are edges of the triangulation
             # and every interior triangle meets quality
             missing = [s for s in self.segs if s not in self.tr.edge2tri]
             for seg in missing:
                 self._split(seg)
-            if not missing and not any(self._is_bad(t) for t in self._interior()):
-                return
+            if self.tr.next_tid != stamp:  # every insertion makes triangles
+                interior = self._interior()
+            if not missing and not self._bad(interior).any():
+                return interior
             if not progressed and not missing:
                 break
         raise RuntimeError("mesh refinement did not converge")
+
+    def _bad(self, tids) -> np.ndarray:
+        """``_is_bad`` of many triangles: ``_tri_quality``'s arithmetic, elementwise."""
+        tri = np.array([self.tr.tris[t] for t in tids], dtype=np.int64).reshape(-1, 3)
+        fx = np.asarray(self.tr.fx)[tri]
+        fy = np.asarray(self.tr.fy)[tri]
+        ax, bx, cx = fx.T
+        ay, by, cy = fy.T
+        area = 0.5 * ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
+        l2a = (cx - bx) ** 2 + (cy - by) ** 2  # edge opposite a
+        l2b = (cx - ax) ** 2 + (cy - ay) ** 2
+        l2c = (bx - ax) ** 2 + (by - ay) ** 2
+        l2min = np.minimum(np.minimum(l2a, l2b), l2c)
+        denom = np.sqrt(np.where(l2min == l2a, l2b * l2c, np.where(l2min == l2b, l2a * l2c, l2a * l2b)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = np.clip(2.0 * area / denom, -1.0, 1.0)
+        ang = np.where(area <= 0, 0.0, np.degrees(np.arcsin(s)))
+        return (area > self.max_area * (1.0 + 1e-12)) | (ang < self.min_angle - 1e-9)
 
     def _is_bad(self, tid):
         area, ang = _tri_quality(*self.tr.tri_coords(tid))
@@ -548,8 +618,8 @@ class _Refiner:
                 stall.add(tid)
         return progressed
 
-    def extract(self) -> TriMesh2D:
-        tids = sorted(self._interior())
+    def extract(self, interior) -> TriMesh2D:
+        tids = sorted(interior)
         if not tids:
             raise RuntimeError("triangulation produced no interior triangles")
         used = sorted({v for t in tids for v in self.tr.tris[t]})
@@ -599,5 +669,4 @@ def triangulate(contour: Polyline, max_area_mm2: float, min_angle_deg: float = 2
     ref.initial_conformity()
     ref.presplit_long_segments(target_len)
     ref.seed_grid(target_len)
-    ref.refine()
-    return ref.extract()
+    return ref.extract(ref.refine())

@@ -202,9 +202,11 @@ def test_criterion_4_level_set_orthogonality():
 
     Measured on a half-annulus meshed at max_area 0.005 (within the stated
     <= 0.01 regime) as the area-weighted mean absolute deviation from 90
-    degrees of the angle between grad(f) and grad(g) over all triangles (the
-    level-set families cross inside every triangle); the per-midline-sample
-    mean is reported alongside.
+    degrees of the angle between grad(f) and grad(g) over every triangle
+    that a level set of f crosses, i.e. where f is not constant; the
+    per-midline-sample mean is reported alongside. The few corner triangles
+    whose three vertices carry the same Dirichlet value have grad(f) = 0,
+    so no angle (only rounding noise, or 0/0) is defined there.
     """
     mesh = triangulate(half_annulus_contour(n_arc=400), 0.005)
     line, f = mo.intercallosal_line(mesh, half_annulus_landmarks(), 100)
@@ -212,9 +214,12 @@ def test_criterion_4_level_set_orthogonality():
     gf = fem.gradient(mesh, f)
     gg = fem.gradient(mesh, g)
     ar = mesh.signed_areas()
-    dot = (gf * gg).sum(axis=1) / (np.linalg.norm(gf, axis=1) * np.linalg.norm(gg, axis=1))
+    crossed = np.ptp(f[mesh.triangles], axis=1) > 0
+    assert crossed.sum() >= mesh.n_triangles - 8  # corner triangles only
+    with np.errstate(invalid="ignore"):
+        dot = (gf * gg).sum(axis=1) / (np.linalg.norm(gf, axis=1) * np.linalg.norm(gg, axis=1))
     dev = np.abs(np.degrees(np.arccos(np.clip(dot, -1, 1))) - 90.0)
-    mean_dev = float((dev * ar).sum() / ar.sum())
+    mean_dev = float((dev * ar)[crossed].sum() / ar[crossed].sum())
 
     sample_dev = []
     for p in line.points[1:-1]:

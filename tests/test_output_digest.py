@@ -1,0 +1,35 @@
+import importlib.util
+import json
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "output_digest.py"
+_spec = importlib.util.spec_from_file_location("output_digest", SCRIPT)
+output_digest = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(output_digest)
+
+
+def _case(root, area, thickness, counts):
+    root.mkdir(parents=True)
+    (root / "summary.json").write_text(json.dumps({"area_mm2": area, "n_valid_thickness": 2}))
+    rows = "".join(f"{(k + 1) / 4},{t}\n" for k, t in enumerate(thickness))
+    (root / "profile.csv").write_text("position_fraction,thickness_mm\n" + rows)
+    (root / "mesh.off").write_text(f"OFF\n{counts[0]} {counts[1]} 0\n")
+
+
+def test_compare_reports_value_deltas_and_mesh_counts(tmp_path, capsys):
+    a, b = tmp_path / "a", tmp_path / "b"
+    _case(a / "out" / "one", 10.0, [1.0, 2.0, float("nan")], (5, 4))
+    _case(b / "out" / "one", 10.001, [1.0, 2.02, float("nan")], (6, 5))
+    _case(a / "out" / "group" / "two", 4.0, [3.0, 3.0, 3.0], (7, 8))
+    _case(b / "out" / "group" / "two", 4.0, [3.0, 3.0, 3.0], (7, 8))
+    _case(a / "out" / "gone", 1.0, [1.0], (3, 1))
+    assert output_digest.main(["--compare", str(a), str(b)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"only in {a}: gone"
+    assert "over 2 cases" in lines[1]
+    assert lines[2].split() == ["area_mm2", "1.00e-04", "one"]
+    assert lines[3].split() == ["n_valid_thickness", "0.00e+00", "group/two"]
+    assert lines[4] == (
+        "profile.csv thickness_mm: largest relative difference 9.90e-03 (one sample 1), largest absolute 2.00e-02 mm"
+    )
+    assert lines[5:] == ["mesh.off vertices/triangles:", f"  {'group/two':24s} 7/8 -> 7/8", f"  {'one':24s} 5/4 -> 6/5"]

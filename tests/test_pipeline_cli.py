@@ -140,6 +140,20 @@ class TestBatch:
         assert main(["pipeline", "--cases", str(tmp_path / "cases.json"), "--out", str(tmp_path / "d")]) == 2
         assert "CCMORPH_THREADS" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_duplicate_case_ids_rejected(self, phantom_files, tmp_path, capsys, threads):
+        # two workers used to race on dup/config.txt.tmp; one silently overwrote the first case
+        cases = [_case(phantom_files, "dup"), _case(phantom_files, "ok"), _case(phantom_files, "dup")]
+        with pytest.raises(InputError, match="case ids must be unique, repeated: dup$"):
+            run_batch(cases, _cfg(threads=threads), tmp_path / "b")
+        assert not (tmp_path / "b").exists()  # checked before any case runs
+        specs = [{"id": c.case_id, "labels": c.labels, "landmarks": c.landmarks, "plane": c.plane} for c in cases]
+        (tmp_path / "cases.json").write_text(json.dumps(specs))
+        argv = ["pipeline", "--cases", str(tmp_path / "cases.json"), "--out", str(tmp_path / "d")]
+        assert main(argv + ["--threads", str(threads)]) == 2
+        assert "case ids must be unique" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
     def test_batch_continues_after_failure(self, phantom_files, tmp_path):
         good = _case(phantom_files, "good")
         bad = CaseSpec(

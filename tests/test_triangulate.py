@@ -1,14 +1,18 @@
+import hashlib
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ccmorph
 from ccmorph import Landmarks2D, intercallosal_line, thickness_profile
-from ccmorph.contour import Polyline, polygon_area
+from ccmorph.contour import Mask2D, Polyline, extract_contour, polygon_area, smooth_mask
 from ccmorph.mesh import TriMesh2D
-from ccmorph.phantoms import half_annulus_contour
-from ccmorph.triangulate import first_self_intersection, triangulate
+from ccmorph.phantoms import arch_mask_volume, half_annulus_contour
+from ccmorph.triangulate import _Refiner, _Triangulator, first_self_intersection, triangulate
 
 # Contours of contour_fuzz benchmark masks that the mesher failed on.
 # Recipe (ROADMAP item 4): `python3 ccbench/inputs.py --workload contour_fuzz
@@ -135,6 +139,15 @@ class TestValidation:
         mesh = triangulate(cw, 0.02)
         assert abs(mesh.area() - 1.0) < 1e-9
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_point_rejected(self, bad):
+        # an inf point used to reach triangulate and fail on a NaN cast; a NaN
+        # one vanished in the duplicate filter ("needs at least 3 distinct points")
+        pts = _square().points.copy()
+        pts[2, 1] = bad
+        with pytest.raises(ValueError, match="polyline points must be finite"):
+            Polyline(pts, closed=True)
+
 
 class TestFuzzRegressions:
     def test_seed209_m002_meshes(self, fuzz209_mesh):
@@ -249,3 +262,230 @@ class TestRandomBlobs:
             assert abs(areas.sum() - poly) / poly < 1e-9
             assert np.degrees(mesh.angles()).min() >= 20.0 - 1e-6
             assert mesh.euler_characteristic() == 1
+
+
+# -- the mesher's pruned kernels against the all-pairs versions they replaced --
+
+
+def _ref_first_self_intersection(points):
+    """The per-segment loop over all later segments."""
+    p = np.asarray(points, dtype=float)
+    n = len(p)
+    a = p
+    b = np.roll(p, -1, axis=0)
+
+    def orient(p0, p1, q):
+        return (p1[..., 0] - p0[..., 0]) * (q[..., 1] - p0[..., 1]) - (p1[..., 1] - p0[..., 1]) * (
+            q[..., 0] - p0[..., 0]
+        )
+
+    def on_segment(p0, p1, q):
+        return np.all((q >= np.minimum(p0, p1)) & (q <= np.maximum(p0, p1)), axis=-1)
+
+    for i in range(n - 2):
+        j0 = i + 2
+        j1 = n if i > 0 else n - 1
+        if j0 >= j1:
+            continue
+        aj = a[j0:j1]
+        bj = b[j0:j1]
+        d1 = orient(a[i], b[i], aj)
+        d2 = orient(a[i], b[i], bj)
+        d3 = orient(aj, bj, a[i])
+        d4 = orient(aj, bj, b[i])
+        proper = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))
+        touching = (d1 == 0) | (d2 == 0) | (d3 == 0) | (d4 == 0)
+        if touching.any():
+            lo_i = np.minimum(a[i], b[i])
+            hi_i = np.maximum(a[i], b[i])
+            lo_j = np.minimum(aj, bj)
+            hi_j = np.maximum(aj, bj)
+            bbox = np.all(lo_i <= hi_j, axis=1) & np.all(lo_j <= hi_i, axis=1)
+            d1z = (d1 == 0) & on_segment(a[i], b[i], aj)
+            d2z = (d2 == 0) & on_segment(a[i], b[i], bj)
+            d3z = (d3 == 0) & on_segment(aj, bj, np.broadcast_to(a[i], aj.shape))
+            d4z = (d4 == 0) & on_segment(aj, bj, np.broadcast_to(b[i], aj.shape))
+            proper = proper | (bbox & (d1z | d2z | d3z | d4z))
+        hits = np.nonzero(proper)[0]
+        if hits.size:
+            return i, int(hits[0] + j0)
+    return None
+
+
+def _ref_points_in_polygon(points, poly):
+    """Even-odd rule over every (point, edge) pair."""
+    x, y = points[:, 0][:, None], points[:, 1][:, None]
+    a = poly
+    b = np.roll(a, -1, axis=0)
+    ya, yb = a[:, 1][None, :], b[:, 1][None, :]
+    xa, xb = a[:, 0][None, :], b[:, 0][None, :]
+    cond = (ya <= y) != (yb <= y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xs = xa + (y - ya) * (xb - xa) / (yb - ya)
+    return (cond & (x < xs)).sum(axis=1) % 2 == 1
+
+
+def _ref_dist_to_segments(points, a, b):
+    """Distance from each point to its nearest segment, over every (point, segment) pair."""
+    d = b - a
+    l2 = (d * d).sum(axis=1)
+    l2 = np.where(l2 == 0, 1.0, l2)
+    t = ((points[:, None, :] - a[None, :, :]) * d[None, :, :]).sum(axis=2) / l2[None, :]
+    t = np.clip(t, 0.0, 1.0)
+    proj = a[None, :, :] + t[:, :, None] * d[None, :, :]
+    return np.linalg.norm(points[:, None, :] - proj, axis=2).min(axis=1)
+
+
+def _ref_seed_points(ref, spacing):
+    """The hex-grid seed candidates that pass every all-pairs filter, row by row."""
+    poly = ref.poly
+    lo, hi = poly.min(axis=0), poly.max(axis=0)
+    dy = spacing * np.sqrt(3.0) / 2.0
+    cand = []
+    for row, y in enumerate(np.arange(lo[1] + 0.5 * dy, hi[1], dy)):
+        xs = np.arange(lo[0] + 0.5 * spacing + (0.5 * spacing if row % 2 else 0.0), hi[0], spacing)
+        cand.append(np.column_stack([xs, np.full(len(xs), y)]))
+    cand = np.vstack(cand)
+    cand = cand[_ref_points_in_polygon(cand, poly)]
+    cand = cand[_ref_dist_to_segments(cand, poly, np.roll(poly, -1, axis=0)) > 0.62 * spacing]
+    return [(float(x), float(y)) for x, y in cand if not ref._encroached_by(x, y)]
+
+
+def _arch_contour():
+    """The mid-slice contour of ``arch_mask_volume``, as the pipeline extracts it."""
+    vol, _ = arch_mask_volume()
+    px = 0.5
+    mask = Mask2D((vol.data[3] == 251).astype(np.uint8), (px, px))
+    field = smooth_mask(mask, px)
+    return extract_contour(np.pad(field, 1), 0.5, pixel_size=(px, px), origin=(-px, -px))
+
+
+SEED_CASES = {
+    "arch@0.25": (_arch_contour, 0.25),
+    "annulus@0.25": (lambda: half_annulus_contour(22.0, 30.0, 600), 0.25),
+    "annulus_small@0.01": (half_annulus_contour, 0.01),
+    "seed209_m002": (lambda: _fuzz_contour("seed209_m002"), FUZZ["seed209_m002"]["max_area_mm2"]),
+    "seed104_m010": (lambda: _fuzz_contour("seed104_m010"), FUZZ["seed104_m010"]["max_area_mm2"]),
+}
+
+
+def _seeded_refiner(name):
+    """A ``_Refiner`` taken through the phases before ``seed_grid``, as ``triangulate`` takes it."""
+    make, max_area = SEED_CASES[name]
+    pts = make().points
+    if polygon_area(pts) < 0:
+        pts = pts[::-1]
+    ref = _Refiner(np.asarray(pts, dtype=float), max_area, 20.0)
+    spacing = float(np.sqrt(max_area * 4.0 / np.sqrt(3.0)))
+    ref.initial_conformity()
+    ref.presplit_long_segments(spacing)
+    return ref, spacing
+
+
+def _random_polygons(seed, count):
+    """Seeded polygons: random walks, and walks snapped to a coarse grid so that
+    touching and collinear segment pairs are common."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n = int(rng.integers(3, 40))
+        if k % 3 == 0:
+            pts = rng.normal(size=(n, 2))
+        elif k % 3 == 1:
+            pts = rng.integers(0, 4, size=(n, 2)).astype(float)
+        else:
+            t = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+            r = 1.0 + 0.3 * rng.uniform(size=n)
+            pts = np.round(np.column_stack([r * np.cos(t), r * np.sin(t)]) * 4.0) / 4.0
+        yield pts
+
+
+class TestPrunedKernelsMatchAllPairs:
+    @pytest.mark.parametrize("seed, offset", [(0, 0.0), (1, 0.0), (2, 0.0), (0, 1e6)])
+    def test_first_self_intersection_random(self, seed, offset):
+        hits = 0
+        for pts in _random_polygons(seed, 400):
+            pts = pts + offset  # far from the origin, distances round at a coarser scale
+            expected = _ref_first_self_intersection(pts)
+            assert first_self_intersection(pts) == expected, pts.tolist()
+            hits += expected is not None
+        assert 50 < hits < 400  # both outcomes are exercised
+
+    @pytest.mark.parametrize(
+        "pts, hit",
+        [
+            ([[0, 0], [2, 0], [2, 1], [1, 0], [0, 1]], (0, 2)),  # vertex 3 touches segment 0
+            ([[0, 0], [3, 0], [3, 1], [2, 0], [1, 0], [0, 1]], (0, 2)),  # collinear overlap
+            ([[0, 0], [1, 0], [1, 1], [0, 0], [-1, 1], [-1, 0]], (0, 2)),  # repeated vertex
+            ([[0, 0], [4, 0], [4, 4], [0, 4]], None),
+            ([[0, 0], [10, 0], [10, 0.1], [5, -1], [0, 0.1]], (0, 2)),  # one long segment
+        ],
+    )
+    def test_first_self_intersection_degenerate(self, pts, hit):
+        pts = np.asarray(pts, dtype=float)
+        assert _ref_first_self_intersection(pts) == hit
+        assert first_self_intersection(pts) == hit
+
+    @pytest.mark.parametrize("name", list(SEED_CASES))
+    def test_seed_points_match_all_pairs_filters(self, name):
+        ref, spacing = _seeded_refiner(name)
+        expected = _ref_seed_points(ref, spacing)
+        inserted = []
+        insert = ref.tr.insert
+        ref.tr.insert = lambda x, y, hint=None: (inserted.append((float(x), float(y))), insert(x, y, hint))[1]
+        ref.seed_grid(spacing)
+        assert len(expected) > 20
+        assert sorted(inserted) == sorted(expected)
+
+    @pytest.mark.parametrize("name", ["arch@0.25", "annulus_small@0.01", "seed209_m002"])
+    def test_vectorized_quality_matches_is_bad(self, name):
+        ref, spacing = _seeded_refiner(name)
+        seen = set()
+        for phase in ("before seeding", "after seeding", "refined"):
+            if phase == "after seeding":
+                ref.seed_grid(spacing)
+            elif phase == "refined":
+                ref.refine()
+            tids = list(ref.tr.tris)  # the exterior triangles too
+            bad = ref._bad(tids)
+            assert bad.tolist() == [ref._is_bad(t) for t in tids], phase
+            seen.update(bad.tolist())
+        assert seen == {True, False}
+
+
+class TestInsertionCost:
+    def test_triangles_per_inserted_vertex(self, monkeypatch):
+        """Contour-order insertion made 75 triangles per vertex on this annulus."""
+        counts = {"tris": 0, "verts": 0}
+        make_tri, add_point = _Triangulator._make_tri, _Triangulator._add_point
+
+        def counting_make_tri(self, a, b, c):
+            counts["tris"] += 1
+            return make_tri(self, a, b, c)
+
+        def counting_add_point(self, x, y):
+            vid, fresh = add_point(self, x, y)
+            counts["verts"] += fresh
+            return vid, fresh
+
+        monkeypatch.setattr(_Triangulator, "_make_tri", counting_make_tri)
+        monkeypatch.setattr(_Triangulator, "_add_point", counting_add_point)
+        mesh = triangulate(half_annulus_contour(22.0, 30.0, 600), 0.25)
+        assert mesh.n_vertices > 2000
+        assert counts["tris"] <= 10 * counts["verts"], counts
+
+    def test_deterministic_across_calls_and_processes(self):
+        contour = half_annulus_contour(22.0, 30.0, 600)
+        off = triangulate(contour, 0.5).to_off()
+        assert triangulate(contour, 0.5).to_off() == off
+        code = (
+            "import hashlib\n"
+            "from ccmorph.phantoms import half_annulus_contour\n"
+            "from ccmorph.triangulate import triangulate\n"
+            "off = triangulate(half_annulus_contour(22.0, 30.0, 600), 0.5).to_off()\n"
+            "print(hashlib.sha256(off.encode()).hexdigest())\n"
+        )
+        src = str(Path(ccmorph.__file__).resolve().parent.parent)
+        out = subprocess.run(
+            [sys.executable, "-c", code], check=True, capture_output=True, text=True, env={"PYTHONPATH": src}
+        )
+        assert out.stdout.strip() == hashlib.sha256(off.encode()).hexdigest()
