@@ -16,11 +16,12 @@ as the pipeline smooths it, both padded and at the default iso value.
 It writes one JSON object mapping each output file (relative to the work
 directory) to its SHA-256;
 ``status.json`` holds timings and is left out. Two checkouts give the same
-outputs when their digests are equal:
+outputs when their digests are equal; ``--check`` lists every file whose
+digest differs, is missing or is extra, and exits 1 if there is any:
 
     PYTHONPATH=A/src python3 scripts/output_digest.py a.json
     PYTHONPATH=B/src python3 scripts/output_digest.py b.json
-    diff a.json b.json
+    python3 scripts/output_digest.py --check a.json b.json
 
 When a change moves mesh bytes on purpose, ``--compare`` says by how much
 the measured values moved between two kept work directories: each
@@ -33,6 +34,7 @@ vertex/triangle counts:
     python3 scripts/output_digest.py --compare wa wb
 
 Usage: python3 scripts/output_digest.py OUT.json [--work DIR]
+       python3 scripts/output_digest.py --check A.json B.json
        python3 scripts/output_digest.py --compare WORK_A WORK_B
 """
 
@@ -193,12 +195,26 @@ def compare(work_a: Path, work_b: Path) -> list:
     return lines
 
 
+def check(table_a: Path, table_b: Path) -> tuple:
+    """(a line per output whose digest differs, is missing from B or is extra in B; the number of equal digests)."""
+    a, b = (json.loads(p.read_text()) for p in (table_a, table_b))
+    lines = [f"differs: {name}" for name in sorted(a.keys() & b.keys()) if a[name] != b[name]]
+    lines += [f"missing from {table_b}: {name}" for name in sorted(a.keys() - b.keys())]
+    lines += [f"extra in {table_b}: {name}" for name in sorted(b.keys() - a.keys())]
+    return lines, sum(a[name] == b[name] for name in a.keys() & b.keys())
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("out", nargs="?", help="JSON file to write")
     ap.add_argument("--work", default="", help="work directory to keep (default: a temporary one)")
     ap.add_argument("--compare", nargs=2, metavar=("WORK_A", "WORK_B"), help="compare the outputs of two kept work directories")
+    ap.add_argument("--check", nargs=2, metavar=("A.json", "B.json"), help="list the outputs whose digests differ; exit 1 if any")
     args = ap.parse_args(argv)
+    if args.check:
+        lines, equal = check(*map(Path, args.check))
+        print("\n".join(lines + [f"{equal} digests equal, {len(lines)} not"]))
+        return 1 if lines else 0
     if args.compare:
         print("\n".join(compare(*map(Path, args.compare))))
         return 0

@@ -97,7 +97,7 @@ class Polyline:
 
     def to_csv(self) -> str:
         lines = ["x_mm,y_mm"]
-        lines += [f"{float(x)!r},{float(y)!r}" for x, y in self.points]
+        lines += [f"{x!r},{y!r}" for x, y in self.points.tolist()]
         return "\n".join(lines) + "\n"
 
 

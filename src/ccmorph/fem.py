@@ -11,12 +11,16 @@ Scalar fields are plain per-vertex float arrays; triangle vector fields are
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
+from scipy.spatial import cKDTree
 
 from .contour import Polyline
 from .mesh import TriMesh2D
+from .triangulate import _widen
 
 __all__ = [
     "stiffness_matrix",
@@ -35,7 +39,7 @@ __all__ = [
 def field_to_csv(values: np.ndarray) -> str:
     """Per-vertex scalar field as CSV (vertex, value)."""
     lines = ["vertex,value"]
-    lines += [f"{i},{float(v)!r}" for i, v in enumerate(np.asarray(values, dtype=float))]
+    lines += [f"{i},{v!r}" for i, v in enumerate(np.asarray(values, dtype=float).tolist())]
     return "\n".join(lines) + "\n"
 
 _LEVEL_SNAP = 1e-12
@@ -177,34 +181,59 @@ def solve_poisson(mesh: TriMesh2D, h: np.ndarray, anchor) -> np.ndarray:
 def interpolate(mesh: TriMesh2D, values: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Barycentric interpolation of a vertex field at arbitrary points."""
     values = np.asarray(values, dtype=float)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.empty(len(pts))
-    for k, p in enumerate(pts):
-        tid, bary = _locate(mesh, p)
-        out[k] = float(values[mesh.triangles[tid]] @ bary)
-    return out
+    tids, barys = _locate_all(mesh, points)
+    return np.array([f @ b for f, b in zip(values[mesh.triangles[tids]], barys)], dtype=float)
 
 
 def _locate(mesh: TriMesh2D, p):
-    """(triangle id, barycentric coords clipped to [0, 1]) of the first triangle holding p.
+    """(triangle id, barycentric coords) of ``p``, as :func:`_locate_all` decides."""
+    tids, barys = _locate_all(mesh, [p])
+    return int(tids[0]), barys[0]
 
-    A triangle holds p when its smallest coordinate is >= -1e-12. If none
-    does, the least-negative one is taken, with normalized coordinates.
-    """
-    v, t, q = mesh.vertices, mesh.triangles, np.asarray(p, dtype=float)
-    # corners relative to p, (3, T) each; cross[k] is twice the area of
-    # (p, corner k, corner k + 1), so cross over its sum are barycentrics
-    x, y = np.take(v[:, 0] - q[0], t.T), np.take(v[:, 1] - q[1], t.T)
+
+def _lowest(v, corners, q):
+    """Smallest barycentric coordinate of ``q`` in each (3, K) corner-id column, NaN if degenerate."""
+    # corners relative to q; cross[k] is twice the area of (q, corner k,
+    # corner k + 1), so cross over its sum are barycentrics
+    x, y = v[corners, 0] - q[..., 0], v[corners, 1] - q[..., 1]
     cross = x * np.roll(y, -1, axis=0) - y * np.roll(x, -1, axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        lowest = cross.min(axis=0) / cross.sum(axis=0)
-    for tid in np.flatnonzero(lowest >= -1e-9):  # a shortlist: _barycentric decides
-        bary = _barycentric(v[t[tid]], q)
-        if bary.min() >= -1e-12:
-            return int(tid), np.clip(bary, 0.0, 1.0)
-    tid = int(np.nanargmax(lowest))
-    bary = np.clip(_barycentric(v[t[tid]], q), 0.0, None)
-    return tid, bary / max(bary.sum(), 1e-30)
+        return cross.min(axis=0) / cross.sum(axis=0)
+
+
+def _locate_all(mesh: TriMesh2D, points):
+    """Triangle ids (n,) and barycentric coords (n, 3) of the triangle holding each point.
+
+    A triangle holds p when its smallest coordinate is >= -1e-12; the
+    lowest id wins, and its coordinates are clipped to [0, 1]. One cKDTree
+    ball query over the triangle centroids shortlists each point's
+    triangles: a triangle holding p has p no farther from its centroid than
+    its farthest corner, so the largest centroid-to-corner distance,
+    widened past rounding, is the radius. A point no triangle holds gets
+    the least-negative triangle over the whole mesh, with normalized
+    coordinates.
+    """
+    v, t = mesh.vertices, mesh.triangles
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    corners = np.take(v, t, axis=0)
+    cent = corners.mean(axis=1)
+    radius = float(np.sqrt(((corners - cent[:, None, :]) ** 2).sum(axis=2).max()))
+    near = cKDTree(cent).query_ball_point(pts, _widen(radius, v), return_sorted=True)
+    pi = np.repeat(np.arange(len(pts)), [len(c) for c in near])
+    tj = np.fromiter(chain.from_iterable(near), dtype=np.int64, count=len(pi))
+    short = _lowest(v, t[tj].T, pts[pi]) >= -1e-9  # a shortlist: _barycentric decides
+    tids = np.full(len(pts), -1, dtype=np.int64)
+    barys = np.empty((len(pts), 3))
+    for i, tid in zip(pi[short].tolist(), tj[short].tolist()):
+        if tids[i] < 0:
+            bary = _barycentric(v[t[tid]], pts[i])
+            if bary.min() >= -1e-12:
+                tids[i], barys[i] = tid, np.clip(bary, 0.0, 1.0)
+    for i in np.flatnonzero(tids < 0).tolist():
+        tid = int(np.nanargmax(_lowest(v, t.T, pts[i])))
+        bary = np.clip(_barycentric(v[t[tid]], pts[i]), 0.0, None)
+        tids[i], barys[i] = tid, bary / max(bary.sum(), 1e-30)
+    return tids, barys
 
 
 def _barycentric(tri, p):

@@ -137,8 +137,8 @@ class TriMesh2D:
 
     def to_off(self) -> str:
         lines = ["OFF", f"{self.n_vertices} {self.n_triangles} 0"]
-        lines += [f"{float(x)!r} {float(y)!r} 0.0" for x, y in self.vertices]
-        lines += [f"3 {a} {b} {c}" for a, b, c in self.triangles]
+        lines += [f"{x!r} {y!r} 0.0" for x, y in self.vertices.tolist()]
+        lines += [f"3 {a} {b} {c}" for a, b, c in self.triangles.tolist()]
         return "\n".join(lines) + "\n"
 
     @classmethod

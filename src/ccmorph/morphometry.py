@@ -90,9 +90,9 @@ class ThicknessProfile:
         return len(self.positions)
 
     def to_csv(self) -> str:
+        rows = zip(self.positions.tolist(), self.thickness_mm.tolist(), self.valid.tolist())
         lines = ["position_fraction,thickness_mm"]
-        for p, t, v in zip(self.positions, self.thickness_mm, self.valid):
-            lines.append(f"{float(p)!r},{float(t)!r}" if v else f"{float(p)!r},nan")
+        lines += [f"{p!r},{t!r}" if v else f"{p!r},nan" for p, t, v in rows]
         return "\n".join(lines) + "\n"
 
 
@@ -262,8 +262,8 @@ def thickness_profile(mesh: TriMesh2D, f: np.ndarray, line: Polyline, n: int) ->
 
     thickness = np.full(n, np.nan)
     valid = np.zeros(n, dtype=bool)
-    for k, p in enumerate(line.points[1:-1]):
-        tid, bary = fem._locate(mesh, p)
+    tids, barys = fem._locate_all(mesh, line.points[1:-1])
+    for k, (tid, bary) in enumerate(zip(tids.tolist(), barys)):
         level = float(g_field[mesh.triangles[tid]] @ bary)
         path = fem._level_path(mesh, g_field, level, tid)
         if path is None or not spans_inferior_superior(f, path):

@@ -285,10 +285,8 @@ def run_case(case: CaseSpec, cfg: RunConfig, out_dir=None) -> dict:
             )
             res = subsegment(mesh, scheme, state["lm2"], state.get("line"))
             state.setdefault("subseg", {})[kind] = res
-            for k, a in enumerate(res.segment_areas_mm2):
-                rows.append(f"{kind},{k},{float(a)!r}")
-            for t, lab in enumerate(res.triangle_labels):
-                labels_csv.append(f"{kind},{t},{int(lab)}")
+            rows += [f"{kind},{k},{a!r}" for k, a in enumerate(res.segment_areas_mm2.tolist())]
+            labels_csv += [f"{kind},{t},{lab}" for t, lab in enumerate(res.triangle_labels.tolist())]
         write_atomic(out / "subseg.csv", "\n".join(rows) + "\n")
         write_atomic(out / "subseg_labels.csv", "\n".join(labels_csv) + "\n")
 
@@ -503,14 +501,18 @@ def _run_case_star(args):
 def run_batch(cases, cfg: RunConfig, out_root) -> list:
     """Run many cases, optionally with a process pool; outputs are case-local.
 
-    Raises ``InputError`` before any case runs when two cases share an id
-    (they would write the same output directory).
+    Case ``c`` writes to ``out_root / (c.out or c.case_id)``. Raises
+    ``InputError`` before any case runs when two cases share an id or an
+    output directory.
     """
     out_root = Path(out_root)
-    jobs = [(case, cfg, out_root / case.case_id) for case in cases]
-    repeated = sorted(cid for cid, n in Counter(case.case_id for case, _, _ in jobs).items() if n > 1)
-    if repeated:
-        raise InputError(f"case ids must be unique, repeated: {', '.join(repeated)}")
+    jobs = [(case, cfg, out_root / (case.out or case.case_id)) for case in cases]
+    ids = [case.case_id for case in cases]
+    outs = [os.path.normpath(out) for *_, out in jobs]
+    for what, keys in (("case ids", ids), ("case output directories", outs)):
+        repeated = sorted(key for key, n in Counter(keys).items() if n > 1)
+        if repeated:
+            raise InputError(f"{what} must be unique, repeated: {', '.join(repeated)}")
     threads = cfg.threads
     env = os.environ.get("CCMORPH_THREADS")
     if env is not None:

@@ -72,8 +72,8 @@ class SubsegResult:
 
     def to_csv(self) -> str:
         lines = ["scheme,segment_id,area_mm2"]
-        for k, a in enumerate(self.segment_areas_mm2):
-            lines.append(f"{self.scheme.kind},{k},{float(a)!r}")
+        areas = np.asarray(self.segment_areas_mm2, dtype=float).tolist()
+        lines += [f"{self.scheme.kind},{k},{a!r}" for k, a in enumerate(areas)]
         return "\n".join(lines) + "\n"
 
 

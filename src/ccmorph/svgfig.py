@@ -15,6 +15,11 @@ def _fmt(x) -> str:
     return f"{x:.3f}"
 
 
+def _points(pts) -> str:
+    """An SVG ``points`` value: "x,y" pairs at three decimals."""
+    return " ".join([f"{x:.3f},{y:.3f}" for x, y in np.asarray(pts, dtype=float).tolist()])
+
+
 class _Canvas:
     def __init__(self, width, height):
         self.w = width
@@ -26,15 +31,13 @@ class _Canvas:
         ]
 
     def polyline(self, pts, stroke="#333", width=1.0, fill="none"):
-        d = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
         self.parts.append(
-            f'<polyline points="{d}" fill="{fill}" stroke="{stroke}" stroke-width="{width}"/>'
+            f'<polyline points="{_points(pts)}" fill="{fill}" stroke="{stroke}" stroke-width="{width}"/>'
         )
 
     def polygon(self, pts, fill="#ddd", stroke="none", width=0.5):
-        d = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
         self.parts.append(
-            f'<polygon points="{d}" fill="{fill}" stroke="{stroke}" stroke-width="{width}"/>'
+            f'<polygon points="{_points(pts)}" fill="{fill}" stroke="{stroke}" stroke-width="{width}"/>'
         )
 
     def line(self, a, b, stroke="#888", width=1.0):
@@ -126,13 +129,19 @@ def shape_svg(contour_pts, line_pts=None, levelpaths=None, width=640, height=420
 
 
 def subseg_svg(vertices, triangles, labels, width=640, height=420) -> str:
-    """Mesh triangles filled per segment label."""
+    """Mesh triangles filled per segment label.
+
+    Each vertex is formatted once; a triangle's polygon joins the strings
+    of its three corners.
+    """
     m = _MapToCanvas(vertices, width, height)
     c = _Canvas(width, height)
-    v = m(vertices)
-    for t, lab in zip(np.asarray(triangles), np.asarray(labels)):
-        color = _SEGMENT_COLORS[int(lab) % len(_SEGMENT_COLORS)]
-        c.polygon(v[t], fill=color)
+    xy = [f"{x:.3f},{y:.3f}" for x, y in m(vertices).tolist()]
+    n = len(_SEGMENT_COLORS)
+    c.parts += [
+        f'<polygon points="{xy[a]} {xy[b]} {xy[d]}" fill="{_SEGMENT_COLORS[lab % n]}" stroke="none" stroke-width="0.5"/>'
+        for (a, b, d), lab in zip(np.asarray(triangles).tolist(), np.asarray(labels, dtype=np.int64).tolist())
+    ]
     return c.to_string()
 
 

@@ -146,10 +146,10 @@ class _Triangulator:
         self.ix = []  # snapped int coords (predicates only)
         self.iy = []
         self.by_int = {}
-        self.tris = {}  # tid -> (a, b, c) counter-clockwise
-        self.edge2tri = {}  # directed edge (u, v) -> tid
-        self.next_tid = 0
-        self.last_tid = None
+        self.tris = {0: (0, 1, 2)}  # tid -> (a, b, c) counter-clockwise; 0 is the super-triangle
+        self.edge2tri = {(0, 1): 0, (1, 2): 0, (2, 0): 0}  # directed edge (u, v) -> tid
+        self.next_tid = 1
+        self.last_tid = 0
 
         cx = (bbox_lo[0] + bbox_hi[0]) / 2.0
         cy = (bbox_lo[1] + bbox_hi[1]) / 2.0
@@ -157,7 +157,6 @@ class _Triangulator:
         self._add_point(cx - 3.0 * L, cy - 2.0 * L)
         self._add_point(cx + 3.0 * L, cy - 2.0 * L)
         self._add_point(cx, cy + 3.0 * L)
-        self._make_tri(0, 1, 2)
 
     # -- low-level helpers -------------------------------------------------
 
@@ -176,59 +175,25 @@ class _Triangulator:
         self.by_int[key] = vid
         return vid, True
 
-    def _orient(self, a, b, c):
-        ix, iy = self.ix, self.iy
-        return (ix[b] - ix[a]) * (iy[c] - iy[a]) - (iy[b] - iy[a]) * (ix[c] - ix[a])
-
-    def _incircle(self, a, b, c, d):
-        """> 0 iff d strictly inside the circumcircle of CCW triangle abc."""
-        ix, iy = self.ix, self.iy
-        adx = ix[a] - ix[d]
-        ady = iy[a] - iy[d]
-        bdx = ix[b] - ix[d]
-        bdy = iy[b] - iy[d]
-        cdx = ix[c] - ix[d]
-        cdy = iy[c] - iy[d]
-        ad2 = adx * adx + ady * ady
-        bd2 = bdx * bdx + bdy * bdy
-        cd2 = cdx * cdx + cdy * cdy
-        return (
-            adx * (bdy * cd2 - cdy * bd2)
-            - ady * (bdx * cd2 - cdx * bd2)
-            + ad2 * (bdx * cdy - cdx * bdy)
-        )
-
-    def _make_tri(self, a, b, c):
-        tid = self.next_tid
-        self.next_tid += 1
-        self.tris[tid] = (a, b, c)
-        self.edge2tri[(a, b)] = tid
-        self.edge2tri[(b, c)] = tid
-        self.edge2tri[(c, a)] = tid
-        self.last_tid = tid
-        return tid
-
-    def _drop_tri(self, tid):
-        a, b, c = self.tris.pop(tid)
-        for e in ((a, b), (b, c), (c, a)):
-            if self.edge2tri.get(e) == tid:
-                del self.edge2tri[e]
-
     def _locate(self, vid, hint=None):
         """Visibility walk to a triangle containing vertex vid; None if outside."""
-        tid = hint if hint in self.tris else self.last_tid
-        if tid not in self.tris:
-            tid = next(iter(self.tris))
-        guard = 4 * len(self.tris) + 64
+        tris, get, ix, iy = self.tris, self.edge2tri.get, self.ix, self.iy
+        tid = hint if hint in tris else self.last_tid
+        if tid not in tris:
+            tid = next(iter(tris))
+        px, py = ix[vid], iy[vid]
+        guard = 4 * len(tris) + 64
         while guard:
             guard -= 1
-            a, b, c = self.tris[tid]
-            if self._orient(a, b, vid) < 0:
-                tid = self.edge2tri.get((b, a))
-            elif self._orient(b, c, vid) < 0:
-                tid = self.edge2tri.get((c, b))
-            elif self._orient(c, a, vid) < 0:
-                tid = self.edge2tri.get((a, c))
+            a, b, c = tris[tid]
+            xa, ya, xb, yb, xc, yc = ix[a], iy[a], ix[b], iy[b], ix[c], iy[c]
+            # step across the first edge that has vid strictly on its right
+            if (xb - xa) * (py - ya) - (yb - ya) * (px - xa) < 0:
+                tid = get((b, a))
+            elif (xc - xb) * (py - yb) - (yc - yb) * (px - xb) < 0:
+                tid = get((c, b))
+            elif (xa - xc) * (py - yc) - (ya - yc) * (px - xc) < 0:
+                tid = get((a, c))
             else:
                 return tid
             if tid is None:
@@ -252,17 +217,29 @@ class _Triangulator:
             self.fx.pop(), self.fy.pop(), self.ix.pop(), self.iy.pop()
             return None, None
 
+        # the incircle and orientation predicates and the triangle
+        # bookkeeping are written out on locals: this is most of the
+        # mesher's time
+        tris, edge2tri, ix, iy = self.tris, self.edge2tri, self.ix, self.iy
+        get = edge2tri.get
+        dx, dy = ix[vid], iy[vid]
         cavity = {t0}
         stack = [t0]
         while stack:
-            t = stack.pop()
-            a, b, c = self.tris[t]
+            a, b, c = tris[stack.pop()]
             for u, v in ((a, b), (b, c), (c, a)):
-                nb = self.edge2tri.get((v, u))
+                nb = get((v, u))
                 if nb is None or nb in cavity:
                     continue
-                na, nbv, nc = self.tris[nb]
-                if self._incircle(na, nbv, nc, vid) > 0:
+                na, nbv, nc = tris[nb]
+                # incircle: > 0 iff vid is strictly inside the circumcircle of CCW (na, nbv, nc)
+                adx, ady = ix[na] - dx, iy[na] - dy
+                bdx, bdy = ix[nbv] - dx, iy[nbv] - dy
+                cdx, cdy = ix[nc] - dx, iy[nc] - dy
+                ad2 = adx * adx + ady * ady
+                bd2 = bdx * bdx + bdy * bdy
+                cd2 = cdx * cdx + cdy * cdy
+                if adx * (bdy * cd2 - cdy * bd2) - ady * (bdx * cd2 - cdx * bd2) + ad2 * (bdx * cdy - cdx * bdy) > 0:
                     cavity.add(nb)
                     stack.append(nb)
 
@@ -272,12 +249,12 @@ class _Triangulator:
             boundary = []
             grazed = []
             for t in cavity:
-                a, b, c = self.tris[t]
+                a, b, c = tris[t]
                 for u, v in ((a, b), (b, c), (c, a)):
-                    nb = self.edge2tri.get((v, u))
+                    nb = get((v, u))
                     if nb in cavity:
                         continue
-                    if self._orient(u, v, vid) <= 0:
+                    if (ix[v] - ix[u]) * (dy - iy[u]) - (iy[v] - iy[u]) * (dx - ix[u]) <= 0:  # orient(u, v, vid)
                         if nb is None:
                             raise RuntimeError("degenerate insertion at the hull")
                         grazed.append(nb)
@@ -288,9 +265,16 @@ class _Triangulator:
             cavity.update(grazed)
 
         for t in cavity:
-            self._drop_tri(t)
+            a, b, c = tris.pop(t)
+            for e in ((a, b), (b, c), (c, a)):
+                if get(e) == t:
+                    del edge2tri[e]
+        tid = self.next_tid
         for u, v in boundary:
-            self._make_tri(u, v, vid)
+            tris[tid] = (u, v, vid)
+            edge2tri[(u, v)] = edge2tri[(v, vid)] = edge2tri[(vid, u)] = tid
+            tid += 1
+        self.next_tid, self.last_tid = tid, tid - 1
         return vid, list(cavity)
 
     # -- geometry in float coordinates --------------------------------------

@@ -361,31 +361,59 @@ def _brute_locate(mesh, p):
     return tid, bary / bary.sum()
 
 
+def _probe_points(mesh):
+    """Vertices (held by several triangles), edge midpoints, centroids, and boundary
+    midpoints moved 1e-14 (within the tolerance) and 1e-6 (the fallback) outside."""
+    rng = np.random.default_rng(3)
+    V = mesh.vertices
+    edges = mesh.edges()
+    be = mesh.boundary_edges()[rng.choice(len(mesh.boundary_edges()), 10, replace=False)]
+    d = V[be[:, 1]] - V[be[:, 0]]
+    outward = np.column_stack([d[:, 1], -d[:, 0]]) / np.linalg.norm(d, axis=1)[:, None]
+    mid = (V[be[:, 0]] + V[be[:, 1]]) / 2
+    return np.vstack(
+        [
+            V[rng.choice(len(V), 20, replace=False)],
+            (V[edges[:, 0]] + V[edges[:, 1]])[rng.choice(len(edges), 20, replace=False)] / 2,
+            mesh.centroids()[rng.choice(mesh.n_triangles, 20, replace=False)],
+            mid + 1e-14 * outward,
+            mid + 1e-6 * outward,
+        ]
+    )
+
+
+@pytest.fixture(scope="module", params=["grid", "annulus", "arch"])
+def located(request):
+    """A mesh, its probe points and ``_brute_locate`` of each point."""
+    if request.param == "grid":
+        mesh = rectangle_grid_mesh(4.0, 3.0, 0.5)
+    elif request.param == "annulus":
+        mesh = triangulate(half_annulus_contour(n_arc=48), 0.25)
+    else:  # coordinates of tens of mm, as on the arch slabs
+        mesh = triangulate(half_annulus_contour(22.0, 30.0, 120), 2.0)
+    points = _probe_points(mesh)
+    return mesh, points, [_brute_locate(mesh, p) for p in points]
+
+
 class TestLocate:
-    @pytest.mark.parametrize("name", ["grid", "annulus"])
-    def test_matches_brute_force(self, name):
-        if name == "grid":
-            mesh = rectangle_grid_mesh(4.0, 3.0, 0.5)
-        else:
-            mesh = triangulate(half_annulus_contour(n_arc=48), 0.25)
-        rng = np.random.default_rng(3)
-        V = mesh.vertices
-        edges = mesh.edges()
-        be = mesh.boundary_edges()[rng.choice(len(mesh.boundary_edges()), 10, replace=False)]
-        d = V[be[:, 1]] - V[be[:, 0]]
-        outward = np.column_stack([d[:, 1], -d[:, 0]]) / np.linalg.norm(d, axis=1)[:, None]
-        mid = (V[be[:, 0]] + V[be[:, 1]]) / 2
-        points = np.vstack(
-            [
-                V[rng.choice(len(V), 20, replace=False)],  # held by several triangles
-                (V[edges[:, 0]] + V[edges[:, 1]])[rng.choice(len(edges), 20, replace=False)] / 2,
-                mesh.centroids()[rng.choice(mesh.n_triangles, 20, replace=False)],
-                mid + 1e-14 * outward,  # outside by less than the tolerance
-                mid + 1e-6 * outward,  # just outside the mesh
-            ]
-        )
-        for p in points:
+    def test_matches_brute_force(self, located):
+        mesh, points, ref = located
+        for p, (ref_tid, ref_bary) in zip(points, ref):
             tid, bary = fem._locate(mesh, p)
-            ref_tid, ref_bary = _brute_locate(mesh, p)
             assert tid == ref_tid
             assert np.array_equal(bary, ref_bary)
+
+    def test_all_points_in_one_query(self, located):
+        mesh, points, ref = located
+        tids, barys = fem._locate_all(mesh, points)
+        assert tids.tolist() == [tid for tid, _ in ref]
+        assert np.array_equal(barys, np.array([bary for _, bary in ref]))
+        held = [sum(fem._barycentric(mesh.vertices[t], p).min() >= -1e-12 for t in mesh.triangles) for p in points[:20]]
+        assert max(held) > 1  # a vertex is held by each triangle around it: the lowest id wins
+
+    def test_interpolate_matches_per_point(self, located):
+        mesh, points, ref = located
+        f = np.random.default_rng(8).standard_normal(mesh.n_vertices)
+        want = np.array([float(f[mesh.triangles[tid]] @ bary) for tid, bary in ref])
+        assert np.array_equal(fem.interpolate(mesh, f, points), want)
+        assert np.array_equal(fem.interpolate(mesh, f, points[7]), want[7:8])

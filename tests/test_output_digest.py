@@ -33,3 +33,18 @@ def test_compare_reports_value_deltas_and_mesh_counts(tmp_path, capsys):
         "profile.csv thickness_mm: largest relative difference 9.90e-03 (one sample 1), largest absolute 2.00e-02 mm"
     )
     assert lines[5:] == ["mesh.off vertices/triangles:", f"  {'group/two':24s} 7/8 -> 7/8", f"  {'one':24s} 5/4 -> 6/5"]
+
+
+def test_check_lists_every_differing_missing_and_extra_digest(tmp_path, capsys):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps({"x/mesh.off": "1", "x/profile.csv": "2", "y/mesh.off": "3", "gone.csv": "4"}))
+    b.write_text(json.dumps({"x/mesh.off": "1", "x/profile.csv": "9", "y/mesh.off": "3", "new.csv": "5"}))
+    assert output_digest.main(["--check", str(a), str(a)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["4 digests equal, 0 not"]
+    assert output_digest.main(["--check", str(a), str(b)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "differs: x/profile.csv",
+        f"missing from {b}: gone.csv",
+        f"extra in {b}: new.csv",
+        "2 digests equal, 3 not",
+    ]

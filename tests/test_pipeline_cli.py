@@ -32,6 +32,12 @@ def _case(root, cid="rect"):
     )
 
 
+def _spec(root, cid, out):
+    """A case-list entry for the phantom case with an ``out`` key."""
+    c = _case(root, cid)
+    return {"id": cid, "labels": c.labels, "landmarks": c.landmarks, "plane": c.plane, "out": out}
+
+
 def _cfg(**kw):
     base = dict(slab_spacing_mm=1.0, write_svg=True)
     base.update(kw)
@@ -152,6 +158,31 @@ class TestBatch:
         argv = ["pipeline", "--cases", str(tmp_path / "cases.json"), "--out", str(tmp_path / "d")]
         assert main(argv + ["--threads", str(threads)]) == 2
         assert "case ids must be unique" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_case_out_honoured(self, phantom_files, tmp_path, threads):
+        # the "out" key used to be read and then ignored: every case went to OUT/<id>
+        cases = [CaseSpec.from_dict(_spec(phantom_files, "a", "elsewhere/a")), _case(phantom_files, "b")]
+        statuses = run_batch(cases, _cfg(threads=threads), tmp_path / "o")
+        assert [s["ok"] for s in statuses] == [True, True]
+        assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["b", "elsewhere"]
+        for name in RESULT_FILES:
+            assert (tmp_path / "o" / "elsewhere" / "a" / name).exists(), name
+        assert json.loads((tmp_path / "o" / "elsewhere" / "a" / "status.json").read_text())["case"] == "a"
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("outs", [("same", "same"), ("b", ""), ("x/../same", "same/")])
+    def test_shared_output_directory_rejected(self, phantom_files, tmp_path, capsys, threads, outs):
+        specs = [_spec(phantom_files, cid, out) for cid, out in zip("ab", outs)]
+        cases = [CaseSpec.from_dict(d) for d in specs]
+        with pytest.raises(InputError, match="case output directories must be unique, repeated: "):
+            run_batch(cases, _cfg(threads=threads), tmp_path / "b")
+        assert not (tmp_path / "b").exists()  # checked before any case runs
+        (tmp_path / "cases.json").write_text(json.dumps(specs))
+        argv = ["pipeline", "--cases", str(tmp_path / "cases.json"), "--out", str(tmp_path / "d")]
+        assert main(argv + ["--threads", str(threads)]) == 2
+        assert "case output directories must be unique" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
     def test_batch_continues_after_failure(self, phantom_files, tmp_path):

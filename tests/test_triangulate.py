@@ -452,24 +452,105 @@ class TestPrunedKernelsMatchAllPairs:
         assert seen == {True, False}
 
 
+def _reference_insert(tr, x, y, hint=None):
+    """``_Triangulator.insert`` as it was with predicate and bookkeeping helpers."""
+    ix, iy = tr.ix, tr.iy
+
+    def orient(a, b, c):
+        return (ix[b] - ix[a]) * (iy[c] - iy[a]) - (iy[b] - iy[a]) * (ix[c] - ix[a])
+
+    def incircle(a, b, c, d):
+        adx, ady = ix[a] - ix[d], iy[a] - iy[d]
+        bdx, bdy = ix[b] - ix[d], iy[b] - iy[d]
+        cdx, cdy = ix[c] - ix[d], iy[c] - iy[d]
+        ad2, bd2, cd2 = adx * adx + ady * ady, bdx * bdx + bdy * bdy, cdx * cdx + cdy * cdy
+        return adx * (bdy * cd2 - cdy * bd2) - ady * (bdx * cd2 - cdx * bd2) + ad2 * (bdx * cdy - cdx * bdy)
+
+    vid, fresh = tr._add_point(x, y)
+    if not fresh:
+        return vid, None
+    t0 = tr._locate(vid, hint)
+    if t0 is None:
+        tr.by_int.pop((ix[vid], iy[vid]))
+        tr.fx.pop(), tr.fy.pop(), ix.pop(), iy.pop()
+        return None, None
+    cavity, stack = {t0}, [t0]
+    while stack:
+        a, b, c = tr.tris[stack.pop()]
+        for u, v in ((a, b), (b, c), (c, a)):
+            nb = tr.edge2tri.get((v, u))
+            if nb is not None and nb not in cavity and incircle(*tr.tris[nb], vid) > 0:
+                cavity.add(nb)
+                stack.append(nb)
+    while True:
+        boundary, grazed = [], []
+        for t in cavity:
+            a, b, c = tr.tris[t]
+            for u, v in ((a, b), (b, c), (c, a)):
+                nb = tr.edge2tri.get((v, u))
+                if nb in cavity:
+                    continue
+                if orient(u, v, vid) <= 0:
+                    if nb is None:
+                        raise RuntimeError("degenerate insertion at the hull")
+                    grazed.append(nb)
+                else:
+                    boundary.append((u, v))
+        if not grazed:
+            break
+        cavity.update(grazed)
+    for t in cavity:  # drop
+        a, b, c = tr.tris.pop(t)
+        for e in ((a, b), (b, c), (c, a)):
+            if tr.edge2tri.get(e) == t:
+                del tr.edge2tri[e]
+    for u, v in boundary:  # make
+        tid = tr.next_tid
+        tr.next_tid += 1
+        tr.tris[tid] = (u, v, vid)
+        tr.edge2tri[(u, v)] = tr.edge2tri[(v, vid)] = tr.edge2tri[(vid, u)] = tid
+        tr.last_tid = tid
+    return vid, list(cavity)
+
+
 class TestInsertionCost:
+    @pytest.mark.parametrize("name", ["annulus", "fuzz"])
+    def test_inlined_insert_matches_reference(self, monkeypatch, name):
+        """The same triangles, ids, cavities and edge map as the helper-based insertion."""
+        if name == "annulus":
+            contour, area = half_annulus_contour(22.0, 30.0, 300), 0.25
+        else:
+            contour, area = _fuzz_contour("seed209_m002"), FUZZ["seed209_m002"]["max_area_mm2"]
+        logs = []
+        for insert in (_Triangulator.insert, _reference_insert):
+            log = []
+
+            def logged(tr, x, y, hint=None, _insert=insert, _log=log):
+                out = _insert(tr, x, y, hint)
+                _log.append((out, tr.next_tid, tr.last_tid, len(tr.edge2tri)))
+                return out
+
+            monkeypatch.setattr(_Triangulator, "insert", logged)
+            logs.append((triangulate(contour, area).to_off(), log))
+        assert logs[0][0] == logs[1][0]
+        assert logs[0][1] == logs[1][1]
+
     def test_triangles_per_inserted_vertex(self, monkeypatch):
         """Contour-order insertion made 75 triangles per vertex on this annulus."""
-        counts = {"tris": 0, "verts": 0}
-        make_tri, add_point = _Triangulator._make_tri, _Triangulator._add_point
-
-        def counting_make_tri(self, a, b, c):
-            counts["tris"] += 1
-            return make_tri(self, a, b, c)
+        counts = {"verts": 0}
+        seen = []  # the triangulator; next_tid counts every triangle it made
+        add_point = _Triangulator._add_point
 
         def counting_add_point(self, x, y):
             vid, fresh = add_point(self, x, y)
             counts["verts"] += fresh
+            if not seen:
+                seen.append(self)
             return vid, fresh
 
-        monkeypatch.setattr(_Triangulator, "_make_tri", counting_make_tri)
         monkeypatch.setattr(_Triangulator, "_add_point", counting_add_point)
         mesh = triangulate(half_annulus_contour(22.0, 30.0, 600), 0.25)
+        counts["tris"] = seen[0].next_tid
         assert mesh.n_vertices > 2000
         assert counts["tris"] <= 10 * counts["verts"], counts
 
