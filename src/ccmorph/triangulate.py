@@ -1,13 +1,19 @@
 """Quality triangulation of simple closed contours.
 
-Incremental Bowyer-Watson Delaunay with exact integer predicates (input
-coordinates are snapped to a fine integer grid for the predicates only;
-output vertices keep their original float coordinates), boundary conformity
-by diametral-circle encroachment splitting, and Ruppert-style refinement to
-a minimum angle and maximum triangle area. The boundary of the result
-contains every input contour vertex. Contour and seed points go in a biased
-randomized insertion order (BRIO, Amenta, Choi & Rote 2003), which keeps the
-expected work per insertion constant.
+Delaunay triangulation with exact integer predicates (input coordinates are
+snapped to a fine integer grid for the predicates only; output vertices keep
+their original float coordinates), boundary conformity by diametral-circle
+encroachment splitting, and Ruppert-style refinement to a minimum angle and
+maximum triangle area. The boundary of the result contains every input
+contour vertex.
+
+The points known before refinement (contour vertices, conformity and
+long-segment midpoints, hex seed points) are only registered; their
+placement reads coordinates alone. They are then triangulated in one Qhull
+call (Barber, Dobkin & Huhdanpaa 1996), and every edge is legalized under
+the exact incircle test by Lawson flips, with Shewchuk's (1997) float
+filters deciding where they can. Refinement points go in one at a time by
+Bowyer-Watson insertion under the same predicates.
 """
 
 from __future__ import annotations
@@ -16,15 +22,18 @@ from collections import deque
 from itertools import chain, compress
 
 import numpy as np
-from scipy.spatial import cKDTree
+from scipy.spatial import Delaunay, cKDTree
 
 from .contour import Polyline, polygon_area
 from .mesh import TriMesh2D
 
 __all__ = ["triangulate", "first_self_intersection"]
 
-_BRIO_SEED = 2003
-_HILBERT_BITS = 16
+# Shewchuk's (1997) static error bounds of the float orient2d and incircle
+# determinants: beyond them the sign of the float value is the exact sign
+_EPS = 2.0**-53
+_CCW_BOUND = (3.0 + 16.0 * _EPS) * _EPS
+_ICC_BOUND = (10.0 + 96.0 * _EPS) * _EPS
 
 
 def _widen(radius, pts):
@@ -90,43 +99,6 @@ def _on_segment(p0, p1, q):
     return np.all((q >= lo) & (q <= hi), axis=-1)
 
 
-def _hilbert_index(x, y, bits):
-    """Position along the Hilbert curve of integer points in [0, 2**bits)^2."""
-    d = np.zeros_like(x)
-    for k in range(bits - 1, -1, -1):
-        s = 1 << k
-        rx = (x & s) > 0
-        ry = (y & s) > 0
-        d += s * s * ((3 * rx) ^ ry)
-        x, y = x & (s - 1), y & (s - 1)
-        flip = rx & ~ry
-        x = np.where(flip, s - 1 - x, x)
-        y = np.where(flip, s - 1 - y, y)
-        x, y = np.where(ry, x, y), np.where(ry, y, x)
-    return d
-
-
-def _brio_order(pts: np.ndarray) -> np.ndarray:
-    """Deterministic biased randomized insertion order of ``pts`` (indices).
-
-    A seeded permutation is cut into rounds that double in size; inside a
-    round the points follow the Hilbert curve, so each point location walk
-    starts next to the previous insertion.
-    """
-    n = len(pts)
-    perm = np.random.default_rng(_BRIO_SEED).permutation(n)
-    lo = pts.min(axis=0)
-    side = float((pts.max(axis=0) - lo).max()) or 1.0
-    q = ((pts - lo) * ((2**_HILBERT_BITS - 1) / side)).astype(np.int64)
-    h = _hilbert_index(q[:, 0], q[:, 1], _HILBERT_BITS)
-    cuts = [n]
-    while cuts[-1] > 64:
-        cuts.append(cuts[-1] // 2)
-    cuts = [0] + cuts[::-1]
-    rounds = (perm[c0:c1] for c0, c1 in zip(cuts, cuts[1:]))
-    return np.concatenate([r[np.argsort(h[r], kind="stable")] for r in rounds])
-
-
 def _ball_pairs(tree: cKDTree, centers: np.ndarray, radii: np.ndarray):
     """(point, center) index arrays: the tree's points within ``radii`` of ``centers``."""
     near = tree.query_ball_point(centers, _widen(radii, tree.data))
@@ -136,7 +108,11 @@ def _ball_pairs(tree: cKDTree, centers: np.ndarray, radii: np.ndarray):
 
 
 class _Triangulator:
-    """Incremental Delaunay with integer-exact predicates."""
+    """Delaunay triangulation with integer-exact predicates.
+
+    Points are only registered until ``build``, which triangulates them all
+    at once; after it, ``insert`` adds points incrementally (Bowyer-Watson).
+    """
 
     def __init__(self, bbox_lo, bbox_hi):
         extent = max(bbox_hi[0] - bbox_lo[0], bbox_hi[1] - bbox_lo[1], 1e-9)
@@ -146,10 +122,11 @@ class _Triangulator:
         self.ix = []  # snapped int coords (predicates only)
         self.iy = []
         self.by_int = {}
-        self.tris = {0: (0, 1, 2)}  # tid -> (a, b, c) counter-clockwise; 0 is the super-triangle
-        self.edge2tri = {(0, 1): 0, (1, 2): 0, (2, 0): 0}  # directed edge (u, v) -> tid
-        self.next_tid = 1
+        self.tris = {}  # tid -> (a, b, c) counter-clockwise
+        self.edge2tri = {}  # directed edge (u, v) -> tid
+        self.next_tid = 0
         self.last_tid = 0
+        self.built = False
 
         cx = (bbox_lo[0] + bbox_hi[0]) / 2.0
         cy = (bbox_lo[1] + bbox_hi[1]) / 2.0
@@ -206,10 +183,13 @@ class _Triangulator:
         """Insert a point; returns (vertex id, list of cavity tids removed).
 
         Returns (vid, None) when the point coincides with an existing vertex.
+        Before ``build`` the point is only registered, with an empty cavity.
         """
         vid, fresh = self._add_point(x, y)
         if not fresh:
             return vid, None
+        if not self.built:
+            return vid, []
         t0 = self._locate(vid, hint)
         if t0 is None:
             # outside the triangulation: undo the point registration
@@ -277,6 +257,117 @@ class _Triangulator:
         self.next_tid, self.last_tid = tid, tid - 1
         return vid, list(cavity)
 
+    # -- the initial triangulation ------------------------------------------
+
+    def build(self):
+        """Triangulate every registered point at once.
+
+        Qhull (``scipy.spatial.Delaunay``) triangulates the snapped integer
+        points, taken relative to the center of their bounding box (the
+        super-triangle's): all of them then lie below 2**32 in magnitude, so
+        float64 holds them and their differences exactly, and Shewchuk's
+        error bounds make the float orientation and incircle signs exact
+        wherever they clear them. Each triangle is made counter-clockwise
+        (Python ints where the float sign is unsure), and every edge that the
+        float incircle test does not clear is settled by the exact one and
+        Lawson-flipped if it fails, so the result is Delaunay under the
+        predicates ``insert`` uses. Returns the number of flips.
+        """
+        ix = np.array(self.ix, dtype=np.int64)
+        iy = np.array(self.iy, dtype=np.int64)
+        x = (ix - (ix.min() + ix.max()) // 2).astype(np.float64)
+        y = (iy - (iy.min() + iy.max()) // 2).astype(np.float64)
+        qh = Delaunay(np.column_stack([x, y]))
+        if len(qh.coplanar):
+            raise RuntimeError(f"Qhull left {len(qh.coplanar)} coplanar points out of the triangulation")
+        s = qh.simplices.astype(np.int64)
+        nb = qh.neighbors.astype(np.int64)
+
+        xs, ys = x[s], y[s]
+        left = (xs[:, 0] - xs[:, 2]) * (ys[:, 1] - ys[:, 2])
+        right = (ys[:, 0] - ys[:, 2]) * (xs[:, 1] - xs[:, 2])
+        det = left - right
+        pix, piy = self.ix, self.iy
+        for t in np.flatnonzero(np.abs(det) <= _CCW_BOUND * (np.abs(left) + np.abs(right))).tolist():
+            a, b, c = s[t].tolist()
+            det[t] = (pix[a] - pix[c]) * (piy[b] - piy[c]) - (piy[a] - piy[c]) * (pix[b] - pix[c])
+            if det[t] == 0:
+                raise RuntimeError("Qhull made a triangle of exact orientation 0")
+        cw = det < 0
+        s[cw] = s[cw][:, [0, 2, 1]]
+        nb[cw] = nb[cw][:, [0, 2, 1]]
+
+        # triangles numbered by their lowest vertex id, and one int object
+        # per vertex id in every tuple: neighbors then sit close in memory,
+        # which speeds refinement's dict walks (``_interior`` 2-3x)
+        m = len(s)
+        verts = list(range(len(x)))
+        tris, edge2tri = {}, {}
+        for tid, (a, b, c) in enumerate(s[np.argsort(s.min(axis=1), kind="stable")].tolist()):
+            a, b, c = verts[a], verts[b], verts[c]
+            tris[tid] = (a, b, c)
+            edge2tri[(a, b)] = edge2tri[(b, c)] = edge2tri[(c, a)] = tid
+        self.tris, self.edge2tri = tris, edge2tri
+        self.next_tid, self.last_tid = m, m - 1
+        self.built = True
+
+        # every interior edge once: side k of t (opposite s[t, k]) and the
+        # corner of its neighbor across it; incircle > 0 means illegal
+        t, k = np.nonzero(nb > np.arange(m)[:, None])
+        o = nb[t, k]
+        u, v, w = s[t, (k + 1) % 3], s[t, (k + 2) % 3], s[t, k]
+        d = s[o, np.argmax(nb[o] == t[:, None], axis=1)]
+        adx, ady = x[u] - x[d], y[u] - y[d]
+        bdx, bdy = x[v] - x[d], y[v] - y[d]
+        cdx, cdy = x[w] - x[d], y[w] - y[d]
+        ad2, bd2, cd2 = adx * adx + ady * ady, bdx * bdx + bdy * bdy, cdx * cdx + cdy * cdy
+        bc, cb = bdx * cdy, cdx * bdy
+        ca, ac = cdx * ady, adx * cdy
+        ab, ba = adx * bdy, bdx * ady
+        det = ad2 * (bc - cb) + bd2 * (ca - ac) + cd2 * (ab - ba)
+        perm = (np.abs(bc) + np.abs(cb)) * ad2 + (np.abs(ca) + np.abs(ac)) * bd2 + (np.abs(ab) + np.abs(ba)) * cd2
+        unsure = det >= -_ICC_BOUND * perm
+        return self._legalize(list(zip(u[unsure].tolist(), v[unsure].tolist())))
+
+    def _legalize(self, stack) -> int:
+        """Lawson-flip until every edge passes the exact incircle test.
+
+        ``stack`` holds directed edges (u, v) to check; a flip pushes the four
+        outer edges of its quadrilateral. Edges no longer present, and hull
+        edges, are skipped. Returns the number of flips.
+        """
+        tris, edge2tri, ix, iy = self.tris, self.edge2tri, self.ix, self.iy
+        get = edge2tri.get
+        flips = 0
+        while stack:
+            u, v = stack.pop()
+            t1, t2 = get((u, v)), get((v, u))
+            if t1 is None or t2 is None:
+                continue
+            a, b, c = tris[t1]
+            w = a + b + c - u - v
+            p, q, r = tris[t2]
+            z = p + q + r - u - v
+            # incircle: > 0 iff z is strictly inside the circumcircle of CCW (a, b, c)
+            dx, dy = ix[z], iy[z]
+            adx, ady = ix[a] - dx, iy[a] - dy
+            bdx, bdy = ix[b] - dx, iy[b] - dy
+            cdx, cdy = ix[c] - dx, iy[c] - dy
+            ad2 = adx * adx + ady * ady
+            bd2 = bdx * bdx + bdy * bdy
+            cd2 = cdx * cdx + cdy * cdy
+            if adx * (bdy * cd2 - cdy * bd2) - ady * (bdx * cd2 - cdx * bd2) + ad2 * (bdx * cdy - cdx * bdy) <= 0:
+                continue
+            # the quadrilateral u, z, v, w (counter-clockwise) takes diagonal z-w
+            del edge2tri[(u, v)], edge2tri[(v, u)]
+            tris[t1] = (u, z, w)
+            tris[t2] = (z, v, w)
+            edge2tri[(u, z)] = edge2tri[(z, w)] = edge2tri[(w, u)] = t1
+            edge2tri[(z, v)] = edge2tri[(v, w)] = edge2tri[(w, z)] = t2
+            stack += ((u, z), (z, v), (v, w), (w, u))
+            flips += 1
+        return flips
+
     # -- geometry in float coordinates --------------------------------------
 
     def tri_coords(self, tid):
@@ -341,13 +432,13 @@ class _Refiner:
         self.tr = _Triangulator(poly.min(axis=0), poly.max(axis=0))
         self.work = deque()
 
-        # contour vertices (in BRIO order) and directed constraint segments
-        vids = [0] * len(poly)
-        for k in _brio_order(poly).tolist():
-            vid, cavity = self.tr.insert(*poly[k])
-            if vid is None or cavity is None:
+        # contour vertices and directed constraint segments
+        vids = []
+        for x, y in poly.tolist():
+            vid, cavity = self.tr.insert(x, y)
+            if cavity is None:
                 raise ValueError("contour points coincide after snapping; contour too fine")
-            vids[k] = vid
+            vids.append(vid)
         self.segs = {seg: True for seg in zip(vids, vids[1:] + vids[:1])}  # split into halves over time
         self.unsplittable = set()
         self._seg_cache = None
@@ -458,7 +549,7 @@ class _Refiner:
                     changed = True
 
     def seed_grid(self, spacing: float):
-        """Hex-grid interior points away from the boundary, inserted in BRIO order.
+        """Hex-grid interior points away from the boundary, inserted row by row.
 
         A candidate is kept when it is inside the polygon (even-odd rule),
         farther than a margin from every polygon edge and encroaches no
@@ -501,10 +592,8 @@ class _Refiner:
         d2 = (mid[s, 0] - cand[p, 0]) ** 2 + (mid[s, 1] - cand[p, 1]) ** 2
         keep[p[d2 < r2[s] * (1.0 - 1e-12)]] = False
 
-        cand = cand[keep]
-        if len(cand):
-            for x, y in cand[_brio_order(cand)]:
-                self.tr.insert(x, y)
+        for x, y in cand[keep].tolist():
+            self.tr.insert(x, y)
 
     def refine(self) -> list:
         """Refine until every interior triangle is good; returns the interior triangle ids."""
@@ -653,4 +742,5 @@ def triangulate(contour: Polyline, max_area_mm2: float, min_angle_deg: float = 2
     ref.initial_conformity()
     ref.presplit_long_segments(target_len)
     ref.seed_grid(target_len)
+    ref.tr.build()
     return ref.extract(ref.refine())

@@ -27,6 +27,16 @@ def _fuzz_contour(name):
     return Polyline(np.array(FUZZ[name]["contour"]), closed=True)
 
 
+def _assert_nominal_thickness(name, mesh):
+    """The median interior thickness (samples 10..89) is within 10% of the mask's nominal one."""
+    case = FUZZ[name]
+    lm = Landmarks2D(np.array(case["ac"]), np.array(case["pc"]))
+    line, f = intercallosal_line(mesh, lm, 100)
+    profile = thickness_profile(mesh, f, line, 100)
+    median = float(np.nanmedian(profile.thickness_mm[9:89]))
+    assert abs(median - case["thickness_mm"]) <= 0.10 * case["thickness_mm"]
+
+
 @pytest.fixture(scope="module")
 def fuzz209_mesh():
     case = FUZZ["seed209_m002"]
@@ -156,18 +166,39 @@ class TestFuzzRegressions:
         It raised "degenerate insertion at the hull" while the longest-edge
         fallback inserted its point without the encroachment check.
         """
-        case = FUZZ["seed209_m002"]
-        assert len(case["contour"]) == 466
-        lm = Landmarks2D(np.array(case["ac"]), np.array(case["pc"]))
-        line, f = intercallosal_line(fuzz209_mesh, lm, 100)
-        profile = thickness_profile(fuzz209_mesh, f, line, 100)
-        median = float(np.nanmedian(profile.thickness_mm[9:89]))  # samples 10..89
-        assert abs(median - case["thickness_mm"]) <= 0.10 * case["thickness_mm"]
+        assert len(FUZZ["seed209_m002"]["contour"]) == 466
+        _assert_nominal_thickness("seed209_m002", fuzz209_mesh)
+
+    def test_seed108_m009_meshes(self):
+        """Seed 108 mask m009 at max_area 0.1 (recipe above) reached the hull
+        under contour/seed insertion in BRIO order; it meshes since the one-call build."""
+        mesh = triangulate(_fuzz_contour("seed108_m009"), FUZZ["seed108_m009"]["max_area_mm2"])
+        assert np.degrees(mesh.angles()).min() >= 20.0 - 1e-6
+        _assert_nominal_thickness("seed108_m009", mesh)
 
     @pytest.mark.xfail(strict=True, raises=RuntimeError, reason="known mesher failure, ROADMAP item 4")
-    def test_seed104_m010_meshes(self):
-        """Seed 104 mask m010 at max_area 0.5 (recipe above) still loses a segment."""
-        triangulate(_fuzz_contour("seed104_m010"), FUZZ["seed104_m010"]["max_area_mm2"])
+    @pytest.mark.parametrize(
+        "name, area",
+        [
+            ("seed104_m010", 0.5),
+            ("seed109_m015", 0.5),
+            ("seed210_m013", 0.1),
+            ("seed212_m001", 0.5),
+            ("seed218_m001", 0.5),
+            ("seed218_m001", 0.25),
+            ("seed218_m001", 0.1),
+            ("seed219_m015", 0.5),
+            ("seed219_m015", 0.25),
+            ("seed219_m015", 0.1),
+        ],
+    )
+    def test_known_failures_mesh(self, name, area):
+        """The `scripts/mesh_sweep.py` failures of seeds 100-129 and 200-229 (recipe above).
+
+        Seed 109 m015 raises "mesh refinement did not converge", the others
+        "degenerate insertion at the hull".
+        """
+        triangulate(_fuzz_contour(name), area)
 
 
 class TestBoundaryFlags:
@@ -439,11 +470,12 @@ class TestPrunedKernelsMatchAllPairs:
     @pytest.mark.parametrize("name", ["arch@0.25", "annulus_small@0.01", "seed209_m002"])
     def test_vectorized_quality_matches_is_bad(self, name):
         ref, spacing = _seeded_refiner(name)
+        ref.seed_grid(spacing)
         seen = set()
-        for phase in ("before seeding", "after seeding", "refined"):
-            if phase == "after seeding":
-                ref.seed_grid(spacing)
-            elif phase == "refined":
+        for phase in ("built", "refined"):
+            if phase == "built":
+                ref.tr.build()
+            else:
                 ref.refine()
             tids = list(ref.tr.tris)  # the exterior triangles too
             bad = ref._bad(tids)
@@ -469,6 +501,8 @@ def _reference_insert(tr, x, y, hint=None):
     vid, fresh = tr._add_point(x, y)
     if not fresh:
         return vid, None
+    if not tr.built:  # registered only, until the one-call build
+        return vid, []
     t0 = tr._locate(vid, hint)
     if t0 is None:
         tr.by_int.pop((ix[vid], iy[vid]))
@@ -536,22 +570,24 @@ class TestInsertionCost:
         assert logs[0][1] == logs[1][1]
 
     def test_triangles_per_inserted_vertex(self, monkeypatch):
-        """Contour-order insertion made 75 triangles per vertex on this annulus."""
-        counts = {"verts": 0}
-        seen = []  # the triangulator; next_tid counts every triangle it made
-        add_point = _Triangulator._add_point
+        """Triangles made per vertex inserted after the build.
 
-        def counting_add_point(self, x, y):
-            vid, fresh = add_point(self, x, y)
-            counts["verts"] += fresh
-            if not seen:
-                seen.append(self)
-            return vid, fresh
+        Contour-order insertion of every point made 75 per vertex on this annulus.
+        """
+        seen = []  # (triangulator, next_tid, vertices) right after the build
+        build = _Triangulator.build
 
-        monkeypatch.setattr(_Triangulator, "_add_point", counting_add_point)
+        def recording_build(self):
+            flips = build(self)
+            seen.append((self, self.next_tid, len(self.ix)))
+            return flips
+
+        monkeypatch.setattr(_Triangulator, "build", recording_build)
         mesh = triangulate(half_annulus_contour(22.0, 30.0, 600), 0.25)
-        counts["tris"] = seen[0].next_tid
+        tr, tids, verts = seen[0]
+        counts = {"tris": tr.next_tid - tids, "verts": len(tr.ix) - verts}
         assert mesh.n_vertices > 2000
+        assert counts["verts"] > 500
         assert counts["tris"] <= 10 * counts["verts"], counts
 
     def test_deterministic_across_calls_and_processes(self):
@@ -570,3 +606,119 @@ class TestInsertionCost:
             [sys.executable, "-c", code], check=True, capture_output=True, text=True, env={"PYTHONPATH": src}
         )
         assert out.stdout.strip() == hashlib.sha256(off.encode()).hexdigest()
+
+
+# -- the one-call build and its exact legalization --
+
+
+def _orient_int(tr, a, b, c):
+    ix, iy = tr.ix, tr.iy
+    return (ix[b] - ix[a]) * (iy[c] - iy[a]) - (iy[b] - iy[a]) * (ix[c] - ix[a])
+
+
+def _incircle_int(tr, a, b, c, d):
+    ix, iy = tr.ix, tr.iy
+    adx, ady = ix[a] - ix[d], iy[a] - iy[d]
+    bdx, bdy = ix[b] - ix[d], iy[b] - iy[d]
+    cdx, cdy = ix[c] - ix[d], iy[c] - iy[d]
+    ad2, bd2, cd2 = adx * adx + ady * ady, bdx * bdx + bdy * bdy, cdx * cdx + cdy * cdy
+    return adx * (bdy * cd2 - cdy * bd2) - ady * (bdx * cd2 - cdx * bd2) + ad2 * (bdx * cdy - cdx * bdy)
+
+
+def _interior_edges(tr):
+    """(u, v, t, o, z) for each interior edge once: u->v in triangle t, z the corner of o across it."""
+    for (u, v), t in tr.edge2tri.items():
+        o = tr.edge2tri.get((v, u))
+        if o is not None and u < v:
+            yield u, v, t, o, sum(tr.tris[o]) - u - v
+
+
+def _assert_valid_delaunay(tr):
+    n = len(tr.ix)
+    assert {v for tri in tr.tris.values() for v in tri} == set(range(n))  # every point is a vertex
+    assert all(_orient_int(tr, *tri) > 0 for tri in tr.tris.values())
+    assert len(tr.tris) == 2 * n - 5  # the hull is the super-triangle
+    for t, (a, b, c) in tr.tris.items():
+        assert tr.edge2tri[(a, b)] == tr.edge2tri[(b, c)] == tr.edge2tri[(c, a)] == t
+    assert len(tr.edge2tri) == 3 * len(tr.tris)
+    assert all(_incircle_int(tr, *tr.tris[t], z) <= 0 for _, _, t, _, z in _interior_edges(tr))
+
+
+def _lattice_triangulator(side=8):
+    """Integer lattice points, exactly cocircular in fours: the snapping scale is 2**24 on this box."""
+    tr = _Triangulator((0.0, 0.0), (16.0, 16.0))
+    assert tr.scale == 2.0**24
+    for x in range(side + 1):
+        for y in range(side + 1):
+            assert tr.insert(2.0 * x, 2.0 * y) == (len(tr.ix) - 1, [])
+    return tr
+
+
+class TestBuild:
+    @pytest.mark.parametrize("name", ["arch@0.25", "annulus@0.25", "seed209_m002"])
+    def test_build_is_exact_delaunay(self, name):
+        ref, spacing = _seeded_refiner(name)
+        ref.seed_grid(spacing)
+        n = len(ref.tr.ix)
+        assert not ref.tr.tris  # registration only, so far
+        ref.tr.build()
+        assert len(ref.tr.ix) == n
+        _assert_valid_delaunay(ref.tr)
+        assert (ref.tr.next_tid, ref.tr.last_tid) == (len(ref.tr.tris), len(ref.tr.tris) - 1)
+
+    def test_duplicates_rejected_before_the_build(self):
+        tr = _lattice_triangulator(2)
+        assert tr.insert(2.0, 2.0) == (7, None)  # lattice point (1, 1)
+        with pytest.raises(ValueError, match="coincide after snapping"):
+            _Refiner(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [1.0, 1.0 + 1e-12]]), 0.1, 20.0)
+
+    def test_cocircular_lattice(self):
+        tr = _lattice_triangulator()
+        assert tr.build() == 0  # every lattice square is cocircular: no edge fails
+        _assert_valid_delaunay(tr)
+        assert sum(_incircle_int(tr, *tr.tris[t], z) == 0 for _, _, t, _, z in _interior_edges(tr)) >= 64
+
+    @pytest.mark.parametrize("name", ["arch@0.25", "annulus@0.25"])
+    def test_legalize_restores_flipped_diagonals(self, name):
+        ref, spacing = _seeded_refiner(name)
+        ref.seed_grid(spacing)
+        tr = ref.tr
+        tr.build()
+        # flip strictly legal diagonals of convex quadrilaterals, no two in one triangle
+        touched, flipped = set(), 0
+        for u, v, t, o, z in list(_interior_edges(tr)):
+            w = sum(tr.tris[t]) - u - v
+            if t in touched or o in touched or _incircle_int(tr, *tr.tris[t], z) >= 0:
+                continue
+            if _orient_int(tr, u, z, w) <= 0 or _orient_int(tr, z, v, w) <= 0:
+                continue
+            del tr.edge2tri[(u, v)], tr.edge2tri[(v, u)]
+            tr.tris[t], tr.tris[o] = (u, z, w), (z, v, w)
+            tr.edge2tri.update({(u, z): t, (z, w): t, (w, u): t, (z, v): o, (v, w): o, (w, z): o})
+            touched |= {t, o}
+            flipped += 1
+        assert flipped > 100
+        bad = sum(_incircle_int(tr, *tr.tris[t], z) > 0 for _, _, t, _, z in _interior_edges(tr))
+        assert bad >= flipped
+        assert tr._legalize(list(tr.edge2tri)) >= flipped
+        _assert_valid_delaunay(tr)
+
+    @pytest.mark.parametrize(
+        "simplices, coplanar, match",
+        [
+            ([[0, 1, 2]], [3], "coplanar"),
+            ([[0, 1, 2], [0, 3, 1]], [], "orientation 0"),
+        ],
+    )
+    def test_qhull_failures_named(self, monkeypatch, simplices, coplanar, match):
+        class FakeQhull:
+            def __init__(self, points):
+                self.simplices = np.array(simplices)
+                self.neighbors = np.full(self.simplices.shape, -1)
+                self.coplanar = np.array(coplanar)
+
+        tr = _Triangulator((0.0, 0.0), (16.0, 16.0))
+        tr.insert(8.0, -120.0)  # on the super-triangle's lower edge
+        monkeypatch.setattr(sys.modules["ccmorph.triangulate"], "Delaunay", FakeQhull)
+        with pytest.raises(RuntimeError, match=match):
+            tr.build()
