@@ -65,6 +65,9 @@ class CaseSpec:
     def from_dict(cls, d: dict) -> "CaseSpec":
         if not isinstance(d, dict):
             raise InputError(f"case spec must be a JSON object, got {d!r}")
+        for k in d:
+            if k not in ("id", "labels", "landmarks", "plane", "t1", "out"):
+                raise InputError(f"unknown case spec key {k!r} in case {d.get('id', '?')!r}")
         try:
             return cls(
                 case_id=str(d["id"]),
@@ -193,8 +196,19 @@ def run_case(case: CaseSpec, cfg: RunConfig, out_dir=None) -> dict:
             plane = _load_plane(case.plane)
         elif cfg.template_seg and cfg.template_plane:
             template = _load_input_volume(cfg.template_seg, "template segmentation")
+            if not template.is_label_map():
+                raise InputError(f"template segmentation {cfg.template_seg} must be an integer label map")
             tplane = _load_plane(cfg.template_plane)
-            plane, transform = midsagittal_plane(vol, template, tplane)
+            try:
+                plane, transform = midsagittal_plane(vol, template, tplane)
+            except ValueError:
+                shared = int(np.isin(vol.label_table[0], template.label_table[0]).sum())
+                if shared < 3:
+                    raise InputError(
+                        f"template segmentation {cfg.template_seg} shares {shared} labels with "
+                        f"{case.labels}, need at least 3"
+                    ) from None
+                raise
             write_atomic(out / "transform.json", transform.to_json() + "\n")
         else:
             raise InputError("no plane given and no template configured")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import gzip
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -38,6 +39,9 @@ _DTYPES = {
 _DTYPE_CODES = {np.dtype(v): k for k, v in _DTYPES.items()}
 
 _HDR_SIZE = 348
+# voxels per chunk of Volume.label_table: 8 planes of 256 x 256, or a whole 0.5 mm slab;
+# 2**18 to 2**21 time alike on a 256^3 label map, and the temporaries grow with the chunk
+_TABLE_CHUNK_VOXELS = 2**19
 _QFORM_FIELDS = ("quatern_b", "quatern_c", "quatern_d", "qoffset_x", "qoffset_y", "qoffset_z")
 _SROW_FIELDS = tuple(f"srow_{axis}[{k}]" for axis in "xyz" for k in range(4))
 
@@ -113,18 +117,28 @@ class Volume:
         """(labels, voxel counts, world centroids) of the non-zero labels, in one pass.
 
         Rows follow the sorted distinct labels, so the table's size does not
-        depend on the label values. Built on first access and kept for the
-        life of this volume; the three arrays are read-only.
+        depend on the label values. The volume is counted in chunks of whole
+        planes along its slowest memory axis, about ``_TABLE_CHUNK_VOXELS``
+        voxels each, so the temporaries scale with one chunk, not the
+        volume. Built on first access and kept for the life of this volume;
+        the three arrays are read-only.
         """
-        order = "F" if self.data.flags.f_contiguous and not self.data.flags.c_contiguous else "C"
-        flat = self.data.ravel(order=order)  # a view for C- or Fortran-ordered data
-        idx = np.flatnonzero(flat)
-        values = flat[idx]
-        labels = np.unique(values)
-        rows = np.searchsorted(labels, values)  # ~4x faster than np.unique's argsort-based inverse
-        counts = np.bincount(rows, minlength=len(labels))
-        ijk = np.unravel_index(idx, self.dims, order=order)
-        sums = np.column_stack([np.bincount(rows, weights=a, minlength=len(labels)) for a in ijk])
+        # slowest memory axis first: a C-contiguous volume as it is, a
+        # Fortran-ordered one (and any other layout) transposed to (z, y, x)
+        planes = self.data if self.data.flags.c_contiguous else self.data.T
+        depth = max(1, _TABLE_CHUNK_VOXELS // max(1, math.prod(planes.shape[1:])))  # planes per chunk
+        # at least one chunk, so that a volume without planes gives an empty table
+        starts = range(0, len(planes) or 1, depth)
+        tables = (_chunk_table(planes[s : s + depth], s) for s in starts)
+        chunk_labels, chunk_counts, chunk_sums = zip(*tables)
+        labels, rows = np.unique(np.concatenate(chunk_labels), return_inverse=True)
+        counts = np.zeros(len(labels), dtype=np.intp)
+        np.add.at(counts, rows, np.concatenate(chunk_counts))
+        sums = np.zeros((len(labels), 3))
+        # integer coordinate sums are exact in float64, so the order of addition does not matter
+        np.add.at(sums, rows, np.concatenate(chunk_sums))
+        if planes is not self.data:
+            sums = sums[:, ::-1]
         table = (labels, counts, self.voxel_to_world(sums / counts[:, None]))
         for arr in table:
             arr.flags.writeable = False
@@ -138,6 +152,30 @@ class Volume:
     def _is_label_map(self) -> bool:
         d = self.data
         return bool(np.issubdtype(d.dtype, np.integer) and np.min(d) >= 0)
+
+
+def _chunk_table(chunk, start):
+    """(labels, counts, coordinate sums) of the planes ``start, start + 1, ...`` in ``chunk``.
+
+    The unit counted is a run of equal non-zero voxels along the last axis,
+    not a voxel: a run of n voxels from x0 on line (z, y) adds n to its
+    label's count and n z, n y and n x0 + n (n - 1) / 2 to its coordinate sums.
+    """
+    nx = chunk.shape[2]
+    run_start = np.empty(chunk.shape, dtype=bool)
+    np.not_equal(chunk[..., :1], 0, out=run_start[..., :1])  # a line's background continues the run before it
+    np.not_equal(chunk[..., 1:], chunk[..., :-1], out=run_start[..., 1:])
+    first = np.flatnonzero(run_start)
+    values = chunk.ravel()[first]  # ravel copies only a non-contiguous chunk
+    line, x0 = np.divmod(first, nx)
+    n = np.minimum(np.diff(first, append=run_start.size), nx - x0)  # a run ends at its line's end
+    keep = values != 0
+    values, n, line, x0 = values[keep], n[keep], line[keep], x0[keep]
+    labels, rows = np.unique(values, return_inverse=True)
+    z, y = np.divmod(line, chunk.shape[1])
+    weights = (n, n * (z + start), n * y, n * x0 + n * (n - 1) // 2)
+    counts, *sums = [np.bincount(rows, weights=w, minlength=len(labels)) for w in weights]
+    return labels, counts.astype(np.intp), np.column_stack(sums)
 
 
 def _open_maybe_gz(path, mode):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from ccmorph import volume
 from ccmorph.midplane import (
     label_centroids,
     midsagittal_plane,
@@ -149,6 +150,76 @@ class TestLabelTable:
         f = Volume(v.data.astype(float), (1, 1, 1), np.eye(4))
         with pytest.raises(ValueError, match="integer label maps"):
             label_centroids(v, f)
+
+
+def _one_pass_table(vol):
+    """The table as one pass over every non-zero voxel (the algorithm before chunking)."""
+    order = "F" if vol.data.flags.f_contiguous and not vol.data.flags.c_contiguous else "C"
+    flat = vol.data.ravel(order=order)
+    idx = np.flatnonzero(flat)
+    values = flat[idx]
+    labels = np.unique(values)
+    rows = np.searchsorted(labels, values)
+    counts = np.bincount(rows, minlength=len(labels))
+    ijk = np.unravel_index(idx, vol.dims, order=order)
+    sums = np.column_stack([np.bincount(rows, weights=a, minlength=len(labels)) for a in ijk])
+    return labels, counts, vol.voxel_to_world(sums / counts[:, None])
+
+
+def _with_layout(data, layout):
+    """The same values as C-ordered, Fortran-ordered, transposed or strided (both non-contiguous) data."""
+    if layout == "F":
+        data = np.asfortranarray(data)
+    elif layout == "transposed":
+        data = np.ascontiguousarray(data.transpose(1, 0, 2)).transpose(1, 0, 2)
+    elif layout == "strided":
+        data = np.repeat(data, 2, axis=1)[:, ::2]
+    contiguous = layout in ("C", "F") or 0 in data.shape
+    assert contiguous == (data.flags.c_contiguous or data.flags.f_contiguous)
+    return data
+
+
+def _assert_bit_identical(got, ref):
+    for g, r in zip(got, ref, strict=True):
+        assert g.dtype == r.dtype and g.shape == r.shape
+        assert g.tobytes() == r.tobytes()
+
+
+LAYOUTS = ["C", "F", "transposed", "strided"]
+LABEL_DTYPES = [np.uint8, np.int16, np.int32, np.int64, np.uint64]
+DEPTH = 4  # planes per chunk in these tests
+
+
+class TestChunkedLabelTable:
+    """``Volume.label_table`` counts chunks of planes; the table must equal the one-pass count bit for bit."""
+
+    # slow-axis lengths: shorter than one chunk, a multiple of it, and neither
+    @pytest.mark.parametrize("n", [DEPTH - 1, 2 * DEPTH, 2 * DEPTH + 3])
+    @pytest.mark.parametrize("dtype", LABEL_DTYPES)
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_equals_one_pass_table(self, layout, dtype, n, monkeypatch):
+        monkeypatch.setattr(volume, "_TABLE_CHUNK_VOXELS", DEPTH * 5 * n + 3)  # planes of 5 n voxels
+        rng = np.random.default_rng([n, len(layout), np.dtype(dtype).itemsize])
+        ids = rng.choice(np.arange(3, 250), size=12, replace=False)
+        data = rng.choice(np.concatenate([[0], ids]), size=(n, 5, n), p=[0.4] + [0.05] * 12).astype(dtype)
+        data[:, 2, 1:4] = ids[0]  # a run longer than one voxel along every axis
+        data[1, 3:5, :] = ids[1]  # two whole lines of one label, adjacent in C order
+        data[:, 3:5, 1] = ids[1]  # and in Fortran order
+        data[-1, 0, -1], data[-1, 1, -1] = 1, 255  # the lowest and highest labels, in the last chunk only
+        vol = Volume(_with_layout(data, layout), (1, 1, 1), _random_affine(rng))
+        table = vol.label_table
+        assert table[0].dtype == np.dtype(dtype) and table[0][0] == 1 and table[0][-1] == 255
+        _assert_bit_identical(table, _one_pass_table(vol))
+
+    @pytest.mark.parametrize("shape", [(9, 4, 11), (0, 4, 6), (4, 4, 0)])
+    @pytest.mark.parametrize("dtype", LABEL_DTYPES)
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_all_zero_volume(self, layout, dtype, shape, monkeypatch):
+        monkeypatch.setattr(volume, "_TABLE_CHUNK_VOXELS", 1)  # one plane per chunk
+        vol = Volume(_with_layout(np.zeros(shape, dtype=dtype), layout), (1, 1, 1), np.eye(4))
+        table = vol.label_table
+        assert [len(arr) for arr in table] == [0, 0, 0] and table[0].dtype == np.dtype(dtype)
+        _assert_bit_identical(table, _one_pass_table(vol))
 
 
 def _write_cc_case(tmp_path):
@@ -400,6 +471,25 @@ class TestResampleSlabMatchesReference:
             tracemalloc.stop()
         assert slab.data.nbytes > 1_000_000
         assert peak < 1.5 * slab.data.nbytes
+
+
+class TestLabelTableMemory:
+    @pytest.mark.parametrize("layout", ["F", "C"])
+    def test_temporaries_below_a_quarter_of_the_volume(self, layout):
+        # counted chunk by chunk: the one-pass table held ~1.3x the volume in temporaries
+        rng = np.random.default_rng(44)
+        shape = (256, 256, 128)
+        data = rng.integers(1, 50, size=shape, dtype=np.int32)
+        data[rng.integers(0, 10, size=shape, dtype=np.uint8) != 0] = 0  # ~10% non-zero voxels
+        vol = Volume(np.asfortranarray(data) if layout == "F" else data, (1, 1, 1), np.eye(4))
+        tracemalloc.start()
+        try:
+            labels = vol.label_table[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(labels) == 49
+        assert peak < 0.25 * vol.data.nbytes
 
 
 class TestPlaneDisagreement:

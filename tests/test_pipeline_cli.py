@@ -44,6 +44,18 @@ def _cfg(**kw):
     return RunConfig(**base).validate()
 
 
+def _unusable_template(root, kind):
+    """A template the phantom cannot be registered to: float data, or the phantom's one label."""
+    vol, _ = rectangle_mask_volume()
+    if kind == "float":
+        vol = Volume(vol.data.astype(np.float32), vol.voxel_size, vol.affine)
+    save_volume(vol, root / f"tpl_{kind}.nii")
+    return root / f"tpl_{kind}.nii"
+
+
+UNUSABLE_TEMPLATES = [("float", "must be an integer label map"), ("one_label", "shares 1 labels")]
+
+
 RESULT_FILES = [
     "plane.json",
     "pose.json",
@@ -97,6 +109,17 @@ class TestRunCase:
         assert stages["thickness"]["status"] == "skipped"
         # status.json still written
         assert (tmp_path / "broken" / "status.json").exists()
+
+    @pytest.mark.parametrize("kind, message", UNUSABLE_TEMPLATES)
+    def test_unusable_template_is_input_error(self, phantom_files, tmp_path, kind, message):
+        tpl = _unusable_template(tmp_path, kind)
+        case = CaseSpec("t", str(phantom_files / "labels.nii.gz"), str(phantom_files / "lm.json"))
+        cfg = _cfg(template_seg=str(tpl), template_plane=str(phantom_files / "plane.json"))
+        status = run_case(case, cfg, tmp_path / "t")
+        assert status["error_kind"] == "input"
+        stage = {s["name"]: s for s in status["stages"]}["midplane"]
+        assert stage["status"] == "failed" and stage["error"].startswith("InputError: ")
+        assert str(tpl) in stage["error"] and message in stage["error"]
 
     def test_deterministic_outputs(self, phantom_files, tmp_path):
         s1 = run_case(_case(phantom_files), _cfg(), tmp_path / "a")
@@ -478,6 +501,30 @@ class TestCLI:
             ["pipeline", "--cases", str(tmp_path / "cases.json"), "--out", str(tmp_path / "d")]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("kind, message", UNUSABLE_TEMPLATES)
+    def test_unusable_template_exit_code_2(self, phantom_files, tmp_path, capsys, kind, message):
+        spec = _spec(phantom_files, "t", "t")
+        del spec["plane"]
+        (tmp_path / "cases.json").write_text(json.dumps([spec]))
+        code = main(
+            ["pipeline", "--cases", str(tmp_path / "cases.json"), "--out", str(tmp_path / "d")]
+            + ["--template-seg", str(_unusable_template(tmp_path, kind))]
+            + ["--template-plane", str(phantom_files / "plane.json")]
+        )
+        assert code == 2
+        assert "[t] FAILED" in capsys.readouterr().out
+        assert message in json.loads((tmp_path / "d" / "t" / "status.json").read_text())["stages"][2]["error"]
+
+    def test_unknown_case_key_exit_code_2(self, phantom_files, tmp_path, capsys):
+        typo = _spec(phantom_files, "typo", "typo")
+        typo["plnae"] = typo.pop("plane")
+        (tmp_path / "cases.json").write_text(json.dumps([_spec(phantom_files, "ok", "ok"), typo]))
+        code = main(["pipeline", "--cases", str(tmp_path / "cases.json"), "--out", str(tmp_path / "d")])
+        assert code == 2
+        assert "unknown case spec key 'plnae' in case 'typo'" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()  # rejected before any case runs
+        assert CaseSpec.from_dict({**_spec(phantom_files, "x", "x"), "t1": "t1.nii"}).t1 == "t1.nii"
 
     @pytest.mark.parametrize(
         "cases", [{"a": 1}, [1], ["x"]], ids=["object_not_list", "number_entry", "string_entry"]
