@@ -14,12 +14,11 @@ import sys
 from pathlib import Path
 
 from .config import RunConfig
-from .midplane import midsagittal_plane
 from .pipeline import (
     CaseSpec,
     InputError,
     _load_input_volume,
-    _load_plane,
+    _register_to_template,
     run_batch,
     run_case,
     run_eval,
@@ -131,8 +130,9 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     if args.cmd == "midplane":
         subject = _load_input_volume(args.subject, "subject volume")
-        template = _load_input_volume(args.template_seg, "template segmentation")
-        plane, transform = midsagittal_plane(subject, template, _load_plane(args.template_plane))
+        if not subject.is_label_map():
+            raise InputError(f"subject volume {args.subject} must be an integer label map")
+        plane, transform = _register_to_template(subject, args.subject, args.template_seg, args.template_plane)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         write_atomic(out / "plane.json", plane.to_json() + "\n")

@@ -89,7 +89,7 @@ def stiffness_matrix(mesh: TriMesh2D) -> sparse.csr_matrix:
     return W
 
 
-def solve_dirichlet(mesh: TriMesh2D, fixed, matrix: sparse.csr_matrix | None = None) -> np.ndarray:
+def solve_dirichlet(mesh: TriMesh2D, fixed) -> np.ndarray:
     """Minimize the Dirichlet energy subject to fixed vertex values.
 
     ``fixed`` is a sequence of (vertex_index, value) pairs. The reduced
@@ -100,8 +100,7 @@ def solve_dirichlet(mesh: TriMesh2D, fixed, matrix: sparse.csr_matrix | None = N
     fixed = list(fixed)
     if not fixed:
         raise ValueError("need at least one fixed vertex")
-    W = stiffness_matrix(mesh) if matrix is None else matrix
-    return _solve_reduced(W, np.zeros(mesh.n_vertices), fixed)
+    return _solve_reduced(stiffness_matrix(mesh), np.zeros(mesh.n_vertices), fixed)
 
 
 def _solve_reduced(W: sparse.csr_matrix, h: np.ndarray, fixed) -> np.ndarray:

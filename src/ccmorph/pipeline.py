@@ -142,6 +142,25 @@ def _load_input_volume(path, what) -> Volume:
         raise InputError(f"invalid {what} {path}: {e}") from None
 
 
+def _register_to_template(subject: Volume, subject_path, template_path, plane_path):
+    """(plane, transform) of ``subject`` registered to a template; an unusable one is an ``InputError``."""
+    template = _load_input_volume(template_path, "template segmentation")
+    if not template.is_label_map():
+        raise InputError(f"template segmentation {template_path} must be an integer label map")
+    tplane = _load_plane(plane_path)
+    try:
+        return midsagittal_plane(subject, template, tplane)
+    except ValueError:
+        # counted only on failure, so the call itself builds both tables
+        shared = int(np.isin(subject.label_table[0], template.label_table[0]).sum())
+        if shared < 3:
+            raise InputError(
+                f"template segmentation {template_path} shares {shared} labels with "
+                f"{subject_path}, need at least 3"
+            ) from None
+        raise
+
+
 def run_case(case: CaseSpec, cfg: RunConfig, out_dir=None) -> dict:
     """Run the full geometry pipeline for one case.
 
@@ -195,20 +214,7 @@ def run_case(case: CaseSpec, cfg: RunConfig, out_dir=None) -> dict:
         if case.plane:
             plane = _load_plane(case.plane)
         elif cfg.template_seg and cfg.template_plane:
-            template = _load_input_volume(cfg.template_seg, "template segmentation")
-            if not template.is_label_map():
-                raise InputError(f"template segmentation {cfg.template_seg} must be an integer label map")
-            tplane = _load_plane(cfg.template_plane)
-            try:
-                plane, transform = midsagittal_plane(vol, template, tplane)
-            except ValueError:
-                shared = int(np.isin(vol.label_table[0], template.label_table[0]).sum())
-                if shared < 3:
-                    raise InputError(
-                        f"template segmentation {cfg.template_seg} shares {shared} labels with "
-                        f"{case.labels}, need at least 3"
-                    ) from None
-                raise
+            plane, transform = _register_to_template(vol, case.labels, cfg.template_seg, cfg.template_plane)
             write_atomic(out / "transform.json", transform.to_json() + "\n")
         else:
             raise InputError("no plane given and no template configured")
@@ -231,7 +237,6 @@ def run_case(case: CaseSpec, cfg: RunConfig, out_dir=None) -> dict:
         slab = resample_slab(
             vol, state["plane"], cfg.slab_width_mm, spacing, inplane_spacing_mm=finest
         )
-        state["slab"] = slab
         state["spacing"] = spacing
         cc = np.isin(slab.data, cfg.cc_labels)
         if not cc.any():
@@ -263,7 +268,7 @@ def run_case(case: CaseSpec, cfg: RunConfig, out_dir=None) -> dict:
     def s_thickness():
         mesh = state["mesh"]
         line, f = intercallosal_line(mesh, state["lm2"], cfg.n_samples)
-        state["line"], state["laplace"] = line, f
+        state["line"] = line
         write_atomic(out / "line.csv", line.to_csv())
         write_atomic(out / "laplace.csv", fem.field_to_csv(f))
         profile = thickness_profile(mesh, f, line, cfg.n_samples)
@@ -277,7 +282,6 @@ def run_case(case: CaseSpec, cfg: RunConfig, out_dir=None) -> dict:
             state["spacing"],
             cfg.slab_width_mm,
         )
-        state["summary"] = summary
         d = summary.to_dict()
         d["n_valid_thickness"] = int(profile.valid.sum())
         d["mean_thickness_mm"] = (
@@ -289,7 +293,7 @@ def run_case(case: CaseSpec, cfg: RunConfig, out_dir=None) -> dict:
 
     def s_subseg():
         mesh = state["mesh"]
-        rows = ["scheme,segment_id,area_mm2"]
+        rows = ["scheme,segment_id,area_mm2\n"]
         labels_csv = ["scheme,triangle,segment_id"]
         for kind in cfg.schemes:
             scheme = (
@@ -299,9 +303,9 @@ def run_case(case: CaseSpec, cfg: RunConfig, out_dir=None) -> dict:
             )
             res = subsegment(mesh, scheme, state["lm2"], state.get("line"))
             state.setdefault("subseg", {})[kind] = res
-            rows += [f"{kind},{k},{a!r}" for k, a in enumerate(res.segment_areas_mm2.tolist())]
+            rows.append(res.to_csv().partition("\n")[2])
             labels_csv += [f"{kind},{t},{lab}" for t, lab in enumerate(res.triangle_labels.tolist())]
-        write_atomic(out / "subseg.csv", "\n".join(rows) + "\n")
+        write_atomic(out / "subseg.csv", "".join(rows))
         write_atomic(out / "subseg_labels.csv", "\n".join(labels_csv) + "\n")
 
     def s_render():

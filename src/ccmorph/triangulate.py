@@ -463,6 +463,14 @@ class _Refiner:
         hits = np.nonzero(d2 < r2 * (1.0 - 1e-12))[0]
         return [tuple(uv[i]) for i in hits]
 
+    def _encroaching(self, tree: cKDTree):
+        """(point, segment) index arrays: the tree's points inside a segment's diametral circle."""
+        _, mid, r2 = self._seg_arrays()
+        p, s = _ball_pairs(tree, mid, np.sqrt(r2))
+        d2 = (mid[s, 0] - tree.data[p, 0]) ** 2 + (mid[s, 1] - tree.data[p, 1]) ** 2
+        hit = d2 < r2[s] * (1.0 - 1e-12)
+        return p[hit], s[hit]
+
     def _split_segment(self, seg):
         """Insert the midpoint of a constraint segment; returns new vertex or None."""
         if seg not in self.segs or seg in self.unsplittable:
@@ -515,26 +523,17 @@ class _Refiner:
     # -- phases ----------------------------------------------------------------
 
     def initial_conformity(self):
-        """Split any segment encroached by an existing vertex."""
+        """Split any segment encroached by an existing vertex, with one query per sweep;
+        the vertices a sweep adds are tested by the cascade in ``_split``."""
         changed = True
         while changed:
             changed = False
-            fx = np.asarray(self.tr.fx)
-            fy = np.asarray(self.tr.fy)
-            for seg in list(self.segs.keys()):
-                if seg not in self.segs:
-                    continue
-                u, v = seg
-                mx = 0.5 * (fx[u] + fx[v])
-                my = 0.5 * (fy[u] + fy[v])
-                r2 = ((fx[u] - fx[v]) ** 2 + (fy[u] - fy[v]) ** 2) / 4.0
-                d2 = (fx - mx) ** 2 + (fy - my) ** 2
-                d2[u] = np.inf
-                d2[v] = np.inf
-                if (d2 < r2 * (1.0 - 1e-12)).any() and self._split(seg):
+            uv = self._seg_arrays()[0]
+            p, s = self._encroaching(cKDTree(np.column_stack([self.tr.fx, self.tr.fy])))
+            s = s[(p != uv[s, 0]) & (p != uv[s, 1])]  # a segment's own endpoints
+            for seg in map(tuple, uv[np.unique(s)].tolist()):
+                if seg in self.segs and self._split(seg):
                     changed = True
-                    fx = np.asarray(self.tr.fx)
-                    fy = np.asarray(self.tr.fy)
 
     def presplit_long_segments(self, target_len: float):
         changed = True
@@ -587,10 +586,7 @@ class _Refiner:
         dist = np.linalg.norm(cand[p] - (a[s] + t[:, None] * d[s]), axis=1)
         keep[p[dist <= margin]] = False
 
-        _, mid, r2 = self._seg_arrays()
-        p, s = _ball_pairs(tree, mid, np.sqrt(r2))
-        d2 = (mid[s, 0] - cand[p, 0]) ** 2 + (mid[s, 1] - cand[p, 1]) ** 2
-        keep[p[d2 < r2[s] * (1.0 - 1e-12)]] = False
+        keep[self._encroaching(tree)[0]] = False
 
         for x, y in cand[keep].tolist():
             self.tr.insert(x, y)

@@ -624,6 +624,23 @@ class TestCLI:
         plane = json.loads((tmp_path / "mp" / "plane.json").read_text())
         np.testing.assert_allclose(plane["normal"], [1, 0, 0], atol=1e-9)
 
+    @pytest.mark.parametrize(
+        "role, kind, message",
+        [("template", kind, message) for kind, message in UNUSABLE_TEMPLATES]
+        + [("subject", "float", "must be an integer label map")],
+    )
+    def test_midplane_unusable_input_exit_code_2(self, phantom_files, tmp_path, capsys, role, kind, message):
+        bad, good = str(_unusable_template(tmp_path, kind)), str(phantom_files / "labels.nii.gz")
+        subject, tpl = (bad, good) if role == "subject" else (good, bad)
+        code = main(
+            ["midplane", "--subject", subject, "--template-seg", tpl]
+            + ["--template-plane", str(phantom_files / "plane.json"), "--out", str(tmp_path / "mp")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{role} " in err and bad in err and message in err and "internal" not in err
+        assert not (tmp_path / "mp").exists()
+
 
 class TestConfig:
     def test_parse_file(self, tmp_path):

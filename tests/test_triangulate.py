@@ -400,14 +400,37 @@ SEED_CASES = {
 }
 
 
-def _seeded_refiner(name):
-    """A ``_Refiner`` taken through the phases before ``seed_grid``, as ``triangulate`` takes it."""
+def _refiner(name):
+    """A fresh ``_Refiner`` of a ``SEED_CASES`` contour, counter-clockwise as ``triangulate`` makes it."""
     make, max_area = SEED_CASES[name]
     pts = make().points
     if polygon_area(pts) < 0:
         pts = pts[::-1]
-    ref = _Refiner(np.asarray(pts, dtype=float), max_area, 20.0)
-    spacing = float(np.sqrt(max_area * 4.0 / np.sqrt(3.0)))
+    return _Refiner(np.asarray(pts, dtype=float), max_area, 20.0)
+
+
+def _ref_initial_conformity(ref):
+    """Split every segment encroached by a vertex, scanning all vertices per segment."""
+    changed = True
+    while changed:
+        changed = False
+        for seg in list(ref.segs):
+            if seg not in ref.segs:
+                continue
+            fx, fy = np.asarray(ref.tr.fx), np.asarray(ref.tr.fy)
+            u, v = seg
+            mx, my = 0.5 * (fx[u] + fx[v]), 0.5 * (fy[u] + fy[v])
+            r2 = ((fx[u] - fx[v]) ** 2 + (fy[u] - fy[v]) ** 2) / 4.0
+            d2 = (fx - mx) ** 2 + (fy - my) ** 2
+            d2[[u, v]] = np.inf
+            if (d2 < r2 * (1.0 - 1e-12)).any() and ref._split(seg):
+                changed = True
+
+
+def _seeded_refiner(name):
+    """A ``_Refiner`` taken through the phases before ``seed_grid``, as ``triangulate`` takes it."""
+    ref = _refiner(name)
+    spacing = float(np.sqrt(ref.max_area * 4.0 / np.sqrt(3.0)))
     ref.initial_conformity()
     ref.presplit_long_segments(spacing)
     return ref, spacing
@@ -455,6 +478,30 @@ class TestPrunedKernelsMatchAllPairs:
         pts = np.asarray(pts, dtype=float)
         assert _ref_first_self_intersection(pts) == hit
         assert first_self_intersection(pts) == hit
+
+    @pytest.mark.parametrize("name", list(SEED_CASES))
+    def test_initial_conformity_matches_per_segment_scan(self, name):
+        ref, expected = _refiner(name), _refiner(name)
+        ref.initial_conformity()
+        _ref_initial_conformity(expected)
+        assert list(ref.segs) == list(expected.segs)
+        assert ref.tr.fx == expected.tr.fx and ref.tr.fy == expected.tr.fy
+
+    def test_initial_conformity_matches_per_segment_scan_with_splits(self):
+        # marching-squares contours encroach nothing; random simple polygons
+        # have obtuse corners and cascades
+        split = 0
+        for pts in _random_polygons(0, 400):
+            if first_self_intersection(pts) is not None or polygon_area(pts) == 0:
+                continue
+            pts = pts[::-1] if polygon_area(pts) < 0 else pts
+            ref, expected = (_Refiner(np.asarray(pts, dtype=float), 0.1, 20.0) for _ in range(2))
+            ref.initial_conformity()
+            _ref_initial_conformity(expected)
+            assert list(ref.segs) == list(expected.segs), pts.tolist()
+            assert ref.tr.fx == expected.tr.fx and ref.tr.fy == expected.tr.fy
+            split += len(ref.segs) > len(pts)
+        assert split >= 10
 
     @pytest.mark.parametrize("name", list(SEED_CASES))
     def test_seed_points_match_all_pairs_filters(self, name):
