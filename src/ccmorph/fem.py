@@ -260,16 +260,17 @@ def _trace(mesh: TriMesh2D, v: np.ndarray, level: float, tid: int):
     pairs; an open path runs from its smaller end edge, a loop from its
     smallest edge through the lower-numbered of that edge's two triangles.
     """
-    t, nb, above = mesh.triangles, mesh.neighbors, v > level
+    (t, nb), above = mesh.adjacency_lists, (v > level).tolist()
 
     def crossed(s):  # (k, sorted edge) for each edge k -> k+1 of s the level crosses
-        tri, up = t[s].tolist(), above[t[s]].tolist()  # index k - 2 is corner k + 1 (mod 3)
-        return [(k, tuple(sorted((tri[k], tri[k - 2])))) for k in range(3) if up[k] != up[k - 2]]
+        a, b, c = t[s]
+        sides = ((0, a, b), (1, b, c), (2, c, a))
+        return [(k, (p, q) if p < q else (q, p)) for k, p, q in sides if above[p] != above[q]]
 
     halves = []
     for k, e in crossed(tid):  # none, or the two edges the path leaves tid by
         edges, tris, s = [e], [], tid
-        while (nxt := int(nb[s, k])) not in (-1, tid):
+        while (nxt := nb[s][k]) not in (-1, tid):
             k, e = next(c for c in crossed(nxt) if c[1] != edges[-1])
             edges.append(e)
             tris.append(nxt)

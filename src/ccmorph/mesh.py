@@ -108,6 +108,11 @@ class TriMesh2D:
         nb.flags.writeable = False
         return nb
 
+    @functools.cached_property
+    def adjacency_lists(self) -> tuple:
+        """(triangles, neighbors) as nested Python lists, for walks that step one triangle at a time."""
+        return self.triangles.tolist(), self.neighbors.tolist()
+
     def boundary_edges(self) -> np.ndarray:
         """Directed boundary edges (u, v) with the interior to the left."""
         return self._directed_edges()[0][self.neighbors.T.ravel() == -1]

@@ -207,7 +207,7 @@ def run_case(case: CaseSpec, cfg: RunConfig, out_dir=None) -> dict:
     def s_inputs():
         state["vol"] = _load_input_volume(case.labels, "label volume")
         if not state["vol"].is_label_map():
-            raise InputError("labels volume must be an integer label map")
+            raise InputError(f"labels volume {case.labels} must be an integer label map")
 
     def s_midplane():
         vol = state["vol"]
@@ -340,7 +340,8 @@ def run_case(case: CaseSpec, cfg: RunConfig, out_dir=None) -> dict:
     stage("subseg", s_subseg)
     stage("render", s_render)
 
-    write_atomic(out / "status.json", _json_dumps(status))
+    if not status["ok"]:  # the stages skipped after the failure are not on disk yet
+        write_atomic(out / "status.json", _json_dumps(status))
     return status
 
 

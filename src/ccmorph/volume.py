@@ -10,9 +10,13 @@ from __future__ import annotations
 import functools
 import gzip
 import math
+import mmap
+import os
+import stat
 import struct
 import zlib
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -178,14 +182,31 @@ def _chunk_table(chunk, start):
     return labels, counts.astype(np.intp), np.column_stack(sums)
 
 
-def _open_maybe_gz(path, mode):
+def _read_raw(path):
+    """The file's bytes: a read-only map of an uncompressed regular file, else the bytes read."""
     if str(path).endswith(".gz"):
-        return gzip.open(path, mode)
-    return open(path, mode)
+        try:
+            with gzip.open(path, "rb") as f:
+                return f.read()
+        except (EOFError, gzip.BadGzipFile, zlib.error) as e:
+            raise NiftiError(f"truncated or corrupt file: {e}") from None
+    with open(path, "rb") as f:
+        st = os.fstat(f.fileno())
+        if stat.S_ISREG(st.st_mode) and st.st_size >= _HDR_SIZE:
+            try:  # the map holds its own duplicate of the descriptor
+                return mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+            except (OSError, ValueError):  # unmappable, or emptied since fstat: read what is there
+                pass
+        return f.read()
 
 
 def load_volume(path) -> Volume:
     """Read a NIfTI-1 single-file image (.nii or .nii.gz).
+
+    An uncompressed regular file is mapped read-only rather than copied, so
+    a native-order volume's data are a view of the file; ``save_volume``
+    replaces files instead of rewriting them, which keeps such a view
+    valid. A ``.nii.gz`` file (or a pipe) is read into memory.
 
     Raises
     ------
@@ -194,11 +215,7 @@ def load_volume(path) -> Volume:
         the datatype is unsupported, or the (gzip) stream is truncated or
         corrupt.
     """
-    try:
-        with _open_maybe_gz(path, "rb") as f:
-            raw = f.read()
-    except (EOFError, gzip.BadGzipFile, zlib.error) as e:
-        raise NiftiError(f"truncated or corrupt file: {e}") from None
+    raw = _read_raw(path)
     if len(raw) < _HDR_SIZE:
         raise NiftiError("malformed header: file shorter than 348-byte header")
 
@@ -260,7 +277,7 @@ def load_volume(path) -> Volume:
     n = int(np.prod(shape))
     if len(raw) < offset + n * dtype.itemsize:
         raise NiftiError("malformed header: vox_offset/dim exceed file size")
-    # a read-only view of the bytes read; only a foreign byte order copies
+    # a read-only view of the mapped or read bytes; only a foreign byte order copies
     data = np.frombuffer(raw, dtype=dtype, count=n, offset=offset).reshape(shape, order="F")
     data = data.astype(dtype.newbyteorder("="), copy=False)
 
@@ -296,7 +313,12 @@ def _qform_affine(quatern, pixdim):
 
 
 def save_volume(vol: Volume, path) -> None:
-    """Write a NIfTI-1 single-file image; the affine goes into the sform."""
+    """Write a NIfTI-1 single-file image; the affine goes into the sform.
+
+    The image is written to a temporary file in the same directory and
+    renamed onto ``path``, so a volume mapped from the old file keeps its
+    values and a failed write leaves ``path`` as it was.
+    """
     dtype = vol.data.dtype.newbyteorder("=")
     if dtype not in _DTYPE_CODES:
         raise NiftiError(f"unsupported datatype {dtype} for writing")
@@ -315,8 +337,19 @@ def save_volume(vol: Volume, path) -> None:
     struct.pack_into("<12f", hdr, 280, *vol.affine[:3, :4].ravel())
     struct.pack_into("<4s", hdr, 344, b"n+1\0")
 
-    payload = np.asfortranarray(vol.data.astype(dtype, copy=False)).tobytes(order="F")
-    with _open_maybe_gz(path, "wb") as f:
-        f.write(bytes(hdr))
-        f.write(b"\0\0\0\0")  # extension flag
-        f.write(payload)
+    # the transpose of Fortran-ordered voxels is C-contiguous: written as it is, no copy of the bytes
+    payload = np.asfortranarray(vol.data.astype(dtype, copy=False)).T
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as raw:
+            # the gzip header names path, as gzip.open(path) wrote it
+            f = gzip.GzipFile(str(path), "wb", fileobj=raw) if path.name.endswith(".gz") else raw
+            with f:
+                f.write(bytes(hdr))
+                f.write(b"\0\0\0\0")  # extension flag
+                f.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

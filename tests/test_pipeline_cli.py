@@ -121,6 +121,39 @@ class TestRunCase:
         assert stage["status"] == "failed" and stage["error"].startswith("InputError: ")
         assert str(tpl) in stage["error"] and message in stage["error"]
 
+    def test_float_labels_exit_2_naming_the_file(self, phantom_files, tmp_path, capsys):
+        labels = str(_unusable_template(tmp_path, "float"))
+        argv = ["thickness", "--labels", labels, "--landmarks", str(phantom_files / "lm.json")]
+        argv += ["--plane", str(phantom_files / "plane.json"), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"labels volume {labels} must be an integer label map" in captured.out + captured.err
+
+    @pytest.mark.parametrize("landmarks, writes", [("lm.json", 9), ("nosuch.json", 2)])
+    def test_status_json_written_at_stage_ends_and_after_skips(
+        self, phantom_files, tmp_path, monkeypatch, landmarks, writes
+    ):
+        # an ok case's last stage writes the final record; a failed one adds a write for its skipped stages
+        import ccmorph.pipeline as pipeline
+
+        real, records = pipeline.write_atomic, []
+
+        def spy(path, data):
+            if Path(path).name == "status.json":
+                records.append(data)
+            real(path, data)
+
+        monkeypatch.setattr(pipeline, "write_atomic", spy)
+        files = [str(phantom_files / name) for name in ("labels.nii.gz", landmarks, "plane.json")]
+        case = CaseSpec("s", *files)
+        status = run_case(case, _cfg(), tmp_path / "s")
+        assert status["ok"] == (landmarks == "lm.json") and len(status["stages"]) == 9
+        assert len(records) == writes
+        on_disk = (tmp_path / "s" / "status.json").read_text()
+        assert on_disk == records[-1] == json.dumps(status, sort_keys=True, indent=2) + "\n"
+        expected = ["ok"] * 9 if status["ok"] else ["failed"] + ["skipped"] * 8
+        assert [s["status"] for s in json.loads(on_disk)["stages"]] == expected
+
     def test_deterministic_outputs(self, phantom_files, tmp_path):
         s1 = run_case(_case(phantom_files), _cfg(), tmp_path / "a")
         s2 = run_case(_case(phantom_files), _cfg(), tmp_path / "b")

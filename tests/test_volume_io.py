@@ -1,12 +1,15 @@
 import gzip
 import json
+import math
+import mmap
+import os
 import re
 import struct
 
 import numpy as np
 import pytest
 
-from ccmorph.volume import NiftiError, Volume, load_volume, save_volume
+from ccmorph.volume import _DTYPES, NiftiError, Volume, load_volume, save_volume
 
 
 def _identity_volume(dtype=np.uint8):
@@ -47,7 +50,7 @@ def test_roundtrip_gzip_and_values(tmp_path):
 def _buffer_owner(arr):
     while isinstance(arr, np.ndarray):
         arr = arr.base
-    return arr
+    return arr.obj if isinstance(arr, memoryview) else arr
 
 
 @pytest.mark.parametrize("name", ["view.nii", "view.nii.gz"])
@@ -58,8 +61,94 @@ def test_native_order_load_is_read_only_view(tmp_path, name):
     back = load_volume(p)
     assert not back.data.flags.writeable
     assert not back.data.flags.owndata
-    assert isinstance(_buffer_owner(back.data), bytes)  # the bytes read, not a copy of them
+    # the mapped file or the bytes read, not a copy of them
+    assert isinstance(_buffer_owner(back.data), bytes if name.endswith(".gz") else mmap.mmap)
     np.testing.assert_array_equal(back.data, data)
+
+
+def _nifti_bytes(code, end, slope=1.0, vox_offset=352, dims=(3, 4, 5)):
+    """A NIfTI-1 file of random voxel bytes, any datatype and byte order."""
+    dtype = np.dtype(_DTYPES[code]).newbyteorder(end)
+    hdr = bytearray(348)
+    struct.pack_into(end + "i", hdr, 0, 348)
+    struct.pack_into(end + "8h", hdr, 40, 3, *dims, 1, 1, 1, 1)
+    struct.pack_into(end + "hh", hdr, 70, code, dtype.itemsize * 8)
+    struct.pack_into(end + "8f", hdr, 76, 1.0, 0.5, 1.0, 2.0, 0, 0, 0, 0)
+    struct.pack_into(end + "f", hdr, 108, float(vox_offset))
+    struct.pack_into(end + "ff", hdr, 112, slope, 3.0 if slope != 1.0 else 0.0)
+    struct.pack_into(end + "hh", hdr, 252, 0, 1)
+    struct.pack_into(end + "12f", hdr, 280, 0.5, 0, 0, -1, 0, 1, 0, 2, 0, 0, 2, 3)
+    struct.pack_into("4s", hdr, 344, b"n+1\0")
+    voxels = np.random.default_rng(code).bytes(math.prod(dims) * dtype.itemsize)
+    return bytes(hdr) + bytes(vox_offset - 348) + voxels
+
+
+@pytest.mark.parametrize("code", sorted(_DTYPES))
+@pytest.mark.parametrize("end", ["<", ">"])
+@pytest.mark.parametrize("variant", [{}, {"slope": 2.5}, {"vox_offset": 355}])
+def test_mapped_nii_equals_gzip(tmp_path, code, end, variant):
+    blob = _nifti_bytes(code, end, **variant)
+    (tmp_path / "v.nii").write_bytes(blob)
+    (tmp_path / "v.nii.gz").write_bytes(gzip.compress(blob))
+    mapped, read = load_volume(tmp_path / "v.nii"), load_volume(tmp_path / "v.nii.gz")
+    assert mapped.data.dtype == read.data.dtype and mapped.data.shape == read.data.shape == (3, 4, 5)
+    assert mapped.data.tobytes(order="F") == read.data.tobytes(order="F")  # bit for bit, NaN payloads too
+    assert np.array_equal(mapped.affine, read.affine) and np.array_equal(mapped.voxel_size, read.voxel_size)
+    # only a native-order unscaled file stays a view of the map
+    native = np.dtype(_DTYPES[code]).newbyteorder(end).isnative  # single bytes have no order
+    assert isinstance(_buffer_owner(mapped.data), mmap.mmap) == (native and "slope" not in variant)
+
+
+@pytest.mark.parametrize("size", [0, 348, 352])
+def test_empty_or_header_only_file_raises_nifti_error(tmp_path, size):
+    p = tmp_path / "h.nii"
+    p.write_bytes(_nifti_bytes(2, "<")[:size])
+    with pytest.raises(NiftiError, match="file shorter than|exceed file size"):
+        load_volume(p)
+
+
+def test_file_emptied_before_mapping_raises_nifti_error(tmp_path, monkeypatch):
+    # the file is emptied between fstat and mmap, whose ValueError must not escape
+    p = tmp_path / "gone.nii"
+    p.write_bytes(_nifti_bytes(2, "<"))
+    real_fstat = os.fstat
+
+    def fstat_then_empty(fd):
+        st = real_fstat(fd)
+        p.write_bytes(b"")
+        return st
+
+    monkeypatch.setattr(os, "fstat", fstat_then_empty)
+    with pytest.raises(NiftiError, match="file shorter than"):
+        load_volume(p)
+    monkeypatch.undo()
+    with open(p, "rb") as f, pytest.raises(ValueError):
+        mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+
+
+def test_mapped_volume_survives_save_over_its_file(tmp_path):
+    rng = np.random.default_rng(4)
+    first = Volume(rng.integers(0, 50, size=(6, 7, 8)).astype(np.int32), (1.0, 1.0, 1.0), np.eye(4))
+    other = Volume(rng.integers(0, 50, size=(6, 7, 8)).astype(np.int32), (0.5, 1.0, 1.0), np.diag([0.5, 1, 1, 1]))
+    p = tmp_path / "p.nii"
+    save_volume(first, p)
+    loaded = load_volume(p)
+    assert isinstance(_buffer_owner(loaded.data), mmap.mmap)
+    save_volume(other, p)
+    np.testing.assert_array_equal(loaded.data, first.data)  # the map keeps the replaced file
+    again = load_volume(p)
+    np.testing.assert_array_equal(again.data, other.data)
+    np.testing.assert_array_equal(again.affine, other.affine)
+    assert [q.name for q in tmp_path.iterdir()] == ["p.nii"]  # no temporary file left behind
+
+
+def test_failed_replace_removes_the_temporary(tmp_path):
+    target = tmp_path / "d.nii"  # a non-empty directory: the rename onto it fails
+    target.mkdir()
+    (target / "keep").write_text("x")
+    with pytest.raises(OSError):
+        save_volume(_identity_volume(), target)
+    assert [q.name for q in tmp_path.iterdir()] == ["d.nii"] and (target / "keep").read_text() == "x"
 
 
 def _raw_header(
