@@ -7,7 +7,9 @@ taken through the benchmark's recipe (``smooth_mask`` with the pixel size as
 sigma, ``extract_contour`` of the padded field at 0.5) and meshed with
 ``triangulate`` at every max_area of the workload (0.5, 0.25 and 0.1 mm²).
 Every mesh that raises is printed as ``seed S mNNN @AREA: message``; the
-last line counts the failures, and the exit code is 1 if there is any:
+last line counts the failures and ends with one SHA-256 over the ``to_off()``
+text of every mesh made, in sweep order, so two checkouts mesh alike when
+they print the same last line. The exit code is 1 if any mesh failed:
 
     PYTHONPATH=src python3 scripts/mesh_sweep.py --seeds 100 129
 
@@ -17,6 +19,7 @@ nominal thickness, keyed ``seed<S>_m<NNN>@<AREA>``, in the entry format of
 """
 
 import argparse
+import hashlib
 import json
 import sys
 import tempfile
@@ -48,12 +51,13 @@ def sweep(seeds, small: bool = False) -> dict:
     """Mesh every contour of ``seeds`` at every area; returns the failures by key."""
     failures = {}
     total = 0
+    digest = hashlib.sha256()
     for seed in seeds:
         for name, contour, m in fuzz_contours(seed, small):
             for area in FUZZ_AREAS_MM2:
                 total += 1
                 try:
-                    triangulate(contour, area)
+                    digest.update(triangulate(contour, area).to_off().encode())
                 except Exception as e:  # noqa: BLE001 - every failure is reported
                     print(f"seed {seed} {name} @{area}: {e}", flush=True)
                     failures[f"seed{seed}_{name}@{area}"] = {
@@ -66,7 +70,7 @@ def sweep(seeds, small: bool = False) -> dict:
                         "error": str(e),
                         "contour": contour.points.tolist(),
                     }
-    print(f"{len(failures)} of {total} meshes failed")
+    print(f"{len(failures)} of {total} meshes failed; meshes sha256 {digest.hexdigest()}")
     return failures
 
 

@@ -141,6 +141,16 @@ def _superior_dir(lm: Landmarks2D, outline: np.ndarray) -> np.ndarray:
     return m if s > 1e-9 * float(np.ptp(outline, axis=0).max()) else -m
 
 
+def _extremes(points: np.ndarray, direction: np.ndarray):
+    """(low, high): the mean of the points at the smallest and at the largest
+    projection on ``direction``; points within 1e-9 of the projected extent
+    of an extreme tie with it (flat extremes are averaged for stability)."""
+    proj = points @ direction
+    lo, hi = proj.min(), proj.max()
+    scale = max(hi - lo, 1e-12)
+    return points[proj <= lo + 1e-9 * scale].mean(axis=0), points[proj >= hi - 1e-9 * scale].mean(axis=0)
+
+
 def _nearest_index(points: np.ndarray, anchor: np.ndarray) -> int:
     d2 = ((points - anchor) ** 2).sum(axis=1)
     return int(np.argmin(d2))  # argmin takes the lowest index on ties
@@ -374,13 +384,7 @@ def cc_index(contour: Polyline) -> CCIndex:
         pts = pts[::-1]
     _, _, cov = polygon_moments(pts)
     evals, evecs = np.linalg.eigh(cov)
-    d = evecs[:, int(np.argmax(evals))]
-
-    proj = pts @ d
-    lo, hi = proj.min(), proj.max()
-    scale = max(hi - lo, 1e-12)
-    p_ant = pts[proj <= lo + 1e-9 * scale].mean(axis=0)
-    p_post = pts[proj >= hi - 1e-9 * scale].mean(axis=0)
+    p_ant, p_post = _extremes(pts, evecs[:, int(np.argmax(evals))])
     chord = p_post - p_ant
     chord_len = float(np.linalg.norm(chord))
     if chord_len <= 0:

@@ -143,14 +143,15 @@ def _load_input_volume(path, what) -> Volume:
 
 
 def _register_to_template(subject: Volume, subject_path, template_path, plane_path):
-    """(plane, transform) of ``subject`` registered to a template; an unusable one is an ``InputError``."""
+    """(plane, transform) of ``subject`` registered to a template; an unusable one is an ``InputError``
+    naming the template (fewer than 3 shared labels) or both files (a degenerate fit)."""
     template = _load_input_volume(template_path, "template segmentation")
     if not template.is_label_map():
         raise InputError(f"template segmentation {template_path} must be an integer label map")
     tplane = _load_plane(plane_path)
     try:
         return midsagittal_plane(subject, template, tplane)
-    except ValueError:
+    except ValueError as e:
         # counted only on failure, so the call itself builds both tables
         shared = int(np.isin(subject.label_table[0], template.label_table[0]).sum())
         if shared < 3:
@@ -158,7 +159,7 @@ def _register_to_template(subject: Volume, subject_path, template_path, plane_pa
                 f"template segmentation {template_path} shares {shared} labels with "
                 f"{subject_path}, need at least 3"
             ) from None
-        raise
+        raise InputError(f"cannot register {subject_path} to template segmentation {template_path}: {e}") from None
 
 
 def run_case(case: CaseSpec, cfg: RunConfig, out_dir=None) -> dict:
@@ -227,7 +228,10 @@ def run_case(case: CaseSpec, cfg: RunConfig, out_dir=None) -> dict:
         if not cc.any():
             raise InputError(f"no CC labels {cfg.cc_labels} present in {case.labels}")
         centroid = counts[cc] @ centroids[cc] / counts[cc].sum()
-        pose = acpc_standardize(state["lm3"], centroid)
+        try:
+            pose = acpc_standardize(state["lm3"], centroid)
+        except ValueError as e:
+            raise InputError(f"unusable landmark file {case.landmarks}: {e}") from None
         write_atomic(out / "pose.json", pose.to_json() + "\n")
 
     def s_slab():
@@ -247,10 +251,12 @@ def run_case(case: CaseSpec, cfg: RunConfig, out_dir=None) -> dict:
         state["mask"] = Mask2D(cc[:, :, mid].astype(np.uint8), (px, px))
         e1, e2, origin = plane_frame(slab)
         lm3 = state["lm3"]
-        state["lm2"] = Landmarks2D(
-            project_to_plane(lm3.ac, e1, e2, origin)[0],
-            project_to_plane(lm3.pc, e1, e2, origin)[0],
-        )
+        ac = project_to_plane(lm3.ac, e1, e2, origin)[0]
+        pc = project_to_plane(lm3.pc, e1, e2, origin)[0]
+        try:
+            state["lm2"] = Landmarks2D(ac, pc)
+        except ValueError as e:
+            raise InputError(f"unusable landmark file {case.landmarks}: {e}") from None
 
     def s_mask2mesh():
         mask = state["mask"]

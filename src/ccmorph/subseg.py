@@ -15,7 +15,7 @@ import numpy as np
 
 from .contour import Polyline
 from .mesh import TriMesh2D
-from .morphometry import Landmarks2D, _superior_dir
+from .morphometry import Landmarks2D, _extremes, _superior_dir
 
 __all__ = ["SubsegScheme", "SubsegResult", "subsegment", "default_fractions", "SCHEME_KINDS"]
 
@@ -107,12 +107,8 @@ def subsegment(
     ap = -u  # anterior -> posterior direction
 
     if scheme.kind in ("witelson", "hofer_frahm"):
-        # anchor line through the most anterior and most posterior mesh
-        # points; ties (flat extremes) are averaged for stability
-        proj = mesh.vertices @ ap
-        scale = max(proj.max() - proj.min(), 1e-12)
-        p_ant = mesh.vertices[proj <= proj.min() + 1e-9 * scale].mean(axis=0)
-        p_post = mesh.vertices[proj >= proj.max() - 1e-9 * scale].mean(axis=0)
+        # anchor line through the most anterior and most posterior mesh points
+        p_ant, p_post = _extremes(mesh.vertices, ap)
         d = p_post - p_ant
         d = d / np.linalg.norm(d)
         pr = mesh.vertices @ d

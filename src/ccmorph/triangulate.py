@@ -18,7 +18,6 @@ Bowyer-Watson insertion under the same predicates.
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import chain, compress
 
 import numpy as np
@@ -376,29 +375,6 @@ class _Triangulator:
         return (fx[a], fy[a]), (fx[b], fy[b]), (fx[c], fy[c])
 
 
-def _tri_quality(pa, pb, pc):
-    """(area, min_angle_degrees) of a float triangle."""
-    ax, ay = pa
-    bx, by = pb
-    cx, cy = pc
-    area = 0.5 * ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
-    l2a = (cx - bx) ** 2 + (cy - by) ** 2  # edge opposite a
-    l2b = (cx - ax) ** 2 + (cy - ay) ** 2
-    l2c = (bx - ax) ** 2 + (by - ay) ** 2
-    if area <= 0:
-        return area, 0.0
-    # min angle is opposite the shortest edge; sin(A) = 2*area/(b*c)
-    l2min = min(l2a, l2b, l2c)
-    if l2min == l2a:
-        denom = np.sqrt(l2b * l2c)
-    elif l2min == l2b:
-        denom = np.sqrt(l2a * l2c)
-    else:
-        denom = np.sqrt(l2a * l2b)
-    s = min(max(2.0 * area / denom, -1.0), 1.0)
-    return area, float(np.degrees(np.arcsin(s)))
-
-
 def _circumcenter(pa, pb, pc):
     ax, ay = pa
     bx, by = pb
@@ -430,7 +406,7 @@ class _Refiner:
         self.max_area = float(max_area)
         self.min_angle = float(min_angle)
         self.tr = _Triangulator(poly.min(axis=0), poly.max(axis=0))
-        self.work = deque()
+        self.work = []  # the tids queued by ``_place`` in the current wave
 
         # contour vertices and directed constraint segments
         vids = []
@@ -596,10 +572,10 @@ class _Refiner:
         max_rounds = 40
         budget = 40 * len(self.tr.fx) + int(20.0 * abs(polygon_area(self.poly)) / self.max_area) + 4000
         interior = self._interior()
+        bad = list(compress(interior, self._bad(interior)))
         for _ in range(max_rounds):
-            self.work = deque(compress(interior, self._bad(interior)))
             stamp = self.tr.next_tid
-            progressed = self._refine_pass(budget)
+            progressed = self._refine_pass(bad, budget)
             # verify: all constraint segments are edges of the triangulation
             # and every interior triangle meets quality
             missing = [s for s in self.segs if s not in self.tr.edge2tri]
@@ -607,14 +583,15 @@ class _Refiner:
                 self._split(seg)
             if self.tr.next_tid != stamp:  # every insertion makes triangles
                 interior = self._interior()
-            if not missing and not self._bad(interior).any():
+            bad = list(compress(interior, self._bad(interior)))
+            if not missing and not bad:
                 return interior
             if not progressed and not missing:
                 break
         raise RuntimeError("mesh refinement did not converge")
 
     def _bad(self, tids) -> np.ndarray:
-        """``_is_bad`` of many triangles: ``_tri_quality``'s arithmetic, elementwise."""
+        """Whether each triangle is larger than ``max_area`` or has an angle below ``min_angle``."""
         tri = np.array([self.tr.tris[t] for t in tids], dtype=np.int64).reshape(-1, 3)
         fx = np.asarray(self.tr.fx)[tri]
         fy = np.asarray(self.tr.fy)[tri]
@@ -624,16 +601,13 @@ class _Refiner:
         l2a = (cx - bx) ** 2 + (cy - by) ** 2  # edge opposite a
         l2b = (cx - ax) ** 2 + (cy - ay) ** 2
         l2c = (bx - ax) ** 2 + (by - ay) ** 2
+        # the smallest angle is opposite the shortest edge; sin(A) = 2*area/(b*c)
         l2min = np.minimum(np.minimum(l2a, l2b), l2c)
         denom = np.sqrt(np.where(l2min == l2a, l2b * l2c, np.where(l2min == l2b, l2a * l2c, l2a * l2b)))
         with np.errstate(divide="ignore", invalid="ignore"):
             s = np.clip(2.0 * area / denom, -1.0, 1.0)
         ang = np.where(area <= 0, 0.0, np.degrees(np.arcsin(s)))
         return (area > self.max_area * (1.0 + 1e-12)) | (ang < self.min_angle - 1e-9)
-
-    def _is_bad(self, tid):
-        area, ang = _tri_quality(*self.tr.tri_coords(tid))
-        return area > self.max_area * (1.0 + 1e-12) or ang < self.min_angle - 1e-9
 
     def _refinement_points(self, tid):
         """The circumcenter of ``tid`` (when defined), then the midpoint of its longest edge."""
@@ -666,25 +640,35 @@ class _Refiner:
         self.work.extend(range(first, self.tr.next_tid))
         return 1
 
-    def _refine_pass(self, budget):
+    def _refine_pass(self, work, budget):
+        """Place a point for each bad triangle of ``work`` in order; the bad ones
+        among the triangles this wave queued are the next wave. A triangle's
+        vertices never change after ``build``, so the waves visit the triangles
+        of one first-in first-out queue that tests each when taking it out."""
+        tris = self.tr.tris
         progressed = False
         stall = set()
-        while self.work:
-            if budget <= 0:
-                raise RuntimeError("mesh refinement exceeded its insertion budget")
-            tid = self.work.popleft()
-            if tid not in self.tr.tris or tid in stall or not self._is_bad(tid):
-                continue
-            placed = 0
-            for x, y in self._refinement_points(tid):
-                placed = self._place(tid, x, y)
+        while work:
+            self.work = []
+            for tid in work:
+                if budget <= 0:
+                    raise RuntimeError("mesh refinement exceeded its insertion budget")
+                if tid not in tris or tid in stall:
+                    continue
+                placed = 0
+                for x, y in self._refinement_points(tid):
+                    placed = self._place(tid, x, y)
+                    if placed:
+                        break
                 if placed:
-                    break
-            if placed:
-                budget -= placed
-                progressed = True
-            else:
-                stall.add(tid)
+                    budget -= placed
+                    progressed = True
+                else:
+                    stall.add(tid)
+            if budget <= 0 and self.work:  # the queue's next item would raise
+                raise RuntimeError("mesh refinement exceeded its insertion budget")
+            live = [t for t in self.work if t in tris]
+            work = list(compress(live, self._bad(live)))
         return progressed
 
     def extract(self, interior) -> TriMesh2D:

@@ -8,9 +8,9 @@ import pytest
 from ccmorph.cli import main
 from ccmorph.config import RunConfig, parse_config_file
 from ccmorph.pipeline import CaseSpec, InputError, run_batch, run_case, run_eval, run_stats
-from ccmorph.phantoms import rectangle_mask_volume
-from ccmorph.transforms import Plane
-from ccmorph.volume import Volume, save_volume
+from ccmorph.phantoms import label_ball_volume, rectangle_mask_volume
+from ccmorph.transforms import Landmarks, Plane
+from ccmorph.volume import Volume, load_volume, save_volume
 
 
 @pytest.fixture(scope="module")
@@ -45,15 +45,28 @@ def _cfg(**kw):
 
 
 def _unusable_template(root, kind):
-    """A template the phantom cannot be registered to: float data, or the phantom's one label."""
+    """A template that cannot be registered to: float data, the phantom's one
+    label, or three label balls on one line."""
     vol, _ = rectangle_mask_volume()
     if kind == "float":
         vol = Volume(vol.data.astype(np.float32), vol.voxel_size, vol.affine)
+    elif kind == "collinear":
+        vol = label_ball_volume((24, 24, 24), [((6, 12, 12), 2, 1), ((12, 12, 12), 2, 2), ((18, 12, 12), 2, 3)])
     save_volume(vol, root / f"tpl_{kind}.nii")
     return root / f"tpl_{kind}.nii"
 
 
-UNUSABLE_TEMPLATES = [("float", "must be an integer label map"), ("one_label", "shares 1 labels")]
+def _subject_for(phantom_files, kind, tpl):
+    """The subject registered to an unusable template: the phantom, or the
+    collinear template itself, whose labels the phantom does not share."""
+    return str(tpl if kind == "collinear" else phantom_files / "labels.nii.gz")
+
+
+UNUSABLE_TEMPLATES = [
+    ("float", "must be an integer label map"),
+    ("one_label", "shares 1 labels"),
+    ("collinear", "collinear"),
+]
 
 
 RESULT_FILES = [
@@ -113,7 +126,7 @@ class TestRunCase:
     @pytest.mark.parametrize("kind, message", UNUSABLE_TEMPLATES)
     def test_unusable_template_is_input_error(self, phantom_files, tmp_path, kind, message):
         tpl = _unusable_template(tmp_path, kind)
-        case = CaseSpec("t", str(phantom_files / "labels.nii.gz"), str(phantom_files / "lm.json"))
+        case = CaseSpec("t", _subject_for(phantom_files, kind, tpl), str(phantom_files / "lm.json"))
         cfg = _cfg(template_seg=str(tpl), template_plane=str(phantom_files / "plane.json"))
         status = run_case(case, cfg, tmp_path / "t")
         assert status["error_kind"] == "input"
@@ -128,6 +141,26 @@ class TestRunCase:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert f"labels volume {labels} must be an integer label map" in captured.out + captured.err
+
+    @pytest.mark.parametrize(
+        "ac, pc, stage, message",
+        [
+            ((0, 10, 0), (0, -10, 0), "pose", "cannot fix roll: CC centroid lies on the AC-PC line"),
+            ((1, 0, 5), (-1, 0, 5), "slab", "AC and PC coincide in the plane"),
+        ],
+    )
+    def test_unusable_landmarks_exit_2_naming_the_file(self, phantom_files, tmp_path, capsys, ac, pc, stage, message):
+        # AC and PC offset from the CC centroid: the AC-PC line through it,
+        # or along the plane normal (x), which projects both to one point
+        labels = phantom_files / "labels.nii.gz"
+        centroid = load_volume(labels).label_table[2][0]  # the phantom's one label
+        lm = tmp_path / "lm.json"
+        lm.write_text(Landmarks(centroid + ac, centroid + pc).to_json())
+        argv = ["thickness", "--labels", str(labels), "--landmarks", str(lm)]
+        argv += ["--plane", str(phantom_files / "plane.json"), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        out = capsys.readouterr().out
+        assert f"] {stage}: failed" in out and f"InputError: unusable landmark file {lm}: {message}" in out
 
     @pytest.mark.parametrize("landmarks, writes", [("lm.json", 9), ("nosuch.json", 2)])
     def test_status_json_written_at_stage_ends_and_after_skips(
@@ -539,10 +572,12 @@ class TestCLI:
     def test_unusable_template_exit_code_2(self, phantom_files, tmp_path, capsys, kind, message):
         spec = _spec(phantom_files, "t", "t")
         del spec["plane"]
+        tpl = _unusable_template(tmp_path, kind)
+        spec["labels"] = _subject_for(phantom_files, kind, tpl)
         (tmp_path / "cases.json").write_text(json.dumps([spec]))
         code = main(
             ["pipeline", "--cases", str(tmp_path / "cases.json"), "--out", str(tmp_path / "d")]
-            + ["--template-seg", str(_unusable_template(tmp_path, kind))]
+            + ["--template-seg", str(tpl)]
             + ["--template-plane", str(phantom_files / "plane.json")]
         )
         assert code == 2
@@ -663,8 +698,9 @@ class TestCLI:
         + [("subject", "float", "must be an integer label map")],
     )
     def test_midplane_unusable_input_exit_code_2(self, phantom_files, tmp_path, capsys, role, kind, message):
-        bad, good = str(_unusable_template(tmp_path, kind)), str(phantom_files / "labels.nii.gz")
-        subject, tpl = (bad, good) if role == "subject" else (good, bad)
+        bad = str(_unusable_template(tmp_path, kind))
+        subject = bad if role == "subject" else _subject_for(phantom_files, kind, bad)
+        tpl = str(phantom_files / "labels.nii.gz") if role == "subject" else bad
         code = main(
             ["midplane", "--subject", subject, "--template-seg", tpl]
             + ["--template-plane", str(phantom_files / "plane.json"), "--out", str(tmp_path / "mp")]

@@ -2,6 +2,8 @@ import hashlib
 import json
 import subprocess
 import sys
+from collections import deque
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -436,6 +438,70 @@ def _seeded_refiner(name):
     return ref, spacing
 
 
+def _ref_is_bad(ref, tid):
+    """Whether triangle ``tid`` is too large or too thin, in scalar arithmetic, one triangle at a time."""
+    (ax, ay), (bx, by), (cx, cy) = ref.tr.tri_coords(tid)
+    area = 0.5 * ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
+    ang = 0.0
+    if area > 0:
+        l2a = (cx - bx) ** 2 + (cy - by) ** 2  # edge opposite a
+        l2b = (cx - ax) ** 2 + (cy - ay) ** 2
+        l2c = (bx - ax) ** 2 + (by - ay) ** 2
+        l2min = min(l2a, l2b, l2c)
+        if l2min == l2a:
+            denom = np.sqrt(l2b * l2c)
+        elif l2min == l2b:
+            denom = np.sqrt(l2a * l2c)
+        else:
+            denom = np.sqrt(l2a * l2b)
+        ang = float(np.degrees(np.arcsin(min(max(2.0 * area / denom, -1.0), 1.0))))
+    return area > ref.max_area * (1.0 + 1e-12) or ang < ref.min_angle - 1e-9
+
+
+def _ref_refine_pass(ref, work, budget):
+    """``_Refiner._refine_pass`` as one first-in first-out queue that tests a
+    triangle's quality when the triangle is taken out."""
+    ref.work = deque(work)
+    progressed = False
+    stall = set()
+    while ref.work:
+        if budget <= 0:
+            raise RuntimeError("mesh refinement exceeded its insertion budget")
+        tid = ref.work.popleft()
+        if tid not in ref.tr.tris or tid in stall or not _ref_is_bad(ref, tid):
+            continue
+        placed = 0
+        for x, y in ref._refinement_points(tid):
+            placed = ref._place(tid, x, y)
+            if placed:
+                break
+        if placed:
+            budget -= placed
+            progressed = True
+        else:
+            stall.add(tid)
+    return progressed
+
+
+def _built_refiner(name, fifo=False):
+    """A ``_Refiner`` of a ``SEED_CASES`` contour after ``build``; with ``fifo``
+    its passes run ``_ref_refine_pass``."""
+    ref, spacing = _seeded_refiner(name)
+    ref.seed_grid(spacing)
+    ref.tr.build()
+    if fifo:
+        ref._refine_pass = lambda work, budget: _ref_refine_pass(ref, work, budget)
+    return ref
+
+
+def _outcome(run):
+    """``run()``'s result, or the message of the ``RuntimeError`` it raised."""
+    try:
+        return run()
+    except RuntimeError as e:
+        return str(e)
+
+
 def _random_polygons(seed, count):
     """Seeded polygons: random walks, and walks snapped to a coarse grid so that
     touching and collinear segment pairs are common."""
@@ -516,19 +582,52 @@ class TestPrunedKernelsMatchAllPairs:
 
     @pytest.mark.parametrize("name", ["arch@0.25", "annulus_small@0.01", "seed209_m002"])
     def test_vectorized_quality_matches_is_bad(self, name):
-        ref, spacing = _seeded_refiner(name)
-        ref.seed_grid(spacing)
+        ref = _built_refiner(name)
         seen = set()
         for phase in ("built", "refined"):
-            if phase == "built":
-                ref.tr.build()
-            else:
+            if phase == "refined":
                 ref.refine()
             tids = list(ref.tr.tris)  # the exterior triangles too
             bad = ref._bad(tids)
-            assert bad.tolist() == [ref._is_bad(t) for t in tids], phase
+            assert bad.tolist() == [_ref_is_bad(ref, t) for t in tids], phase
             seen.update(bad.tolist())
         assert seen == {True, False}
+
+    @pytest.mark.parametrize("name", list(SEED_CASES))
+    def test_wave_refinement_matches_fifo_queue(self, name):
+        results = []
+        for fifo in (False, True):
+            ref = _built_refiner(name, fifo)
+            results.append((_outcome(ref.refine), ref.tr.fx, ref.tr.fy, ref.tr.tris))
+        assert results[0] == results[1]
+        failed = isinstance(results[0][0], str)
+        assert failed == (name == "seed104_m010"), results[0][0] if failed else name
+
+    def test_wave_budget_error_matches_fifo_queue(self):
+        # budgets that run out exactly when a wave ends, while the queue still
+        # holds triangles (the last wave's are all good here), and one point later
+        ref = _built_refiner("annulus_small@0.01")
+        placed, ends = [], []
+        place, bad = ref._place, ref._bad
+
+        def counted_place(tid, x, y):
+            placed.append(place(tid, x, y))
+            return placed[-1]
+
+        ref._place = counted_place
+        ref._bad = lambda tids: ends.append(sum(placed)) or bad(tids)
+        interior = ref._interior()
+        ref._refine_pass(list(compress(interior, ref._bad(interior))), 10**9)
+        assert len(ends) >= 4
+        for budget in sorted({b + d for b in ends[1:] for d in (0, 1)}):
+            results = []
+            for fifo in (False, True):
+                ref = _built_refiner("annulus_small@0.01", fifo)
+                interior = ref._interior()
+                work = list(compress(interior, ref._bad(interior)))
+                results.append((_outcome(lambda: ref._refine_pass(work, budget)), ref.tr.tris))
+            assert results[0] == results[1], budget
+        assert results[0][0] is True  # the largest budget finishes the pass
 
 
 def _reference_insert(tr, x, y, hint=None):
