@@ -85,6 +85,7 @@ def resample_slab(
     width_mm: float,
     spacing_mm: float,
     inplane_spacing_mm: float | None = None,
+    labels=None,
 ) -> Volume:
     """Resample a slab of slices parallel to ``plane``, centered on it.
 
@@ -94,6 +95,11 @@ def resample_slab(
     (labels must stay integers). The slab affine maps slab voxels back to
     the original world space exactly; axis 2 of the result is the plane
     normal direction.
+
+    Given ``labels``, a label volume is sampled only in the in-plane window
+    that can hold those labels (from ``Volume.label_bounds``): the result
+    keeps the full grid's shape and affine, equals it inside the window,
+    and is 0 outside, where none of ``labels`` can fall.
     """
     if width_mm <= 0 or spacing_mm <= 0:
         raise ValueError("width and spacing must be positive")
@@ -124,18 +130,48 @@ def resample_slab(
     slab_affine[:3, 3] = grid_origin
 
     # one affine map, slab index -> world -> source voxel, applied by ndimage
+    to_source = np.linalg.inv(vol.affine) @ slab_affine
     nearest = vol.is_label_map()
-    data = ndimage.affine_transform(
+    (i0, i1), (j0, j1) = (0, nu), (0, nv)
+    if nearest and labels is not None:
+        (i0, i1), (j0, j1) = _label_window(vol, labels, to_source, (nu, nv))
+        to_source[:3, 3] += to_source[:3, :2] @ (i0, j0)  # the window's first voxel is slab index (i0, j0)
+    window = ndimage.affine_transform(
         vol.data,
-        np.linalg.inv(vol.affine) @ slab_affine,
-        output_shape=(nu, nv, nsl),
+        to_source,
+        output_shape=(i1 - i0, j1 - j0, nsl),
         output=None if nearest else float,
         order=0 if nearest else 1,
         mode="constant",
         cval=0.0,
         prefilter=False,
     )
+    data = window
+    if window.shape[:2] != (nu, nv):
+        data = np.zeros((nu, nv, nsl), dtype=window.dtype)
+        data[i0:i1, j0:j1] = window
     return Volume(data, np.array([sp_in, sp_in, spacing_mm]), slab_affine)
+
+
+def _label_window(vol: Volume, labels, to_source, shape):
+    """In-plane slab index ranges ``(i0, i1), (j0, j1)`` outside which no voxel of ``labels`` is sampled.
+
+    Nearest-neighbour sampling gives a slab voxel a label only when its
+    source position falls in a voxel cell of that label, so the window
+    holds the slab indices of the labels' cell box (voxel bounds +- 0.5),
+    widened by a pixel for rounding and clipped to the grid. It is empty
+    when none of ``labels`` is present.
+    """
+    present = np.isin(vol.label_table[0], np.asarray(labels))
+    if not present.any():
+        return (0, 0), (0, 0)
+    lo, hi = vol.label_bounds
+    box = np.stack([lo[present].min(axis=0) - 0.5, hi[present].max(axis=0) + 0.5])
+    corners = np.array([[x, y, z, 1.0] for x in box[:, 0] for y in box[:, 1] for z in box[:, 2]])
+    ij = (corners @ np.linalg.inv(to_source).T)[:, :2]
+    start = np.clip(np.floor(ij.min(axis=0)).astype(int) - 1, 0, shape)
+    stop = np.clip(np.ceil(ij.max(axis=0)).astype(int) + 2, start, shape)  # exclusive
+    return (int(start[0]), int(stop[0])), (int(start[1]), int(stop[1]))
 
 
 def plane_disagreement(

@@ -28,6 +28,10 @@ __all__ = [
 ]
 
 
+class EndpointError(ValueError):
+    """AC and PC pick the same contour endpoint: a fault of the landmarks, not of the contour."""
+
+
 @dataclass(frozen=True)
 class Landmarks2D:
     """AC and PC projected into the mid-sagittal plane frame (mm)."""
@@ -186,7 +190,7 @@ def find_endpoints(
     ia = _nearest_index(pts, anchor_a)
     ip = _nearest_index(pts, anchor_p)
     if ia == ip:
-        raise ValueError("anterior and posterior endpoints coincide")
+        raise EndpointError("anterior and posterior endpoints coincide")
     return EndpointPair(ia, ip, far)
 
 

@@ -25,6 +25,7 @@ from .contour import Mask2D, extract_contour, smooth_mask
 from .evalstats import GroupTable, dice, hausdorff95, ols_fit, thickness_group_map
 from .midplane import midsagittal_plane, resample_slab
 from .morphometry import (
+    EndpointError,
     Landmarks2D,
     intercallosal_line,
     shape_summary,
@@ -82,15 +83,18 @@ class CaseSpec:
 
 
 def write_atomic(path, data) -> None:
-    """Write bytes/str to path via a temp file and atomic rename."""
+    """Write bytes/str to path via a temp file and atomic rename.
+
+    A reader sees the old file or the whole new one, never a part. The
+    file is not fsynced: after a crash it may be lost, and re-running the
+    case rewrites it.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     mode = "wb" if isinstance(data, bytes) else "w"
     with open(tmp, mode) as f:
         f.write(data)
-        f.flush()
-        os.fsync(f.fileno())
     os.replace(tmp, path)
 
 
@@ -142,10 +146,32 @@ def _load_input_volume(path, what) -> Volume:
         raise InputError(f"invalid {what} {path}: {e}") from None
 
 
+# the last template segmentation loaded, keyed by its path and file identity
+_template_memo = {}
+
+
+def _load_template(path) -> Volume:
+    """The template segmentation at ``path``, loaded once per process while its file is unchanged.
+
+    ``save_volume`` replaces a file with a new inode, and any rewrite moves
+    its size or modification time, so a changed template is loaded again.
+    """
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        raise InputError(f"template segmentation not found: {path}") from None
+    key = (str(path), st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
+    if key not in _template_memo:
+        template = _load_input_volume(path, "template segmentation")
+        _template_memo.clear()
+        _template_memo[key] = template
+    return _template_memo[key]
+
+
 def _register_to_template(subject: Volume, subject_path, template_path, plane_path):
     """(plane, transform) of ``subject`` registered to a template; an unusable one is an ``InputError``
     naming the template (fewer than 3 shared labels) or both files (a degenerate fit)."""
-    template = _load_input_volume(template_path, "template segmentation")
+    template = _load_template(template_path)
     if not template.is_label_map():
         raise InputError(f"template segmentation {template_path} must be an integer label map")
     tplane = _load_plane(plane_path)
@@ -214,9 +240,11 @@ def run_case(case: CaseSpec, cfg: RunConfig, out_dir=None) -> dict:
         vol = state["vol"]
         if case.plane:
             plane = _load_plane(case.plane)
+            state["plane_from"] = f"plane file {case.plane}"
         elif cfg.template_seg and cfg.template_plane:
             plane, transform = _register_to_template(vol, case.labels, cfg.template_seg, cfg.template_plane)
             write_atomic(out / "transform.json", transform.to_json() + "\n")
+            state["plane_from"] = f"template segmentation {cfg.template_seg} with plane file {cfg.template_plane}"
         else:
             raise InputError("no plane given and no template configured")
         state["plane"] = plane
@@ -238,9 +266,12 @@ def run_case(case: CaseSpec, cfg: RunConfig, out_dir=None) -> dict:
         vol = state["vol"]
         finest = float(np.min(vol.voxel_size))
         spacing = cfg.slab_spacing_mm or finest
-        slab = resample_slab(
-            vol, state["plane"], cfg.slab_width_mm, spacing, inplane_spacing_mm=finest
-        )
+        try:
+            slab = resample_slab(
+                vol, state["plane"], cfg.slab_width_mm, spacing, inplane_spacing_mm=finest, labels=cfg.cc_labels
+            )
+        except ValueError as e:  # the width and spacing are validated, so the plane misses the volume
+            raise InputError(f"unusable {state['plane_from']} for {case.labels}: {e}") from None
         state["spacing"] = spacing
         cc = np.isin(slab.data, cfg.cc_labels)
         if not cc.any():
@@ -273,7 +304,10 @@ def run_case(case: CaseSpec, cfg: RunConfig, out_dir=None) -> dict:
 
     def s_thickness():
         mesh = state["mesh"]
-        line, f = intercallosal_line(mesh, state["lm2"], cfg.n_samples)
+        try:
+            line, f = intercallosal_line(mesh, state["lm2"], cfg.n_samples)
+        except EndpointError as e:
+            raise InputError(f"unusable landmark file {case.landmarks}: {e}") from None
         state["line"] = line
         write_atomic(out / "line.csv", line.to_csv())
         write_atomic(out / "laplace.csv", fem.field_to_csv(f))

@@ -415,29 +415,47 @@ class _Refiner:
             if cavity is None:
                 raise ValueError("contour points coincide after snapping; contour too fine")
             vids.append(vid)
-        self.segs = {seg: True for seg in zip(vids, vids[1:] + vids[:1])}  # split into halves over time
+        # directed constraint segment -> its row in the append-only segment arrays; a split
+        # retires its row and appends its two halves, so the live rows keep the dict's order
+        self.segs = {}
+        self._rows = 0
+        self._uv = np.zeros((2 * len(vids), 2), dtype=np.int64)
+        self._mid = np.zeros((2 * len(vids), 2))
+        self._r2 = np.zeros(2 * len(vids))
+        self._alive = np.zeros(2 * len(vids), dtype=bool)
+        for u, v in zip(vids, vids[1:] + vids[:1]):
+            self._add_seg(u, v)
         self.unsplittable = set()
-        self._seg_cache = None
 
     # -- segment bookkeeping -------------------------------------------------
 
+    def _add_seg(self, u, v):
+        """Append segment (u, v) as a live row with its midpoint and squared diametral radius."""
+        row = self._rows
+        if row == len(self._alive):  # full: double the capacity
+            self._uv, self._mid, self._r2, self._alive = (
+                np.concatenate([a, np.zeros_like(a)]) for a in (self._uv, self._mid, self._r2, self._alive)
+            )
+        fx, fy = self.tr.fx, self.tr.fy
+        dx, dy = fx[u] - fx[v], fy[u] - fy[v]
+        self._uv[row] = u, v
+        self._mid[row] = 0.5 * (fx[u] + fx[v]), 0.5 * (fy[u] + fy[v])
+        self._r2[row] = (dx * dx + dy * dy) / 4.0
+        self._alive[row] = True
+        self.segs[(u, v)] = row
+        self._rows += 1
+
     def _seg_arrays(self):
-        if self._seg_cache is None:
-            fx = np.asarray(self.tr.fx)
-            fy = np.asarray(self.tr.fy)
-            uv = np.array(list(self.segs.keys()), dtype=np.int64)
-            pa = np.column_stack([fx[uv[:, 0]], fy[uv[:, 0]]])
-            pb = np.column_stack([fx[uv[:, 1]], fy[uv[:, 1]]])
-            mid = 0.5 * (pa + pb)
-            r2 = ((pa - pb) ** 2).sum(axis=1) / 4.0
-            self._seg_cache = (uv, mid, r2)
-        return self._seg_cache
+        """(uv, mid, r2) of the live segments, in the order of ``self.segs``."""
+        alive = self._alive[: self._rows]
+        return self._uv[: self._rows][alive], self._mid[: self._rows][alive], self._r2[: self._rows][alive]
 
     def _encroached_by(self, x, y):
-        uv, mid, r2 = self._seg_arrays()
+        n = self._rows
+        mid = self._mid[:n]
         d2 = (mid[:, 0] - x) ** 2 + (mid[:, 1] - y) ** 2
-        hits = np.nonzero(d2 < r2 * (1.0 - 1e-12))[0]
-        return [tuple(uv[i]) for i in hits]
+        hits = np.nonzero((d2 < self._r2[:n] * (1.0 - 1e-12)) & self._alive[:n])[0]
+        return list(map(tuple, self._uv[hits].tolist()))
 
     def _encroaching(self, tree: cKDTree):
         """(point, segment) index arrays: the tree's points inside a segment's diametral circle."""
@@ -458,10 +476,9 @@ class _Refiner:
         if vid is None or cavity is None:
             self.unsplittable.add(seg)
             return None
-        del self.segs[seg]
-        self.segs[(u, vid)] = True
-        self.segs[(vid, v)] = True
-        self._seg_cache = None
+        self._alive[self.segs.pop(seg)] = False
+        self._add_seg(u, vid)
+        self._add_seg(vid, v)
         return vid
 
     def _split(self, seg) -> bool:

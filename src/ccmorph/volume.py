@@ -124,8 +124,9 @@ class Volume:
         depend on the label values. The volume is counted in chunks of whole
         planes along its slowest memory axis, about ``_TABLE_CHUNK_VOXELS``
         voxels each, so the temporaries scale with one chunk, not the
-        volume. Built on first access and kept for the life of this volume;
-        the three arrays are read-only.
+        volume. Built on first access and kept for the life of this volume,
+        together with ``label_bounds`` from the same pass; the arrays are
+        read-only.
         """
         # slowest memory axis first: a C-contiguous volume as it is, a
         # Fortran-ordered one (and any other layout) transposed to (z, y, x)
@@ -134,19 +135,35 @@ class Volume:
         # at least one chunk, so that a volume without planes gives an empty table
         starts = range(0, len(planes) or 1, depth)
         tables = (_chunk_table(planes[s : s + depth], s) for s in starts)
-        chunk_labels, chunk_counts, chunk_sums = zip(*tables)
+        chunk_labels, chunk_counts, chunk_sums, chunk_lo, chunk_hi = zip(*tables)
         labels, rows = np.unique(np.concatenate(chunk_labels), return_inverse=True)
         counts = np.zeros(len(labels), dtype=np.intp)
         np.add.at(counts, rows, np.concatenate(chunk_counts))
         sums = np.zeros((len(labels), 3))
         # integer coordinate sums are exact in float64, so the order of addition does not matter
         np.add.at(sums, rows, np.concatenate(chunk_sums))
+        lo = np.full((len(labels), 3), np.iinfo(np.intp).max)
+        np.minimum.at(lo, rows, np.concatenate(chunk_lo))
+        hi = np.full((len(labels), 3), -1)
+        np.maximum.at(hi, rows, np.concatenate(chunk_hi))
         if planes is not self.data:
-            sums = sums[:, ::-1]
+            sums, lo, hi = sums[:, ::-1], lo[:, ::-1], hi[:, ::-1]
         table = (labels, counts, self.voxel_to_world(sums / counts[:, None]))
-        for arr in table:
+        for arr in table + (lo, hi):
             arr.flags.writeable = False
+        self.__dict__["label_bounds"] = (lo, hi)
         return table
+
+    @functools.cached_property
+    def label_bounds(self):
+        """(lo, hi): each ``label_table`` label's lowest and highest voxel index per axis.
+
+        Two read-only ``(labels, 3)`` integer arrays in the rows of
+        ``label_table`` and the axis order of ``data``; the pass that builds
+        the table records them.
+        """
+        self.label_table  # noqa: B018 - the table's pass fills this property
+        return self.__dict__["label_bounds"]
 
     def is_label_map(self) -> bool:
         """Whether the data are non-negative integers (one scan per volume)."""
@@ -159,11 +176,13 @@ class Volume:
 
 
 def _chunk_table(chunk, start):
-    """(labels, counts, coordinate sums) of the planes ``start, start + 1, ...`` in ``chunk``.
+    """(labels, counts, coordinate sums, lowest and highest indices) of the planes
+    ``start, start + 1, ...`` in ``chunk``.
 
     The unit counted is a run of equal non-zero voxels along the last axis,
     not a voxel: a run of n voxels from x0 on line (z, y) adds n to its
-    label's count and n z, n y and n x0 + n (n - 1) / 2 to its coordinate sums.
+    label's count and n z, n y and n x0 + n (n - 1) / 2 to its coordinate
+    sums, and spans the indices (z, y, x0) to (z, y, x0 + n - 1).
     """
     nx = chunk.shape[2]
     run_start = np.empty(chunk.shape, dtype=bool)
@@ -177,9 +196,15 @@ def _chunk_table(chunk, start):
     values, n, line, x0 = values[keep], n[keep], line[keep], x0[keep]
     labels, rows = np.unique(values, return_inverse=True)
     z, y = np.divmod(line, chunk.shape[1])
-    weights = (n, n * (z + start), n * y, n * x0 + n * (n - 1) // 2)
+    z += start
+    weights = (n, n * z, n * y, n * x0 + n * (n - 1) // 2)
     counts, *sums = [np.bincount(rows, weights=w, minlength=len(labels)) for w in weights]
-    return labels, counts.astype(np.intp), np.column_stack(sums)
+    lo = np.full((3, len(labels)), np.iinfo(np.intp).max)
+    hi = np.full((3, len(labels)), -1)
+    for axis, (low, high) in enumerate(((z, z), (y, y), (x0, x0 + n - 1))):
+        np.minimum.at(lo[axis], rows, low)  # one axis at a time: 1-D ``at`` is several times faster
+        np.maximum.at(hi[axis], rows, high)
+    return labels, counts.astype(np.intp), np.column_stack(sums), lo.T, hi.T
 
 
 def _read_raw(path):

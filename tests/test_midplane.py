@@ -6,13 +6,14 @@ from scipy import ndimage
 
 from ccmorph import volume
 from ccmorph.midplane import (
+    _label_window,
     label_centroids,
     midsagittal_plane,
     plane_disagreement,
     resample_slab,
     slice_count,
 )
-from ccmorph.phantoms import label_ball_volume
+from ccmorph.phantoms import arch_mask_volume, label_ball_volume, rectangle_mask_volume
 from ccmorph.transforms import Plane, RigidTransform
 from ccmorph.volume import Volume
 
@@ -210,6 +211,16 @@ class TestChunkedLabelTable:
         table = vol.label_table
         assert table[0].dtype == np.dtype(dtype) and table[0][0] == 1 and table[0][-1] == 255
         _assert_bit_identical(table, _one_pass_table(vol))
+        # the same pass records each label's voxel bounds
+        lo, hi = vol.label_bounds
+        assert lo.shape == hi.shape == (len(vol.label_table[0]), 3)
+        for row, lab in enumerate(vol.label_table[0]):
+            where = np.nonzero(vol.data == lab)
+            assert lo[row].tolist() == [int(a.min()) for a in where], lab
+            assert hi[row].tolist() == [int(a.max()) for a in where], lab
+        for arr in (lo, hi):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 0
 
     @pytest.mark.parametrize("shape", [(9, 4, 11), (0, 4, 6), (4, 4, 0)])
     @pytest.mark.parametrize("dtype", LABEL_DTYPES)
@@ -220,6 +231,8 @@ class TestChunkedLabelTable:
         table = vol.label_table
         assert [len(arr) for arr in table] == [0, 0, 0] and table[0].dtype == np.dtype(dtype)
         _assert_bit_identical(table, _one_pass_table(vol))
+        assert [arr.shape for arr in vol.label_bounds] == [(0, 3), (0, 3)]
+
 
 
 def _write_cc_case(tmp_path):
@@ -297,6 +310,62 @@ class TestLabelTableBuilds:
         assert [s["status"] for s in status["stages"][:4]] == ["ok"] * 4
         assert len(built) == builds
         assert len({id(v) for v in built}) == builds  # never twice for one volume
+
+
+class TestTemplateOncePerProcess:
+    """The template segmentation is loaded and counted once while its file is unchanged."""
+
+    def _run(self, tmp_path, out, template):
+        from ccmorph.config import RunConfig
+        from ccmorph.pipeline import CaseSpec, run_case
+
+        case = CaseSpec("c", str(tmp_path / "labels.nii"), str(tmp_path / "lm.json"))
+        cfg = RunConfig(template_seg=str(template), template_plane=str(tmp_path / "plane.json")).validate()
+        return run_case(case, cfg, tmp_path / out)
+
+    def test_later_cases_build_only_the_subject_table(self, tmp_path, monkeypatch):
+        from ccmorph import pipeline
+
+        _write_cc_case(tmp_path)
+        monkeypatch.setattr(pipeline, "_template_memo", {})
+        built = []
+        build = Volume.label_table.func
+        monkeypatch.setattr(Volume.label_table, "func", lambda vol: built.append(vol) or build(vol))
+        for k in range(3):
+            status = self._run(tmp_path, f"out{k}", tmp_path / "labels.nii")
+            assert status["ok"], status
+        assert len(built) == 4 and len({id(v) for v in built}) == 4  # the template once, each subject once
+        assert len({(tmp_path / f"out{k}" / "plane.json").read_bytes() for k in range(3)}) == 1
+
+    def test_replaced_template_is_loaded_again(self, tmp_path, monkeypatch):
+        from ccmorph import pipeline
+        from ccmorph.volume import load_volume, save_volume
+
+        vol, _ = _write_cc_case(tmp_path)
+        monkeypatch.setattr(pipeline, "_template_memo", {})
+        template = tmp_path / "template.nii"
+        save_volume(vol, template)
+        assert self._run(tmp_path, "a", template)["ok"]
+        shift = np.eye(4)
+        shift[:3, 3] = (1.5, 0.0, 0.0)  # the template moves 1.5 mm along the plane normal
+        save_volume(Volume(vol.data, vol.voxel_size, shift @ vol.affine), template)
+        assert self._run(tmp_path, "b", template)["ok"]
+        tplane = Plane.from_json((tmp_path / "plane.json").read_text())
+        expected, _ = midsagittal_plane(load_volume(tmp_path / "labels.nii"), load_volume(template), tplane)
+        got = (tmp_path / "b" / "plane.json").read_text()
+        assert got == expected.to_json() + "\n" != (tmp_path / "a" / "plane.json").read_text()
+
+    def test_unreadable_template_is_not_kept(self, tmp_path, monkeypatch):
+        from ccmorph import pipeline
+
+        _write_cc_case(tmp_path)
+        monkeypatch.setattr(pipeline, "_template_memo", {})
+        template = tmp_path / "template.nii"
+        template.write_bytes(b"not a nifti file" * 30)
+        status = self._run(tmp_path, "bad", template)
+        stage = {s["name"]: s for s in status["stages"]}["midplane"]
+        assert status["error_kind"] == "input" and f"invalid template segmentation {template}" in stage["error"]
+        assert pipeline._template_memo == {}
 
 
 def _rotate_volume(vol: Volume, t: RigidTransform) -> Volume:
@@ -471,6 +540,77 @@ class TestResampleSlabMatchesReference:
             tracemalloc.stop()
         assert slab.data.nbytes > 1_000_000
         assert peak < 1.5 * slab.data.nbytes
+
+
+def _assert_windowed_slab(vol, plane, width, spacing, inplane, labels):
+    """The slab sampled in the window of ``labels`` equals the full slab inside it and is 0 outside;
+    returns the window's index ranges."""
+    full = resample_slab(vol, plane, width, spacing, inplane)
+    win = resample_slab(vol, plane, width, spacing, inplane, labels=labels)
+    assert win.data.dtype == full.data.dtype and win.dims == full.dims
+    np.testing.assert_array_equal(win.affine, full.affine)
+    np.testing.assert_array_equal(win.voxel_size, full.voxel_size)
+    window = _label_window(vol, labels, np.linalg.inv(vol.affine) @ full.affine, full.dims[:2])
+    (i0, i1), (j0, j1) = window
+    inside = np.zeros(full.dims, dtype=bool)
+    inside[i0:i1, j0:j1] = True
+    np.testing.assert_array_equal(win.data[inside], full.data[inside])
+    assert not win.data[~inside].any()
+    np.testing.assert_array_equal(np.isin(win.data, labels), np.isin(full.data, labels))  # no label voxel lost
+    return window
+
+
+class TestWindowedSlab:
+    """``resample_slab(..., labels=...)`` samples only the window that can hold ``labels``."""
+
+    @pytest.mark.parametrize("spacing", [1.0, 0.5])
+    @pytest.mark.parametrize("phantom", [arch_mask_volume, rectangle_mask_volume])
+    def test_axis_aligned_phantoms(self, phantom, spacing):
+        vol, _ = phantom()
+        plane = Plane(np.array([1.0, 0.0, 0.0]), 0.0)
+        (i0, i1), (j0, j1) = _assert_windowed_slab(vol, plane, 5.0, spacing, 0.5 * spacing, [251])
+        slab = resample_slab(vol, plane, 5.0, spacing, 0.5 * spacing)
+        assert np.isin(slab.data[i0:i1, j0:j1], 251).sum() == np.isin(slab.data, 251).sum() > 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_rotated_map_tilted_plane(self, seed):
+        # a whole-brain-like map: large non-CC labels around a small two-label CC
+        rng = np.random.default_rng([seed, 17])
+        balls = [((int(x), int(y), int(z)), 7, lab) for lab, (x, y, z) in zip(range(2, 8), rng.integers(8, 40, (6, 3)))]
+        balls += [((24, 20, 26), 3, 251), ((24, 26, 27), 3, 252)]
+        base = label_ball_volume((48, 48, 48), balls)
+        vol = Volume(base.data, (1, 1, 1), _random_affine(rng))
+        center = vol.voxel_to_world([24, 23, 26])[0]
+        normal = vol.affine[:3, 0] / np.linalg.norm(vol.affine[:3, 0]) + rng.normal(0, 0.1, 3)
+        normal /= np.linalg.norm(normal)
+        plane = Plane(normal, float(normal @ center))
+        labels = [251, 252, 253]  # 253 is absent
+        (i0, i1), (j0, j1) = _assert_windowed_slab(vol, plane, 5.0, 0.8, 0.6, labels)
+        slab = resample_slab(vol, plane, 5.0, 0.8, 0.6)
+        assert (i1 - i0) * (j1 - j0) < 0.25 * slab.dims[0] * slab.dims[1]  # the window is the CC's
+        assert np.isin(slab.data, labels).any() and np.isin(slab.data, [2, 3, 4, 5, 6, 7]).any()
+
+    def test_window_clipped_at_the_volume_edge(self):
+        vol = label_ball_volume((9, 20, 16), [((4, 0, 8), 3, 251), ((4, 15, 8), 3, 9)])
+        plane = Plane(np.array([1.0, 0.0, 0.0]), 4.0)
+        (i0, i1), (j0, j1) = _assert_windowed_slab(vol, plane, 5.0, 1.0, 1.0, [251])
+        slab = resample_slab(vol, plane, 5.0, 1.0, 1.0)
+        assert i0 == 0 and i1 < slab.dims[0]  # in-plane axis 0 is y here, where the CC meets y = 0
+
+    def test_absent_labels_give_an_empty_slab(self):
+        vol, _ = arch_mask_volume()
+        plane = Plane(np.array([1.0, 0.0, 0.0]), 0.0)
+        full = resample_slab(vol, plane, 5.0, 1.0, 0.5)
+        empty = resample_slab(vol, plane, 5.0, 1.0, 0.5, labels=[250, 252])
+        assert empty.dims == full.dims and empty.data.dtype == full.data.dtype and not empty.data.any()
+
+    def test_intensity_volumes_ignore_labels(self):
+        rng = np.random.default_rng(5)
+        vol = Volume(rng.normal(size=(13, 11, 9)), (1, 1, 1), _random_affine(rng))
+        plane = _random_plane(rng, vol)
+        np.testing.assert_array_equal(
+            resample_slab(vol, plane, 4.0, 0.7, labels=[1]).data, resample_slab(vol, plane, 4.0, 0.7).data
+        )
 
 
 class TestLabelTableMemory:

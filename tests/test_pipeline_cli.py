@@ -8,7 +8,7 @@ import pytest
 from ccmorph.cli import main
 from ccmorph.config import RunConfig, parse_config_file
 from ccmorph.pipeline import CaseSpec, InputError, run_batch, run_case, run_eval, run_stats
-from ccmorph.phantoms import label_ball_volume, rectangle_mask_volume
+from ccmorph.phantoms import arch_mask_volume, label_ball_volume, rectangle_mask_volume
 from ccmorph.transforms import Landmarks, Plane
 from ccmorph.volume import Volume, load_volume, save_volume
 
@@ -20,6 +20,19 @@ def phantom_files(tmp_path_factory):
     save_volume(vol, root / "labels.nii.gz")
     (root / "lm.json").write_text(lm.to_json())
     (root / "plane.json").write_text(Plane(np.array([1.0, 0.0, 0.0]), 0.0).to_json())
+    return root
+
+
+@pytest.fixture(scope="module")
+def arch_files(tmp_path_factory):
+    """The arch phantom (voxel centres at x in [-3, 3] mm, CC label 251) with
+    three label blocks off the arch, so it can be its own template."""
+    root = tmp_path_factory.mktemp("arch")
+    vol, lm = arch_mask_volume()
+    data = np.array(vol.data)
+    data[1:3, 10:20, 10:20], data[4:6, 240:250, 10:20], data[2:5, 120:130, 240:250] = 1, 2, 3
+    save_volume(Volume(data, vol.voxel_size, vol.affine), root / "labels.nii")
+    (root / "lm.json").write_text(lm.to_json())
     return root
 
 
@@ -161,6 +174,56 @@ class TestRunCase:
         assert main(argv) == 2
         out = capsys.readouterr().out
         assert f"] {stage}: failed" in out and f"InputError: unusable landmark file {lm}: {message}" in out
+
+    def test_coincident_endpoints_exit_2_naming_the_file(self, arch_files, tmp_path, capsys):
+        # both landmarks far anterior of the arch: one contour vertex is nearest to each
+        lm = tmp_path / "lm.json"
+        lm.write_text(Landmarks(np.array([0.0, 100.0, 5.0]), np.array([0.0, 90.0, 5.0])).to_json())
+        plane = tmp_path / "plane.json"
+        plane.write_text(Plane(np.array([1.0, 0.0, 0.0]), 0.0).to_json())
+        argv = ["thickness", "--labels", str(arch_files / "labels.nii"), "--landmarks", str(lm)]
+        argv += ["--plane", str(plane), "--out", str(tmp_path / "out")]
+        with pytest.warns(UserWarning, match="landmarks lie more than 50 mm"):
+            assert main(argv) == 2
+        out = capsys.readouterr().out
+        assert "] thickness: failed" in out
+        assert f"InputError: unusable landmark file {lm}: anterior and posterior endpoints coincide" in out
+
+    @pytest.mark.parametrize("path", ["plane", "template"])
+    def test_plane_missing_the_volume_exits_2_naming_the_file(self, arch_files, tmp_path, capsys, path):
+        plane = tmp_path / "plane.json"
+        plane.write_text(Plane(np.array([1.0, 0.0, 0.0]), -5.4).to_json())
+        labels = arch_files / "labels.nii"
+        argv = ["thickness", "--labels", str(labels), "--landmarks", str(arch_files / "lm.json")]
+        argv += ["--out", str(tmp_path / "out")]
+        if path == "plane":
+            argv += ["--plane", str(plane)]
+            source = f"plane file {plane}"
+        else:  # the subject is its own template, so its plane is the template's
+            argv += ["--template-seg", str(labels), "--template-plane", str(plane)]
+            source = f"template segmentation {labels} with plane file {plane}"
+        assert main(argv) == 2
+        out = capsys.readouterr().out
+        assert "] slab: failed" in out
+        assert f"InputError: unusable {source} for {labels}: plane misses volume" in out
+
+    def test_plane_missing_the_cc_exits_2(self, arch_files, tmp_path, capsys):
+        # an axial plane below the arch (z >= 0): the CC is in the volume but not in the slab
+        plane = tmp_path / "plane.json"
+        plane.write_text(Plane(np.array([0.0, 0.0, 1.0]), -10.0).to_json())
+        argv = ["thickness", "--labels", str(arch_files / "labels.nii"), "--landmarks", str(arch_files / "lm.json")]
+        argv += ["--plane", str(plane), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        out = capsys.readouterr().out
+        assert "] slab: failed" in out and "InputError: no CC voxels found in the mid-sagittal slab" in out
+
+    def test_missing_template_exit_2_naming_the_file(self, phantom_files, tmp_path, capsys):
+        tpl = tmp_path / "nosuch.nii"
+        argv = ["thickness", "--labels", str(phantom_files / "labels.nii.gz")]
+        argv += ["--landmarks", str(phantom_files / "lm.json"), "--out", str(tmp_path / "out")]
+        argv += ["--template-seg", str(tpl), "--template-plane", str(phantom_files / "plane.json")]
+        assert main(argv) == 2
+        assert f"InputError: template segmentation not found: {tpl}" in capsys.readouterr().out
 
     @pytest.mark.parametrize("landmarks, writes", [("lm.json", 9), ("nosuch.json", 2)])
     def test_status_json_written_at_stage_ends_and_after_skips(
