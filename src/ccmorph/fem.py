@@ -11,6 +11,7 @@ Scalar fields are plain per-vertex float arrays; triangle vector fields are
 
 from __future__ import annotations
 
+import math
 from itertools import chain
 
 import numpy as np
@@ -45,48 +46,14 @@ def field_to_csv(values: np.ndarray) -> str:
 _LEVEL_SNAP = 1e-12
 
 
-def _shape_gradients(mesh: TriMesh2D):
-    """Per-triangle gradients of the three hat functions, (T, 3, 2), and areas."""
-    a, b, c = mesh.corners()
-    e1 = b - a
-    e2 = c - a
-    areas = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-    bad = np.nonzero(areas <= 0)[0]
-    if bad.size:
-        raise ValueError(f"degenerate triangle {int(bad[0])} (non-positive area)")
-    g = np.empty((mesh.n_triangles, 3, 2))
-    # grad phi_i = rot90(p_k - p_j) / (2 A), (i, j, k) cyclic
-    for i, (pj, pk) in enumerate(((b, c), (c, a), (a, b))):
-        e = pk - pj
-        g[:, i, 0] = -e[:, 1]
-        g[:, i, 1] = e[:, 0]
-    g /= (2.0 * areas)[:, None, None]
-    return g, areas
-
-
 def stiffness_matrix(mesh: TriMesh2D) -> sparse.csr_matrix:
     """Cotangent-weight stiffness matrix W (positive semi-definite).
 
     Off-diagonal entries are -(cot a_ij + cot b_ij)/2 for edge ij; the
     diagonal is minus the sum of the off-diagonals, so rows sum to zero.
+    Returns the mesh's one matrix, read-only, assembled on the first call.
     """
-    g, areas = _shape_gradients(mesh)
-    t = mesh.triangles
-    n = mesh.n_vertices
-    rows = []
-    cols = []
-    vals = []
-    for i in range(3):
-        for j in range(3):
-            rows.append(t[:, i])
-            cols.append(t[:, j])
-            vals.append(areas * (g[:, i, :] * g[:, j, :]).sum(axis=1))
-    W = sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    )
-    W.sum_duplicates()
-    return W
+    return mesh._stiffness
 
 
 def solve_dirichlet(mesh: TriMesh2D, fixed) -> np.ndarray:
@@ -135,7 +102,7 @@ def gradient(mesh: TriMesh2D, values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if values.shape != (mesh.n_vertices,):
         raise ValueError("values must be per-vertex")
-    g, _ = _shape_gradients(mesh)
+    g, _ = mesh._hat_gradients
     f = values[mesh.triangles]  # (T, 3)
     return (g * f[:, :, None]).sum(axis=1)
 
@@ -155,7 +122,7 @@ def divergence(mesh: TriMesh2D, vectors: np.ndarray) -> np.ndarray:
     v = np.asarray(vectors, dtype=float)
     if v.shape != (mesh.n_triangles, 2):
         raise ValueError("vectors must be per-triangle 2-vectors")
-    g, areas = _shape_gradients(mesh)
+    g, areas = mesh._hat_gradients
     contrib = areas[:, None] * (g * v[:, None, :]).sum(axis=2)  # (T, 3)
     out = np.zeros(mesh.n_vertices)
     np.add.at(out, mesh.triangles.ravel(), contrib.ravel())
@@ -182,12 +149,6 @@ def interpolate(mesh: TriMesh2D, values: np.ndarray, points: np.ndarray) -> np.n
     values = np.asarray(values, dtype=float)
     tids, barys = _locate_all(mesh, points)
     return np.array([f @ b for f, b in zip(values[mesh.triangles[tids]], barys)], dtype=float)
-
-
-def _locate(mesh: TriMesh2D, p):
-    """(triangle id, barycentric coords) of ``p``, as :func:`_locate_all` decides."""
-    tids, barys = _locate_all(mesh, [p])
-    return int(tids[0]), barys[0]
 
 
 def _lowest(v, corners, q):
@@ -220,52 +181,60 @@ def _locate_all(mesh: TriMesh2D, points):
     near = cKDTree(cent).query_ball_point(pts, _widen(radius, v), return_sorted=True)
     pi = np.repeat(np.arange(len(pts)), [len(c) for c in near])
     tj = np.fromiter(chain.from_iterable(near), dtype=np.int64, count=len(pi))
-    short = _lowest(v, t[tj].T, pts[pi]) >= -1e-9  # a shortlist: _barycentric decides
-    tids = np.full(len(pts), -1, dtype=np.int64)
-    barys = np.empty((len(pts), 3))
-    for i, tid in zip(pi[short].tolist(), tj[short].tolist()):
-        if tids[i] < 0:
-            bary = _barycentric(v[t[tid]], pts[i])
-            if bary.min() >= -1e-12:
-                tids[i], barys[i] = tid, np.clip(bary, 0.0, 1.0)
-    for i in np.flatnonzero(tids < 0).tolist():
-        tid = int(np.nanargmax(_lowest(v, t.T, pts[i])))
-        bary = np.clip(_barycentric(v[t[tid]], pts[i]), 0.0, None)
-        tids[i], barys[i] = tid, bary / max(bary.sum(), 1e-30)
+    short = _lowest(v, t[tj].T, pts[pi]) >= -1e-9  # a shortlist: the solved coordinates decide
+    pi, tj = pi[short], tj[short]
+    bary = _barycentrics(corners[tj], pts[pi])
+    held = bary.min(axis=1) >= -1e-12
+    # pairs run by point, then by triangle id, so a point's first held pair is its lowest id
+    first, k = np.unique(pi[held], return_index=True)
+    tids, barys = np.full(len(pts), -1, dtype=np.int64), np.empty((len(pts), 3))
+    tids[first], barys[first] = tj[held][k], np.clip(bary[held][k], 0.0, 1.0)
+    miss = np.flatnonzero(tids < 0)
+    far = np.array([np.nanargmax(_lowest(v, t.T, pts[i])) for i in miss.tolist()], dtype=np.int64)
+    bary = np.clip(_barycentrics(corners[far], pts[miss]), 0.0, None)
+    tids[miss], barys[miss] = far, bary / np.maximum(bary.sum(axis=1), 1e-30)[:, None]
     return tids, barys
 
 
-def _barycentric(tri, p):
-    a, b, c = tri
-    m = np.column_stack([b - a, c - a])
-    try:
-        uv = np.linalg.solve(m, np.asarray(p, dtype=float) - a)
-    except np.linalg.LinAlgError:
-        return np.array([-1.0, -1.0, -1.0])
-    return np.array([1.0 - uv[0] - uv[1], uv[0], uv[1]])
+def _barycentrics(tri, p):
+    """Barycentric coords (K, 3) of points p (K, 2) in triangles tri (K, 3, 2), -1s where singular.
+
+    One stacked 2x2 solve gives the single solves' bits. A singular system
+    would fail the whole stack, so the same LU factorization (slogdet) finds it first.
+    """
+    a = tri[:, 0]
+    m = np.stack([tri[:, 1] - a, tri[:, 2] - a], axis=2)
+    ok = np.linalg.slogdet(m)[0] != 0
+    uv = np.linalg.solve(m[ok], (p - a)[ok, :, None])[:, :, 0]
+    out = np.full((len(p), 3), -1.0)
+    out[ok] = np.column_stack([1.0 - uv[:, 0] - uv[:, 1], uv[:, 0], uv[:, 1]])
+    return out
 
 
-def _snapped(mesh: TriMesh2D, values: np.ndarray, level: float) -> np.ndarray:
-    v = np.asarray(values, dtype=float).copy()
-    if v.shape != (mesh.n_vertices,):
-        raise ValueError("values must be per-vertex")
-    v[np.abs(v - level) < _LEVEL_SNAP] = level + _LEVEL_SNAP
-    return v
+def _above_cut(level: float) -> float:
+    """The c for which x - level > c exactly when x, snapped, lies above ``level``.
+
+    A value within _LEVEL_SNAP of the level snaps to level + _LEVEL_SNAP,
+    which rounding can absorb; any other x is above when x - level >= _LEVEL_SNAP.
+    """
+    return -_LEVEL_SNAP if level + _LEVEL_SNAP > level else math.nextafter(_LEVEL_SNAP, 0.0)
 
 
-def _trace(mesh: TriMesh2D, v: np.ndarray, level: float, tid: int):
-    """(first edge, component) of the level path of snapped ``v`` through ``tid``, or None.
+def _trace(mesh: TriMesh2D, values, level: float, tid: int):
+    """(first edge, component) of the level path of ``values`` through ``tid``, or None.
 
+    Reads and snaps only the visited vertices of ``values`` (fastest as a list).
     Walks ``mesh.neighbors`` both ways from ``tid``. Edges are sorted vertex
     pairs; an open path runs from its smaller end edge, a loop from its
     smallest edge through the lower-numbered of that edge's two triangles.
     """
-    (t, nb), above = mesh.adjacency_lists, (v > level).tolist()
+    (t, nb), cut = mesh.adjacency_lists, _above_cut(level)
 
     def crossed(s):  # (k, sorted edge) for each edge k -> k+1 of s the level crosses
         a, b, c = t[s]
-        sides = ((0, a, b), (1, b, c), (2, c, a))
-        return [(k, (p, q) if p < q else (q, p)) for k, p, q in sides if above[p] != above[q]]
+        up_a, up_b, up_c = values[a] - level > cut, values[b] - level > cut, values[c] - level > cut
+        sides = ((0, a, b, up_a != up_b), (1, b, c, up_b != up_c), (2, c, a, up_c != up_a))
+        return [(k, (p, q) if p < q else (q, p)) for k, p, q, x in sides if x]
 
     halves = []
     for k, e in crossed(tid):  # none, or the two edges the path leaves tid by
@@ -292,15 +261,17 @@ def _trace(mesh: TriMesh2D, v: np.ndarray, level: float, tid: int):
             edges, tris = edges[::-1], tris[::-1]
     closed = nxt == tid
     e = np.array(edges, dtype=np.int64)
-    frac = (level - v[e[:, 0]]) / (v[e[:, 1]] - v[e[:, 0]])
+    w = np.array([(values[p], values[q]) for p, q in edges])
+    w[np.abs(w - level) < _LEVEL_SNAP] = level + _LEVEL_SNAP
+    frac = (level - w[:, 0]) / (w[:, 1] - w[:, 0])
     pts = (1.0 - frac)[:, None] * mesh.vertices[e[:, 0]] + frac[:, None] * mesh.vertices[e[:, 1]]
     end_edges = None if closed else (tuple(e[0]), tuple(e[-1]))
     return edges[0], {"points": pts, "closed": closed, "end_edges": end_edges, "tri_ids": np.array(tris)}
 
 
-def _level_path(mesh: TriMesh2D, values: np.ndarray, level: float, tid: int):
+def _level_path(mesh: TriMesh2D, values, level: float, tid: int):
     """The :func:`level_set_components` component through triangle ``tid``, or None."""
-    path = _trace(mesh, _snapped(mesh, values, level), level, tid)
+    path = _trace(mesh, values, level, tid)
     return None if path is None else path[1]
 
 
@@ -319,13 +290,15 @@ def level_set_components(mesh: TriMesh2D, values: np.ndarray, level: float):
     Vertex values within 1e-12 of the level are nudged by +1e-12 so no
     crossing is degenerate.
     """
-    v = _snapped(mesh, values, level)
-    count = (v[mesh.triangles] > level).sum(axis=1)
-    seen = np.zeros(mesh.n_triangles, dtype=bool)
+    v = np.asarray(values, dtype=float)
+    if v.shape != (mesh.n_vertices,):
+        raise ValueError("values must be per-vertex")
+    count = (v - level > _above_cut(level))[mesh.triangles].sum(axis=1)
+    vals, seen = v.tolist(), np.zeros(mesh.n_triangles, dtype=bool)
     paths = []
     for tid in np.flatnonzero((count == 1) | (count == 2)):
         if not seen[tid]:
-            start, comp = _trace(mesh, v, level, int(tid))
+            start, comp = _trace(mesh, vals, level, int(tid))
             seen[comp["tri_ids"]] = True
             paths.append((comp["closed"], start, comp))
     return [comp for *_, comp in sorted(paths, key=lambda p: p[:2])]
@@ -338,10 +311,8 @@ def extract_level_set(mesh: TriMesh2D, values: np.ndarray, level: float):
     boundary, others close into loops. Values outside the field range give
     an empty list.
     """
-    comps = level_set_components(mesh, values, level)
-    out = []
-    for c in comps:
-        if len(c["points"]) < (3 if c["closed"] else 2):
-            continue
-        out.append(Polyline(c["points"], closed=c["closed"]))
-    return out
+    return [
+        Polyline(c["points"], closed=c["closed"])
+        for c in level_set_components(mesh, values, level)
+        if len(c["points"]) >= (3 if c["closed"] else 2)
+    ]

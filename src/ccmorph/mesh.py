@@ -1,4 +1,4 @@
-"""Planar triangle meshes: validation, areas, boundary loops, OFF export."""
+"""Planar triangle meshes: validation, areas, boundary loops, P1 operators, OFF export."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 __all__ = ["TriMesh2D"]
 
@@ -107,6 +108,33 @@ class TriMesh2D:
         nb = np.ascontiguousarray(flat.reshape(3, n).T)
         nb.flags.writeable = False
         return nb
+
+    @functools.cached_property
+    def _hat_gradients(self) -> tuple:
+        """Read-only P1 hat-function gradients (T, 3, 2) and areas (T,); a degenerate triangle raises on every use."""
+        a, b, c = self.corners()
+        areas = self.signed_areas()
+        bad = np.nonzero(areas <= 0)[0]
+        if bad.size:
+            raise ValueError(f"degenerate triangle {int(bad[0])} (non-positive area)")
+        # grad phi_i = rot90(p_k - p_j) / (2 A), (i, j, k) cyclic
+        e = np.stack([c - b, a - c, b - a], axis=1)
+        g = np.stack([-e[..., 1], e[..., 0]], axis=2) / (2.0 * areas)[:, None, None]
+        g.flags.writeable = areas.flags.writeable = False
+        return g, areas
+
+    @functools.cached_property
+    def _stiffness(self) -> sparse.csr_matrix:
+        """Read-only cotangent stiffness matrix, assembled from ``_hat_gradients`` on first use."""
+        g, areas = self._hat_gradients
+        gi, t = g.transpose(1, 0, 2), self.triangles.T
+        # entry (i, j, tri) is area * grad phi_i . grad phi_j, in the order duplicates are summed
+        vals = areas * (gi[:, None] * gi[None]).sum(axis=3)
+        rows, cols = np.broadcast_to(t[:, None], vals.shape), np.broadcast_to(t[None], vals.shape)
+        W = sparse.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(self.n_vertices,) * 2)
+        W.sum_duplicates()
+        W.data.flags.writeable = W.indices.flags.writeable = W.indptr.flags.writeable = False
+        return W
 
     @functools.cached_property
     def adjacency_lists(self) -> tuple:

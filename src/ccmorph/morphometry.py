@@ -277,9 +277,10 @@ def thickness_profile(mesh: TriMesh2D, f: np.ndarray, line: Polyline, n: int) ->
     thickness = np.full(n, np.nan)
     valid = np.zeros(n, dtype=bool)
     tids, barys = fem._locate_all(mesh, line.points[1:-1])
+    g_list = g_field.tolist()  # the level paths read it one vertex at a time
     for k, (tid, bary) in enumerate(zip(tids.tolist(), barys)):
         level = float(g_field[mesh.triangles[tid]] @ bary)
-        path = fem._level_path(mesh, g_field, level, tid)
+        path = fem._level_path(mesh, g_list, level, tid)
         if path is None or not spans_inferior_superior(f, path):
             continue
         thickness[k] = polyline_length(path["points"])

@@ -59,7 +59,6 @@ class CaseSpec:
     labels: str
     landmarks: str
     plane: str = ""
-    t1: str = ""
     out: str = ""
 
     @classmethod
@@ -67,7 +66,7 @@ class CaseSpec:
         if not isinstance(d, dict):
             raise InputError(f"case spec must be a JSON object, got {d!r}")
         for k in d:
-            if k not in ("id", "labels", "landmarks", "plane", "t1", "out"):
+            if k not in ("id", "labels", "landmarks", "plane", "out"):
                 raise InputError(f"unknown case spec key {k!r} in case {d.get('id', '?')!r}")
         try:
             return cls(
@@ -75,7 +74,6 @@ class CaseSpec:
                 labels=str(d["labels"]),
                 landmarks=str(d["landmarks"]),
                 plane=str(d.get("plane", "")),
-                t1=str(d.get("t1", "")),
                 out=str(d.get("out", "")),
             )
         except KeyError as e:

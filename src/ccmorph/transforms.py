@@ -88,12 +88,15 @@ class Plane:
 
     def __post_init__(self):
         n = np.asarray(self.normal, dtype=float).reshape(3)
+        offset = float(self.offset)
+        if not (np.isfinite(n).all() and np.isfinite(offset)):
+            raise ValueError(f"plane normal and offset must be finite, got {n.tolist()} and {offset}")
         norm = np.linalg.norm(n)
         if norm < 1e-12:
             raise ValueError("plane normal has zero length")
         # re-normalize; the offset is interpreted against the unit normal
         object.__setattr__(self, "normal", n / norm)
-        object.__setattr__(self, "offset", float(self.offset) / norm)
+        object.__setattr__(self, "offset", offset / norm)
 
     def signed_distance(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -126,6 +129,9 @@ class Landmarks:
     def __post_init__(self):
         ac = np.asarray(self.ac, dtype=float).reshape(3)
         pc = np.asarray(self.pc, dtype=float).reshape(3)
+        for name, p in (("AC", ac), ("PC", pc)):
+            if not np.isfinite(p).all():
+                raise ValueError(f"{name} must be finite, got {p.tolist()}")
         if np.linalg.norm(ac - pc) <= 0:
             raise ValueError("AC and PC coincide")
         object.__setattr__(self, "ac", ac)

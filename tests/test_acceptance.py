@@ -221,11 +221,8 @@ def test_criterion_4_level_set_orthogonality():
     dev = np.abs(np.degrees(np.arccos(np.clip(dot, -1, 1))) - 90.0)
     mean_dev = float((dev * ar)[crossed].sum() / ar[crossed].sum())
 
-    sample_dev = []
-    for p in line.points[1:-1]:
-        tid, _ = fem._locate(mesh, p)
-        sample_dev.append(dev[tid])
-    mean_sample = float(np.mean(sample_dev))
+    tids, _ = fem._locate_all(mesh, line.points[1:-1])
+    mean_sample = float(np.mean(dev[tids]))
 
     ok = mean_dev < 2.0
     assert _report(

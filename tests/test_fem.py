@@ -1,7 +1,10 @@
+import functools
+
 import numpy as np
 import pytest
 
 from ccmorph import fem
+from ccmorph import morphometry as mo
 from ccmorph.mesh import TriMesh2D
 from ccmorph.phantoms import half_annulus_contour, rectangle_grid_mesh
 from ccmorph.triangulate import triangulate
@@ -44,6 +47,55 @@ class TestStiffness:
         mesh = TriMesh2D(verts, np.array([[0, 1, 2]]), np.ones(3, dtype=bool))
         with pytest.raises(ValueError, match="degenerate triangle 0"):
             fem.stiffness_matrix(mesh)
+
+
+def _count_builds(monkeypatch, name):
+    """The meshes the ``TriMesh2D`` cached property ``name`` gets built for while the test runs."""
+    prop, built = TriMesh2D.__dict__[name], []
+    assert isinstance(prop, functools.cached_property)  # stored on the mesh once built
+
+    def build(mesh):
+        built.append(mesh)
+        return prop.func(mesh)
+
+    counted = functools.cached_property(build)
+    counted.__set_name__(TriMesh2D, name)
+    monkeypatch.setattr(TriMesh2D, name, counted)
+    return built
+
+
+class TestOneAssemblyPerMesh:
+    def test_thickness_case_builds_each_operator_once(self, rect_case, monkeypatch):
+        built = {name: _count_builds(monkeypatch, name) for name in ("_hat_gradients", "_stiffness")}
+        m = rect_case["mesh"]
+        mesh = TriMesh2D(m.vertices, m.triangles, m.boundary_flags)  # a new mesh: nothing built yet
+        line, f = mo.intercallosal_line(mesh, rect_case["lm"], 100)
+        profile = mo.thickness_profile(mesh, f, line, 100)
+        # two solves, the gradient and the divergence all read one copy
+        assert {name: len(meshes) for name, meshes in built.items()} == {"_hat_gradients": 1, "_stiffness": 1}
+        assert profile.valid.sum() > 90
+
+    def test_stored_operators_are_read_only(self, unit_square_two_tris):
+        mesh = unit_square_two_tris
+        W = fem.stiffness_matrix(mesh)
+        assert fem.stiffness_matrix(mesh) is W
+        g, areas = mesh._hat_gradients
+        for arr in (g, areas, W.data, W.indices, W.indptr):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            W[0, 0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            areas[0] = 1.0
+
+    def test_degenerate_mesh_raises_on_every_call(self):
+        verts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
+        mesh = TriMesh2D(verts, np.array([[0, 1, 3], [1, 2, 1]]), np.ones(4, dtype=bool))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="degenerate triangle 1"):
+                fem.stiffness_matrix(mesh)
+            with pytest.raises(ValueError, match="degenerate triangle 1"):
+                fem.gradient(mesh, np.zeros(4))
+        assert not {"_hat_gradients", "_stiffness"} & set(vars(mesh))  # nothing stored
 
 
 class TestDirichlet:
@@ -350,9 +402,39 @@ class TestLevelPathTracing:
         assert fem._level_path(mesh, f, level, int(uncrossed[0])) is None
 
 
+class TestLevelAtVertexValue:
+    @pytest.mark.parametrize("offset", [0.0, 1e5])  # at 1e5, level + 1e-12 rounds back to the level
+    def test_traces_as_the_reference_tracer(self, trace_meshes, offset):
+        mesh = trace_meshes["annulus"]
+        f = _field(mesh, "linear") + offset
+        for k in (len(f) // 3, len(f) // 2):
+            level = float(f[k])  # a sample level exactly equal to a vertex value
+            ref = _reference_level_set_components(mesh, f, level)
+            got = fem.level_set_components(mesh, f, level)
+            assert len(got) == len(ref) and all(_same_component(a, b) for a, b in zip(got, ref))
+            crossed = 0
+            for tid in np.flatnonzero((mesh.triangles == k).any(axis=1)).tolist():
+                want = next((c for c in ref if tid in c["tri_ids"]), None)
+                crossed += want is not None
+                for values in (f, f.tolist()):
+                    path = fem._level_path(mesh, values, level, tid)
+                    assert path is None if want is None else _same_component(path, want)
+            assert crossed > 0
+
+
+def _barycentric(tri, p):
+    """Barycentric coords of p in one triangle by a single 2x2 solve; -1s if it is singular."""
+    a, b, c = tri
+    try:
+        uv = np.linalg.solve(np.column_stack([b - a, c - a]), np.asarray(p, dtype=float) - a)
+    except np.linalg.LinAlgError:
+        return np.array([-1.0, -1.0, -1.0])
+    return np.array([1.0 - uv[0] - uv[1], uv[0], uv[1]])
+
+
 def _brute_locate(mesh, p):
     """First triangle (by id) whose barycentric coordinates hold p, else the least-negative one."""
-    barys = [fem._barycentric(mesh.vertices[tri], p) for tri in mesh.triangles]
+    barys = [_barycentric(mesh.vertices[tri], p) for tri in mesh.triangles]
     for tid, bary in enumerate(barys):
         if bary.min() >= -1e-12:
             return tid, np.clip(bary, 0.0, 1.0)
@@ -396,19 +478,42 @@ def located(request):
 
 
 class TestLocate:
+    def test_shared_edges_and_vertices_go_to_the_lowest_id(self):
+        mesh = rectangle_grid_mesh(4.0, 3.0, 0.5)  # vertices and edge midpoints are exact in binary
+        V, E = mesh.vertices, mesh.edges()
+        points = np.vstack([V, (V[E[:, 0]] + V[E[:, 1]]) / 2])
+        holders = [
+            [tid for tid, tri in enumerate(mesh.triangles) if _barycentric(V[tri], p).min() >= -1e-12] for p in points
+        ]
+        assert min(map(len, holders[: len(V)])) >= 1 and max(map(len, holders)) >= 3
+        assert sum(len(h) == 2 for h in holders[len(V) :]) > 100  # interior edges: two triangles each
+        tids, barys = fem._locate_all(mesh, points)
+        assert tids.tolist() == [min(h) for h in holders]
+        assert np.array_equal(barys, np.array([_brute_locate(mesh, p)[1] for p in points]))
+
+    def test_stacked_solve_matches_single_solves(self):
+        rng = np.random.default_rng(11)
+        tri = rng.uniform(-30.0, 30.0, size=(2000, 3, 2))
+        tri[7] = [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]  # collinear corners: a singular system
+        tri[9, 2] = tri[9, 1]  # two equal corners
+        p = rng.uniform(-30.0, 30.0, size=(2000, 2))
+        got = fem._barycentrics(tri, p)
+        assert np.array_equal(got, np.array([_barycentric(t, q) for t, q in zip(tri, p)]))
+        assert got[7].tolist() == [-1.0, -1.0, -1.0]  # rejected, as the single solve rejects it
+
     def test_matches_brute_force(self, located):
         mesh, points, ref = located
-        for p, (ref_tid, ref_bary) in zip(points, ref):
-            tid, bary = fem._locate(mesh, p)
-            assert tid == ref_tid
-            assert np.array_equal(bary, ref_bary)
+        for p, (ref_tid, ref_bary) in zip(points, ref):  # one point per query
+            tids, barys = fem._locate_all(mesh, p)
+            assert tids.tolist() == [ref_tid]
+            assert np.array_equal(barys[0], ref_bary)
 
     def test_all_points_in_one_query(self, located):
         mesh, points, ref = located
         tids, barys = fem._locate_all(mesh, points)
         assert tids.tolist() == [tid for tid, _ in ref]
         assert np.array_equal(barys, np.array([bary for _, bary in ref]))
-        held = [sum(fem._barycentric(mesh.vertices[t], p).min() >= -1e-12 for t in mesh.triangles) for p in points[:20]]
+        held = [sum(_barycentric(mesh.vertices[t], p).min() >= -1e-12 for t in mesh.triangles) for p in points[:20]]
         assert max(held) > 1  # a vertex is held by each triangle around it: the lowest id wins
 
     def test_interpolate_matches_per_point(self, located):

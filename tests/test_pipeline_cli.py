@@ -217,6 +217,29 @@ class TestRunCase:
         out = capsys.readouterr().out
         assert "] slab: failed" in out and "InputError: no CC voxels found in the mid-sagittal slab" in out
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("ac", float("nan")), ("pc", float("inf")), ("normal", float("nan")), ("offset", float("-inf"))],
+    )
+    def test_non_finite_landmark_or_plane_exits_2_naming_the_file(self, arch_files, tmp_path, capsys, field, value):
+        # json.loads reads NaN and Infinity; no stage may write them or fail later on them
+        lm, plane = json.loads((arch_files / "lm.json").read_text()), {"normal": [1.0, 0.0, 0.0], "offset": 0.0}
+        if field == "offset":
+            plane["offset"] = value
+        else:
+            (lm if field in ("ac", "pc") else plane)[field][0] = value
+        paths = {"landmark": tmp_path / "lm.json", "plane": tmp_path / "plane.json"}
+        paths["landmark"].write_text(json.dumps(lm))
+        paths["plane"].write_text(json.dumps(plane))
+        argv = ["thickness", "--labels", str(arch_files / "labels.nii"), "--landmarks", str(paths["landmark"])]
+        argv += ["--plane", str(paths["plane"]), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        what = "landmark" if field in ("ac", "pc") else "plane"
+        out = capsys.readouterr().out
+        assert f"] {'landmarks' if what == 'landmark' else 'midplane'}: failed" in out
+        assert f"InputError: invalid {what} file {paths[what]}: " in out and "must be finite" in out
+        assert not any((tmp_path / "out" / name).exists() for name in ("plane.json", "pose.json"))
+
     def test_missing_template_exit_2_naming_the_file(self, phantom_files, tmp_path, capsys):
         tpl = tmp_path / "nosuch.nii"
         argv = ["thickness", "--labels", str(phantom_files / "labels.nii.gz")]
@@ -655,7 +678,11 @@ class TestCLI:
         assert code == 2
         assert "unknown case spec key 'plnae' in case 'typo'" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()  # rejected before any case runs
-        assert CaseSpec.from_dict({**_spec(phantom_files, "x", "x"), "t1": "t1.nii"}).t1 == "t1.nii"
+        # no stage reads a T1 image, so a case list naming one is refused too
+        (tmp_path / "t1.json").write_text(json.dumps([{**_spec(phantom_files, "x", "x"), "t1": "t1.nii"}]))
+        assert main(["pipeline", "--cases", str(tmp_path / "t1.json"), "--out", str(tmp_path / "d")]) == 2
+        assert "unknown case spec key 't1' in case 'x'" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize(
         "cases", [{"a": 1}, [1], ["x"]], ids=["object_not_list", "number_entry", "string_entry"]
@@ -771,6 +798,25 @@ class TestCLI:
         assert code == 2
         err = capsys.readouterr().err
         assert f"{role} " in err and bad in err and message in err and "internal" not in err
+        assert not (tmp_path / "mp").exists()
+
+
+    @pytest.mark.parametrize("field", ["normal", "offset"])
+    def test_midplane_non_finite_template_plane_exits_2(self, phantom_files, tmp_path, capsys, field):
+        plane = {"normal": [1.0, 0.0, 0.0], "offset": 0.0}
+        if field == "offset":
+            plane["offset"] = float("nan")
+        else:
+            plane["normal"][1] = float("inf")
+        (tmp_path / "tplane.json").write_text(json.dumps(plane))
+        labels = str(phantom_files / "labels.nii.gz")
+        code = main(
+            ["midplane", "--subject", labels, "--template-seg", labels]
+            + ["--template-plane", str(tmp_path / "tplane.json"), "--out", str(tmp_path / "mp")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"invalid plane file {tmp_path / 'tplane.json'}: plane normal and offset must be finite" in err
         assert not (tmp_path / "mp").exists()
 
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -73,6 +75,24 @@ class TestPlane:
         x = p.point_on_plane()
         q = p.transformed(t)
         assert abs(q.signed_distance(t.apply(x))[0]) < 1e-12
+
+    @pytest.mark.parametrize("normal, offset", [([np.nan, 0, 0], 0.0), ([1, np.inf, 0], 0.0), ([1, 0, 0], -np.inf)])
+    def test_rejects_non_finite(self, normal, offset):
+        with pytest.raises(ValueError, match="plane normal and offset must be finite"):
+            Plane(normal, offset)
+        text = json.dumps({"normal": normal, "offset": offset})  # NaN and Infinity, as json.loads reads them
+        with pytest.raises(ValueError, match="plane normal and offset must be finite"):
+            Plane.from_json(text)
+
+
+class TestLandmarks:
+    @pytest.mark.parametrize("which", ["ac", "pc"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, which, value):
+        pts = {"ac": [0.0, 0.0, 5.0], "pc": [0.0, -25.0, 5.0]}
+        pts[which][0] = value
+        with pytest.raises(ValueError, match=f"{which.upper()} must be finite"):
+            Landmarks(pts["ac"], pts["pc"])
 
 
 class TestKabsch:
