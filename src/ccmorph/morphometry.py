@@ -29,7 +29,7 @@ __all__ = [
 
 
 class EndpointError(ValueError):
-    """AC and PC pick the same contour endpoint: a fault of the landmarks, not of the contour."""
+    """AC and PC pick the same or adjacent contour endpoints: a fault of the landmarks, not of the contour."""
 
 
 @dataclass(frozen=True)
@@ -198,7 +198,8 @@ def _split_boundary(mesh: TriMesh2D, lm: Landmarks2D):
     """Boundary loop split at the endpoint vertices into inferior/superior arcs.
 
     Returns (anterior_vertex, posterior_vertex, inferior_arc, superior_arc)
-    with the arcs excluding the endpoint vertices.
+    with the arcs excluding the endpoint vertices. Raises ``EndpointError``
+    when the endpoints coincide or are neighbours, which leaves an arc empty.
     """
     loop = mesh.boundary_loop()
     vpts = mesh.vertices[loop]
@@ -208,11 +209,13 @@ def _split_boundary(mesh: TriMesh2D, lm: Landmarks2D):
     ip = (ends.posterior - ends.anterior) % len(loop)
     arc1 = loop[1:ip]
     arc2 = loop[ip + 1 :]
+    if not len(arc1) or not len(arc2):  # no vertex to hold -1 or +1: the Laplace problem has no midline
+        raise EndpointError("anterior and posterior endpoints are adjacent on the contour")
     anterior = int(loop[0])
     posterior = int(loop[ip])
 
     def height(arc):
-        return float((mesh.vertices[arc] @ m).mean()) if len(arc) else -np.inf
+        return float((mesh.vertices[arc] @ m).mean())
 
     if height(arc1) >= height(arc2):
         superior, inferior = arc1, arc2

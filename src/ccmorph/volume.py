@@ -43,7 +43,7 @@ _DTYPES = {
 _DTYPE_CODES = {np.dtype(v): k for k, v in _DTYPES.items()}
 
 _HDR_SIZE = 348
-# voxels per chunk of Volume.label_table: 8 planes of 256 x 256, or a whole 0.5 mm slab;
+# voxels per chunk of the label scans (_plane_chunks): 8 planes of 256 x 256, or a whole 0.5 mm slab;
 # 2**18 to 2**21 time alike on a 256^3 label map, and the temporaries grow with the chunk
 _TABLE_CHUNK_VOXELS = 2**19
 _QFORM_FIELDS = ("quatern_b", "quatern_c", "quatern_d", "qoffset_x", "qoffset_y", "qoffset_z")
@@ -121,20 +121,14 @@ class Volume:
         """(labels, voxel counts, world centroids) of the non-zero labels, in one pass.
 
         Rows follow the sorted distinct labels, so the table's size does not
-        depend on the label values. The volume is counted in chunks of whole
-        planes along its slowest memory axis, about ``_TABLE_CHUNK_VOXELS``
-        voxels each, so the temporaries scale with one chunk, not the
-        volume. Built on first access and kept for the life of this volume,
+        depend on the label values. The volume is counted chunk by chunk
+        (``_plane_chunks``), so the temporaries scale with one chunk, not the
+        volume, and a mapped file's pages are handed back as the pass goes.
+        Built on first access and kept for the life of this volume,
         together with ``label_bounds`` from the same pass; the arrays are
         read-only.
         """
-        # slowest memory axis first: a C-contiguous volume as it is, a
-        # Fortran-ordered one (and any other layout) transposed to (z, y, x)
-        planes = self.data if self.data.flags.c_contiguous else self.data.T
-        depth = max(1, _TABLE_CHUNK_VOXELS // max(1, math.prod(planes.shape[1:])))  # planes per chunk
-        # at least one chunk, so that a volume without planes gives an empty table
-        starts = range(0, len(planes) or 1, depth)
-        tables = (_chunk_table(planes[s : s + depth], s) for s in starts)
+        tables = (_chunk_table(chunk, start) for start, chunk in _plane_chunks(self.data))
         chunk_labels, chunk_counts, chunk_sums, chunk_lo, chunk_hi = zip(*tables)
         labels, rows = np.unique(np.concatenate(chunk_labels), return_inverse=True)
         counts = np.zeros(len(labels), dtype=np.intp)
@@ -146,7 +140,7 @@ class Volume:
         np.minimum.at(lo, rows, np.concatenate(chunk_lo))
         hi = np.full((len(labels), 3), -1)
         np.maximum.at(hi, rows, np.concatenate(chunk_hi))
-        if planes is not self.data:
+        if not self.data.flags.c_contiguous:  # the chunks were planes of the transpose
             sums, lo, hi = sums[:, ::-1], lo[:, ::-1], hi[:, ::-1]
         table = (labels, counts, self.voxel_to_world(sums / counts[:, None]))
         for arr in table + (lo, hi):
@@ -171,8 +165,60 @@ class Volume:
 
     @functools.cached_property
     def _is_label_map(self) -> bool:
-        d = self.data
-        return bool(np.issubdtype(d.dtype, np.integer) and np.min(d) >= 0)
+        if not np.issubdtype(self.data.dtype, np.integer):
+            return False
+        # initial=0 gives an empty chunk a minimum, and leaves any other chunk's sign as it is
+        return all(np.min(chunk, initial=0) >= 0 for _, chunk in _plane_chunks(self.data))
+
+
+def _plane_chunks(data):
+    """Yield ``(start, chunk)``: the planes ``start, start + 1, ...`` of ``data``
+    along its slowest memory axis, about ``_TABLE_CHUNK_VOXELS`` voxels a chunk.
+
+    A C-contiguous volume is cut as it is, any other layout (a Fortran-ordered
+    one included) as its transpose, so a chunk's axes are (z, y, x) of a loaded
+    volume. A volume without planes gives one empty chunk. When ``data`` view a
+    read-only file map, each chunk's whole pages are handed back to the page
+    cache once the caller asks for the next chunk: a scan then holds one chunk
+    of the file resident, not the volume, and a later read of those pages
+    faults the same bytes back in from the page cache.
+    """
+    planes = data if data.flags.c_contiguous else data.T
+    depth = max(1, _TABLE_CHUNK_VOXELS // max(1, math.prod(planes.shape[1:])))
+    # chunks of C-contiguous planes are contiguous, so each owns the bytes between its ends
+    file_map = _read_only_map(data) if planes.flags.c_contiguous else None
+    for start in range(0, len(planes) or 1, depth):
+        chunk = planes[start : start + depth]
+        yield start, chunk
+        if file_map is not None:
+            _release_pages(*file_map, chunk)
+
+
+def _read_only_map(data):
+    """(map, address of its first byte) of the read-only ``mmap.mmap`` that ``data``
+    view, or None: for data read into memory (a ``.nii.gz`` file), copies (a
+    byte-swapped or scaled file) and platforms without ``madvise``.
+    """
+    base = data
+    while isinstance(base, np.ndarray):
+        base = base.base
+    if not (hasattr(mmap, "MADV_DONTNEED") and isinstance(base, memoryview) and isinstance(base.obj, mmap.mmap)):
+        return None
+    whole = np.frombuffer(base.obj, dtype=np.uint8)
+    # a private (copy-on-write) map would lose its written pages to MADV_DONTNEED
+    return None if whole.flags.writeable else (base.obj, whole.ctypes.data)
+
+
+def _release_pages(file_map, address, chunk):
+    """Hand the whole pages of a contiguous chunk of ``file_map`` back to the page cache."""
+    start = chunk.ctypes.data - address
+    first = -(-start // mmap.PAGESIZE) * mmap.PAGESIZE  # pages shared with a neighbouring chunk stay
+    end = (start + chunk.nbytes) // mmap.PAGESIZE * mmap.PAGESIZE
+    if end > first:
+        try:
+            file_map.madvise(mmap.MADV_DONTNEED, first, end - first)
+        except OSError:  # advice only: the pages stay resident, the bytes are the same
+            pass
 
 
 def _chunk_table(chunk, start):

@@ -1,4 +1,8 @@
+import mmap
+import re
+import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +19,7 @@ from ccmorph.midplane import (
 )
 from ccmorph.phantoms import arch_mask_volume, label_ball_volume, rectangle_mask_volume
 from ccmorph.transforms import Plane, RigidTransform
-from ccmorph.volume import Volume
+from ccmorph.volume import Volume, load_volume, save_volume
 
 
 def _label_volume(marks, dims=(16, 16, 16)):
@@ -232,6 +236,68 @@ class TestChunkedLabelTable:
         assert [len(arr) for arr in table] == [0, 0, 0] and table[0].dtype == np.dtype(dtype)
         _assert_bit_identical(table, _one_pass_table(vol))
         assert [arr.shape for arr in vol.label_bounds] == [(0, 3), (0, 3)]
+        assert vol.is_label_map()
+
+
+def _save_big_endian(data, path):
+    """A big-endian NIfTI-1 file of ``data`` (identity sform), which loads as a byte-swapped copy."""
+    code = {np.dtype(np.int16): 4, np.dtype(np.int32): 8}[data.dtype]
+    hdr = bytearray(348)
+    struct.pack_into(">i", hdr, 0, 348)
+    struct.pack_into(">8h", hdr, 40, 3, *data.shape, 1, 1, 1, 1)
+    struct.pack_into(">hh", hdr, 70, code, data.dtype.itemsize * 8)
+    struct.pack_into(">8f", hdr, 76, 1.0, 1.0, 1.0, 1.0, 0, 0, 0, 0)
+    struct.pack_into(">f", hdr, 108, 352.0)
+    struct.pack_into(">hh", hdr, 252, 0, 1)
+    struct.pack_into(">12f", hdr, 280, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0)
+    struct.pack_into(">4s", hdr, 344, b"n+1\0")
+    Path(path).write_bytes(bytes(hdr) + bytes(4) + data.astype(data.dtype.newbyteorder(">")).tobytes(order="F"))
+
+
+class TestMappedScans:
+    """The scans hand a mapped file's pages back as they go; what they find must not depend on it."""
+
+    @pytest.mark.parametrize("signed", [False, True])
+    @pytest.mark.parametrize("layout", ["F", "C"])
+    @pytest.mark.parametrize("source", ["nii", "nii.gz", "big-endian nii"])
+    def test_same_tables_as_in_memory(self, tmp_path, monkeypatch, source, layout, signed):
+        # int16 planes of 37 x 29 voxels (2,146 bytes) in chunks of 3 planes: no chunk
+        # starts or ends on a page boundary, and some hold no whole page
+        monkeypatch.setattr(volume, "_TABLE_CHUNK_VOXELS", 3 * 37 * 29 + 5)
+        released = []
+        release = volume._release_pages
+        monkeypatch.setattr(volume, "_release_pages", lambda *a: released.append(a[-1].shape) or release(*a))
+        rng = np.random.default_rng([len(source), len(layout), signed])
+        data = rng.choice(np.array([0, 3, 17, 251, 30000], dtype=np.int16), size=(37, 29, 23), p=[0.6] + [0.1] * 4)
+        if signed:
+            data[5, 7, -1] = -2  # in the last chunk only
+        path = tmp_path / ("v.nii.gz" if source == "nii.gz" else "v.nii")
+        if source == "big-endian nii":
+            _save_big_endian(data, path)
+        else:
+            save_volume(Volume(data, (1, 1, 1), np.eye(4)), path)
+        loaded = load_volume(path)
+        mapped = isinstance(_buffer_owner(loaded.data), mmap.mmap)
+        assert mapped == (source == "nii")
+        if layout == "C":  # the transpose of a loaded volume is a C-contiguous view of the same bytes
+            loaded, data = Volume(loaded.data.T, (1, 1, 1), np.eye(4)), data.T
+        assert loaded.data.flags.c_contiguous == (layout == "C")
+        memory = Volume(np.array(data, order=layout), (1, 1, 1), np.eye(4))
+        assert loaded.is_label_map() == memory.is_label_map() == (not signed)
+        _assert_bit_identical(loaded.label_table, memory.label_table)
+        _assert_bit_identical(loaded.label_bounds, memory.label_bounds)
+        _assert_bit_identical(loaded.label_table, _one_pass_table(memory))
+        # only a scan of the map releases, chunk by chunk: 7 of 3 planes and one of 2 per scan;
+        # is_label_map stops at the negative voxel, before the last chunk is released
+        chunks = [(3, 29, 37)] * 7 + [(2, 29, 37)]
+        assert released == ((chunks[:-1] if signed else chunks) + chunks if mapped else [])
+        np.testing.assert_array_equal(loaded.data, data)  # the released pages read back the same bytes
+
+
+def _buffer_owner(arr):
+    while isinstance(arr, np.ndarray):
+        arr = arr.base
+    return arr.obj if isinstance(arr, memoryview) else arr
 
 
 
@@ -630,6 +696,24 @@ class TestLabelTableMemory:
             tracemalloc.stop()
         assert len(labels) == 49
         assert peak < 0.25 * vol.data.nbytes
+
+    @pytest.mark.skipif(not hasattr(mmap, "MADV_DONTNEED"), reason="no madvise(MADV_DONTNEED)")
+    def test_scans_of_a_mapped_file_leave_it_paged_out(self, tmp_path):
+        # pages left mapped by the scans would add all 16 MB of the volume
+        status = Path("/proc/self/status")
+        if not status.exists() or "RssFile:" not in status.read_text():
+            pytest.skip("no RssFile in /proc/self/status")
+
+        def rss_file():
+            return 1024 * int(re.search(r"RssFile:\s+(\d+) kB", status.read_text()).group(1))
+
+        rng = np.random.default_rng(45)
+        data = rng.integers(0, 40, size=(256, 256, 64), dtype=np.int32)
+        save_volume(Volume(data, (1, 1, 1), np.eye(4)), tmp_path / "v.nii")
+        vol = load_volume(tmp_path / "v.nii")
+        before = rss_file()
+        assert vol.is_label_map() and len(vol.label_table[0]) == 39
+        assert rss_file() - before < 0.25 * data.nbytes
 
 
 class TestPlaneDisagreement:

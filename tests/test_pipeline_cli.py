@@ -189,6 +189,22 @@ class TestRunCase:
         assert "] thickness: failed" in out
         assert f"InputError: unusable landmark file {lm}: anterior and posterior endpoints coincide" in out
 
+    def test_adjacent_endpoints_exit_2_naming_the_file(self, arch_files, tmp_path, capsys):
+        # a tilted plane and far landmarks that pick neighbouring vertices of the mesh's
+        # 170-vertex boundary loop as the endpoints: the inferior arc between them is empty
+        lm = tmp_path / "lm.json"
+        lm.write_text(Landmarks(np.array([80.1, 33.5, -31.3]), np.array([-15.1, -69.6, -57.1])).to_json())
+        plane = tmp_path / "plane.json"
+        normal = np.array([0.934, 0.309, -0.18])
+        plane.write_text(Plane(normal / np.linalg.norm(normal), 3.38).to_json())
+        argv = ["thickness", "--labels", str(arch_files / "labels.nii"), "--landmarks", str(lm)]
+        argv += ["--plane", str(plane), "--out", str(tmp_path / "out"), "--max-area", "0.1", "--sigma-vox", "0.5"]
+        with pytest.warns(UserWarning, match="landmarks lie more than 50 mm"):
+            assert main(argv) == 2
+        out = capsys.readouterr().out
+        assert "] thickness: failed" in out
+        assert f"InputError: unusable landmark file {lm}: anterior and posterior endpoints are adjacent" in out
+
     @pytest.mark.parametrize("path", ["plane", "template"])
     def test_plane_missing_the_volume_exits_2_naming_the_file(self, arch_files, tmp_path, capsys, path):
         plane = tmp_path / "plane.json"
