@@ -130,7 +130,7 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     if args.cmd == "midplane":
         subject = _load_input_volume(args.subject, "subject volume")
-        if not subject.is_label_map():
+        if not subject._is_label_map_with_table():
             raise InputError(f"subject volume {args.subject} must be an integer label map")
         plane, transform = _register_to_template(subject, args.subject, args.template_seg, args.template_plane)
         out = Path(args.out)

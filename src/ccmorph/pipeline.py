@@ -170,7 +170,7 @@ def _register_to_template(subject: Volume, subject_path, template_path, plane_pa
     """(plane, transform) of ``subject`` registered to a template; an unusable one is an ``InputError``
     naming the template (fewer than 3 shared labels) or both files (a degenerate fit)."""
     template = _load_template(template_path)
-    if not template.is_label_map():
+    if not template._is_label_map_with_table():
         raise InputError(f"template segmentation {template_path} must be an integer label map")
     tplane = _load_plane(plane_path)
     try:
@@ -231,7 +231,7 @@ def run_case(case: CaseSpec, cfg: RunConfig, out_dir=None) -> dict:
 
     def s_inputs():
         state["vol"] = _load_input_volume(case.labels, "label volume")
-        if not state["vol"].is_label_map():
+        if not state["vol"]._is_label_map_with_table():
             raise InputError(f"labels volume {case.labels} must be an integer label map")
 
     def s_midplane():

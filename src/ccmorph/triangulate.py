@@ -21,6 +21,8 @@ from __future__ import annotations
 from itertools import chain, compress
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order
 from scipy.spatial import Delaunay, cKDTree
 
 from .contour import Polyline, polygon_area
@@ -150,6 +152,23 @@ class _Triangulator:
         self.iy.append(key[1])
         self.by_int[key] = vid
         return vid, True
+
+    def _add_points(self, xy) -> list:
+        """Register the points of ``xy`` (n, 2) in order, as ``_add_point`` does one
+        at a time; returns their vertex ids. A point that snaps onto a registered
+        one, or onto an earlier one of ``xy``, gets that point's id."""
+        xy = np.asarray(xy, dtype=float).reshape(-1, 2)
+        snapped = np.rint(xy * self.scale)  # the products ``_snap`` rounds, half to even as ``round`` does
+        keys = list(zip(map(int, snapped[:, 0].tolist()), map(int, snapped[:, 1].tolist())))
+        first, by_int = len(self.fx), self.by_int
+        vids = [by_int.setdefault(key, len(by_int)) for key in keys]  # new ids count up from ``first``
+        ids, at = np.unique(vids, return_index=True)
+        fresh = at[ids >= first].tolist()  # the first point of each new id, in input order
+        self.fx += xy[fresh, 0].tolist()
+        self.fy += xy[fresh, 1].tolist()
+        self.ix += [keys[i][0] for i in fresh]
+        self.iy += [keys[i][1] for i in fresh]
+        return vids
 
     def _locate(self, vid, hint=None):
         """Visibility walk to a triangle containing vertex vid; None if outside."""
@@ -302,9 +321,9 @@ class _Triangulator:
         m = len(s)
         verts = list(range(len(x)))
         tris, edge2tri = {}, {}
-        for tid, (a, b, c) in enumerate(s[np.argsort(s.min(axis=1), kind="stable")].tolist()):
-            a, b, c = verts[a], verts[b], verts[c]
-            tris[tid] = (a, b, c)
+        corners = map(verts.__getitem__, s[np.argsort(s.min(axis=1), kind="stable")].ravel().tolist())
+        for tid, tri in enumerate(zip(corners, corners, corners)):
+            a, b, c = tris[tid] = tri
             edge2tri[(a, b)] = edge2tri[(b, c)] = edge2tri[(c, a)] = tid
         self.tris, self.edge2tri = tris, edge2tri
         self.next_tid, self.last_tid = m, m - 1
@@ -409,22 +428,27 @@ class _Refiner:
         self.work = []  # the tids queued by ``_place`` in the current wave
 
         # contour vertices and directed constraint segments
-        vids = []
-        for x, y in poly.tolist():
-            vid, cavity = self.tr.insert(x, y)
-            if cavity is None:
-                raise ValueError("contour points coincide after snapping; contour too fine")
-            vids.append(vid)
+        n = len(poly)
+        first = len(self.tr.fx)
+        vids = self.tr._add_points(poly)
+        if len(self.tr.fx) - first < n:
+            raise ValueError("contour points coincide after snapping; contour too fine")
         # directed constraint segment -> its row in the append-only segment arrays; a split
         # retires its row and appends its two halves, so the live rows keep the dict's order
-        self.segs = {}
-        self._rows = 0
-        self._uv = np.zeros((2 * len(vids), 2), dtype=np.int64)
-        self._mid = np.zeros((2 * len(vids), 2))
-        self._r2 = np.zeros(2 * len(vids))
-        self._alive = np.zeros(2 * len(vids), dtype=bool)
-        for u, v in zip(vids, vids[1:] + vids[:1]):
-            self._add_seg(u, v)
+        nxt = vids[1:] + vids[:1]
+        self.segs = dict(zip(zip(vids, nxt), range(n)))
+        self._rows = n
+        self._uv = np.zeros((2 * n, 2), dtype=np.int64)
+        self._mid = np.zeros((2 * n, 2))
+        self._r2 = np.zeros(2 * n)
+        self._lim = np.full(2 * n, -1.0)  # a live row's encroachment bound r2 (1 - 1e-12), -1 once retired
+        # the arithmetic of ``_add_seg``, row by row
+        p, q = poly, np.roll(poly, -1, axis=0)
+        d = p - q
+        self._uv[:n] = np.column_stack([vids, nxt])
+        self._mid[:n] = 0.5 * (p + q)
+        self._r2[:n] = (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) / 4.0
+        self._lim[:n] = self._r2[:n] * (1.0 - 1e-12)
         self.unsplittable = set()
 
     # -- segment bookkeeping -------------------------------------------------
@@ -432,30 +456,31 @@ class _Refiner:
     def _add_seg(self, u, v):
         """Append segment (u, v) as a live row with its midpoint and squared diametral radius."""
         row = self._rows
-        if row == len(self._alive):  # full: double the capacity
-            self._uv, self._mid, self._r2, self._alive = (
-                np.concatenate([a, np.zeros_like(a)]) for a in (self._uv, self._mid, self._r2, self._alive)
+        if row == len(self._lim):  # full: double the capacity
+            self._uv, self._mid, self._r2, self._lim = (
+                np.concatenate([a, np.full_like(a, fill)])
+                for a, fill in ((self._uv, 0), (self._mid, 0.0), (self._r2, 0.0), (self._lim, -1.0))
             )
         fx, fy = self.tr.fx, self.tr.fy
         dx, dy = fx[u] - fx[v], fy[u] - fy[v]
         self._uv[row] = u, v
         self._mid[row] = 0.5 * (fx[u] + fx[v]), 0.5 * (fy[u] + fy[v])
-        self._r2[row] = (dx * dx + dy * dy) / 4.0
-        self._alive[row] = True
+        self._r2[row] = r2 = (dx * dx + dy * dy) / 4.0
+        self._lim[row] = r2 * (1.0 - 1e-12)
         self.segs[(u, v)] = row
         self._rows += 1
 
     def _seg_arrays(self):
         """(uv, mid, r2) of the live segments, in the order of ``self.segs``."""
-        alive = self._alive[: self._rows]
+        alive = self._lim[: self._rows] >= 0
         return self._uv[: self._rows][alive], self._mid[: self._rows][alive], self._r2[: self._rows][alive]
 
     def _encroached_by(self, x, y):
+        """The live segments whose diametral circle holds (x, y), in row order."""
         n = self._rows
         mid = self._mid[:n]
-        d2 = (mid[:, 0] - x) ** 2 + (mid[:, 1] - y) ** 2
-        hits = np.nonzero((d2 < self._r2[:n] * (1.0 - 1e-12)) & self._alive[:n])[0]
-        return list(map(tuple, self._uv[hits].tolist()))
+        hits = np.flatnonzero((mid[:, 0] - x) ** 2 + (mid[:, 1] - y) ** 2 < self._lim[:n])
+        return list(map(tuple, self._uv[hits].tolist())) if hits.size else []
 
     def _encroaching(self, tree: cKDTree):
         """(point, segment) index arrays: the tree's points inside a segment's diametral circle."""
@@ -476,7 +501,7 @@ class _Refiner:
         if vid is None or cavity is None:
             self.unsplittable.add(seg)
             return None
-        self._alive[self.segs.pop(seg)] = False
+        self._lim[self.segs.pop(seg)] = -1.0
         self._add_seg(u, vid)
         self._add_seg(vid, v)
         return vid
@@ -497,21 +522,47 @@ class _Refiner:
         return first is not None
 
     def _interior(self):
-        """Interior triangle ids in flood order, bounded by the directed constraint segments."""
-        blocked = set(self.segs) | {(v, u) for u, v in self.segs}
-        seeds = (self.tr.edge2tri.get(seg) for seg in self.segs)
-        order = list(dict.fromkeys(t for t in seeds if t is not None))
-        seen = set(order)
-        for t in order:  # the list grows while it is read: a breadth-first flood
-            a, b, c = self.tr.tris[t]
-            for u, v in ((a, b), (b, c), (c, a)):
-                if (u, v) in blocked:
-                    continue
-                nb = self.tr.edge2tri.get((v, u))
-                if nb is not None and nb not in seen:
-                    seen.add(nb)
-                    order.append(nb)
-        return order
+        """Interior triangle ids in flood order, bounded by the directed constraint segments.
+
+        The flood is breadth-first. It starts from the triangle left of each
+        segment, in the order of ``self.segs``, and takes each triangle's
+        neighbours across its edges (a, b), (b, c), (c, a) in turn, never across
+        a segment. Neighbours pair up by one sort of undirected edge keys, and
+        csgraph's breadth-first order runs the flood from a virtual source whose
+        neighbours are the seeds.
+        """
+        tris = self.tr.tris
+        n = len(tris)
+        u = np.fromiter(chain.from_iterable(tris.values()), dtype=np.int64, count=3 * n)
+        v = u.reshape(n, 3)[:, [1, 2, 0]].ravel()  # edge 3 i + k of triangle i runs from corner k to corner k + 1
+        nv = len(self.tr.fx)
+        key = np.minimum(u, v) * nv + np.maximum(u, v)
+        order = np.argsort(key)
+        key = key[order]
+        pair = np.flatnonzero(key[1:] == key[:-1])
+        across = np.full(3 * n, -1, dtype=np.int64)  # the triangle across each edge, or -1
+        across[order[pair]], across[order[pair + 1]] = order[pair + 1] // 3, order[pair] // 3
+        # a segment's key holds at most two edges, one each way: the flood crosses
+        # neither, and the triangle of the one that runs the segment's way is a seed
+        uv = self._seg_arrays()[0]
+        seg_key = np.minimum(uv[:, 0], uv[:, 1]) * nv + np.maximum(uv[:, 0], uv[:, 1])
+        seeds = np.full(len(uv), -1, dtype=np.int64)
+        first = np.searchsorted(key, seg_key)
+        for at in (first, first + 1):
+            at = np.minimum(at, 3 * n - 1)
+            hit = key[at] == seg_key
+            across[order[at[hit]]] = -1
+            runs = hit & (u[order[at]] == uv[:, 0])
+            seeds[runs] = order[at[runs]] // 3
+        open_ = across >= 0
+        indptr = np.zeros(n + 2, dtype=np.int32)
+        np.cumsum(open_.reshape(n, 3).sum(axis=1), out=indptr[1:-1])
+        seeds = seeds[seeds >= 0]
+        indptr[-1] = indptr[-2] + len(seeds)
+        indices = np.concatenate([across[open_], seeds]).astype(np.int32)
+        graph = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n + 1, n + 1))
+        flood = breadth_first_order(graph, n, directed=True, return_predecessors=False)
+        return np.fromiter(tris, dtype=np.int64, count=n)[flood[1:]].tolist()
 
     # -- phases ----------------------------------------------------------------
 
@@ -529,25 +580,27 @@ class _Refiner:
                     changed = True
 
     def presplit_long_segments(self, target_len: float):
+        """Split every segment longer than 1.3 ``target_len``, sweep by sweep; a
+        segment's length is fixed, so each sweep tests the lengths at once."""
         changed = True
         while changed:
             changed = False
-            for seg in list(self.segs.keys()):
-                if seg not in self.segs:
-                    continue
-                u, v = seg
-                L = np.hypot(self.tr.fx[u] - self.tr.fx[v], self.tr.fy[u] - self.tr.fy[v])
-                if L > 1.3 * target_len and self._split(seg):
+            uv = self._seg_arrays()[0]
+            fx, fy = np.asarray(self.tr.fx), np.asarray(self.tr.fy)
+            length = np.hypot(fx[uv[:, 0]] - fx[uv[:, 1]], fy[uv[:, 0]] - fy[uv[:, 1]])
+            for seg in map(tuple, uv[length > 1.3 * target_len].tolist()):
+                if seg in self.segs and self._split(seg):
                     changed = True
 
     def seed_grid(self, spacing: float):
-        """Hex-grid interior points away from the boundary, inserted row by row.
+        """Hex-grid interior points away from the boundary, registered row by row.
 
         A candidate is kept when it is inside the polygon (even-odd rule),
         farther than a margin from every polygon edge and encroaches no
-        constraint segment. Each hex row's edge crossings are sorted once;
-        the distance and encroachment tests run only on the candidate and
-        segment pairs a KD-tree ball query around each segment returns.
+        constraint segment. The edge crossings of all hex rows are sorted
+        once, together with the candidates; the distance and encroachment
+        tests run only on the candidate and segment pairs a KD-tree ball
+        query around each segment returns.
         """
         a = self.poly
         b = np.roll(a, -1, axis=0)
@@ -555,16 +608,24 @@ class _Refiner:
         hi = a.max(axis=0)
         dy = spacing * np.sqrt(3.0) / 2.0
         ys = np.arange(lo[1] + 0.5 * dy, hi[1], dy)
-        cand = []
-        for row, y in enumerate(ys):
-            off = 0.5 * spacing if row % 2 else 0.0
-            xs = np.arange(lo[0] + 0.5 * spacing + off, hi[0], spacing)
-            cross = (a[:, 1] <= y) != (b[:, 1] <= y)
-            ya, yb, xa, xb = a[cross, 1], b[cross, 1], a[cross, 0], b[cross, 0]
-            xc = np.sort(xa + (y - ya) * (xb - xa) / (yb - ya))
-            xs = xs[(len(xc) - np.searchsorted(xc, xs, side="right")) % 2 == 1]  # odd crossings right of x
-            cand.append(np.column_stack([xs, np.full(len(xs), y)]))
-        cand = np.vstack(cand) if cand else np.empty((0, 2))
+        # the candidates row by row, odd rows shifted by half a spacing, x ascending in a row
+        xs = [np.arange(lo[0] + 0.5 * spacing + off, hi[0], spacing) for off in (0.0, 0.5 * spacing)]
+        x = np.concatenate([xs[k % 2] for k in range(len(ys))] or [np.empty(0)])
+        row = np.repeat(np.arange(len(ys)), [len(xs[k % 2]) for k in range(len(ys))])
+        # edge e crosses row r when its ends lie on either side of the row
+        e, r = np.nonzero((a[:, 1, None] <= ys) != (b[:, 1, None] <= ys))
+        xc = a[e, 0] + (ys[r] - a[e, 1]) * (b[e, 0] - a[e, 0]) / (b[e, 1] - a[e, 1])
+        # even-odd rule: inside when an odd number of the row's crossings lie right of x. A
+        # closed polygon crosses every row an even number of times, so that is when an odd
+        # number of crossings sort before the candidate by row, then x (a crossing first at
+        # equal x)
+        is_cand = np.concatenate([np.zeros(len(xc), dtype=bool), np.ones(len(x), dtype=bool)])
+        order = np.lexsort((is_cand, np.concatenate([xc, x]), np.concatenate([r, row])))
+        cand_at = is_cand[order]
+        crossings_before = np.cumsum(~cand_at)[cand_at]
+        inside = np.zeros(len(x), dtype=bool)
+        inside[order[cand_at] - len(xc)] = crossings_before % 2 == 1
+        cand = np.column_stack([x[inside], ys[row[inside]]])
         if not len(cand):
             return
         tree = cKDTree(cand)
@@ -581,15 +642,27 @@ class _Refiner:
 
         keep[self._encroaching(tree)[0]] = False
 
-        for x, y in cand[keep].tolist():
-            self.tr.insert(x, y)
+        self.tr._add_points(cand[keep])
 
     def refine(self) -> list:
         """Refine until every interior triangle is good; returns the interior triangle ids."""
         max_rounds = 40
         budget = 40 * len(self.tr.fx) + int(20.0 * abs(polygon_area(self.poly)) / self.max_area) + 4000
+        # each triangle's quality by tid: 0 untested, 1 good, 2 bad; it is fixed when the
+        # triangle is made, so a scan tests only the triangles no earlier scan tested
+        quality = np.zeros(0, dtype=np.int8)
+
+        def scan(interior):
+            nonlocal quality
+            if len(quality) < self.tr.next_tid:
+                quality = np.concatenate([quality, np.zeros(self.tr.next_tid, dtype=np.int8)])
+            tids = np.array(interior, dtype=np.int64)
+            new = tids[quality[tids] == 0]
+            quality[new] = 1 + self._bad(new.tolist())
+            return tids[quality[tids] == 2].tolist()
+
         interior = self._interior()
-        bad = list(compress(interior, self._bad(interior)))
+        bad = scan(interior)
         for _ in range(max_rounds):
             stamp = self.tr.next_tid
             progressed = self._refine_pass(bad, budget)
@@ -600,7 +673,7 @@ class _Refiner:
                 self._split(seg)
             if self.tr.next_tid != stamp:  # every insertion makes triangles
                 interior = self._interior()
-            bad = list(compress(interior, self._bad(interior)))
+            bad = scan(interior)
             if not missing and not bad:
                 return interior
             if not progressed and not missing:
@@ -609,9 +682,9 @@ class _Refiner:
 
     def _bad(self, tids) -> np.ndarray:
         """Whether each triangle is larger than ``max_area`` or has an angle below ``min_angle``."""
-        tri = np.array([self.tr.tris[t] for t in tids], dtype=np.int64).reshape(-1, 3)
-        fx = np.asarray(self.tr.fx)[tri]
-        fy = np.asarray(self.tr.fy)[tri]
+        tri = self._corners(tids)
+        fx = np.fromiter(self.tr.fx, dtype=float, count=len(self.tr.fx))[tri]  # fromiter: no type discovery
+        fy = np.fromiter(self.tr.fy, dtype=float, count=len(self.tr.fy))[tri]
         ax, bx, cx = fx.T
         ay, by, cy = fy.T
         area = 0.5 * ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
@@ -688,20 +761,19 @@ class _Refiner:
             work = list(compress(live, self._bad(live)))
         return progressed
 
+    def _corners(self, tids) -> np.ndarray:
+        """(len(tids), 3) vertex ids of the triangles ``tids``."""
+        flat = chain.from_iterable(map(self.tr.tris.__getitem__, tids))
+        return np.fromiter(flat, dtype=np.int64, count=3 * len(tids)).reshape(-1, 3)
+
     def extract(self, interior) -> TriMesh2D:
-        tids = sorted(interior)
-        if not tids:
+        if not interior:
             raise RuntimeError("triangulation produced no interior triangles")
-        used = sorted({v for t in tids for v in self.tr.tris[t]})
-        remap = {v: i for i, v in enumerate(used)}
-        verts = np.column_stack(
-            [np.asarray(self.tr.fx)[used], np.asarray(self.tr.fy)[used]]
-        )
-        tris = np.array([[remap[v] for v in self.tr.tris[t]] for t in tids], dtype=np.int64)
+        used, tris = np.unique(self._corners(np.sort(interior).tolist()), return_inverse=True)
+        verts = np.column_stack([np.asarray(self.tr.fx)[used], np.asarray(self.tr.fy)[used]])
         # refine() leaves every constraint segment an edge, so they are the mesh boundary
-        on_boundary = {u for u, _ in self.segs}
-        flags = np.array([v in on_boundary for v in used], dtype=bool)
-        return TriMesh2D(verts, tris, flags)
+        flags = np.isin(used, self._seg_arrays()[0][:, 0])
+        return TriMesh2D(verts, tris.reshape(-1, 3), flags)
 
 
 def triangulate(contour: Polyline, max_area_mm2: float, min_angle_deg: float = 20.0) -> TriMesh2D:

@@ -128,7 +128,18 @@ class Volume:
         together with ``label_bounds`` from the same pass; the arrays are
         read-only.
         """
-        tables = (_chunk_table(chunk, start) for start, chunk in _plane_chunks(self.data))
+        return self._count_labels()
+
+    def _count_labels(self, stop_at_negative=False):
+        """``label_table``'s pass, which also records ``label_bounds``. With
+        ``stop_at_negative`` it ends at the first chunk that holds a negative
+        voxel and returns None: the data are no label map, and no table is made.
+        """
+        tables = []
+        for start, chunk in _plane_chunks(self.data):
+            tables.append(_chunk_table(chunk, start))
+            if stop_at_negative and len(tables[-1][0]) and tables[-1][0][0] < 0:  # labels are sorted
+                return None
         chunk_labels, chunk_counts, chunk_sums, chunk_lo, chunk_hi = zip(*tables)
         labels, rows = np.unique(np.concatenate(chunk_labels), return_inverse=True)
         counts = np.zeros(len(labels), dtype=np.intp)
@@ -160,15 +171,35 @@ class Volume:
         return self.__dict__["label_bounds"]
 
     def is_label_map(self) -> bool:
-        """Whether the data are non-negative integers (one scan per volume)."""
+        """Whether the data are non-negative integers (one scan per volume, none once ``label_table`` is built)."""
         return self._is_label_map
 
     @functools.cached_property
     def _is_label_map(self) -> bool:
         if not np.issubdtype(self.data.dtype, np.integer):
             return False
+        if "label_table" in self.__dict__:  # its pass saw every voxel, and 0 is no label
+            labels = self.label_table[0]
+            return bool(not len(labels) or labels[0] > 0)
         # initial=0 gives an empty chunk a minimum, and leaves any other chunk's sign as it is
         return all(np.min(chunk, initial=0) >= 0 for _, chunk in _plane_chunks(self.data))
+
+    def _is_label_map_with_table(self) -> bool:
+        """``is_label_map()`` of a volume whose ``label_table`` is needed anyway.
+
+        An undecided integer volume is decided by building its table, so its
+        data are read once, not twice. The pass stops at the first chunk that
+        holds a negative voxel: a signed volume is not counted whole, and gets
+        no table.
+        """
+        undecided = "_is_label_map" not in self.__dict__ and "label_table" not in self.__dict__
+        if undecided and np.issubdtype(self.data.dtype, np.integer):
+            table = self._count_labels(stop_at_negative=True)
+            if table is None:
+                self.__dict__["_is_label_map"] = False
+            else:
+                self.__dict__["label_table"] = table
+        return self.is_label_map()
 
 
 def _plane_chunks(data):

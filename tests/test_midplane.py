@@ -364,8 +364,8 @@ class TestLabelTableBuilds:
 
         _write_cc_case(tmp_path)
         built = []
-        build = Volume.label_table.func
-        monkeypatch.setattr(Volume.label_table, "func", lambda vol: built.append(vol) or build(vol))
+        count = Volume._count_labels  # the one counting pass, whether ``label_table`` or the inputs check runs it
+        monkeypatch.setattr(Volume, "_count_labels", lambda vol, **kw: built.append(vol) or count(vol, **kw))
         if path == "plane":
             case = CaseSpec("c", str(tmp_path / "labels.nii"), str(tmp_path / "lm.json"), str(tmp_path / "plane.json"))
             cfg = RunConfig()
@@ -395,8 +395,8 @@ class TestTemplateOncePerProcess:
         _write_cc_case(tmp_path)
         monkeypatch.setattr(pipeline, "_template_memo", {})
         built = []
-        build = Volume.label_table.func
-        monkeypatch.setattr(Volume.label_table, "func", lambda vol: built.append(vol) or build(vol))
+        count = Volume._count_labels  # the one counting pass, whether ``label_table`` or the inputs check runs it
+        monkeypatch.setattr(Volume, "_count_labels", lambda vol, **kw: built.append(vol) or count(vol, **kw))
         for k in range(3):
             status = self._run(tmp_path, f"out{k}", tmp_path / "labels.nii")
             assert status["ok"], status

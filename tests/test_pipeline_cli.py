@@ -58,11 +58,15 @@ def _cfg(**kw):
 
 
 def _unusable_template(root, kind):
-    """A template that cannot be registered to: float data, the phantom's one
-    label, or three label balls on one line."""
+    """A template that cannot be registered to: float data, integers with one
+    negative voxel, the phantom's one label, or three label balls on one line."""
     vol, _ = rectangle_mask_volume()
     if kind == "float":
         vol = Volume(vol.data.astype(np.float32), vol.voxel_size, vol.affine)
+    elif kind == "signed":
+        data = vol.data.astype(np.int16)
+        data[-1, -1, -1] = -1
+        vol = Volume(data, vol.voxel_size, vol.affine)
     elif kind == "collinear":
         vol = label_ball_volume((24, 24, 24), [((6, 12, 12), 2, 1), ((12, 12, 12), 2, 2), ((18, 12, 12), 2, 3)])
     save_volume(vol, root / f"tpl_{kind}.nii")
@@ -77,6 +81,7 @@ def _subject_for(phantom_files, kind, tpl):
 
 UNUSABLE_TEMPLATES = [
     ("float", "must be an integer label map"),
+    ("signed", "must be an integer label map"),
     ("one_label", "shares 1 labels"),
     ("collinear", "collinear"),
 ]
@@ -146,6 +151,14 @@ class TestRunCase:
         stage = {s["name"]: s for s in status["stages"]}["midplane"]
         assert stage["status"] == "failed" and stage["error"].startswith("InputError: ")
         assert str(tpl) in stage["error"] and message in stage["error"]
+
+    def test_signed_labels_exit_2_naming_the_file(self, phantom_files, tmp_path, capsys):
+        labels = str(_unusable_template(tmp_path, "signed"))
+        argv = ["thickness", "--labels", labels, "--landmarks", str(phantom_files / "lm.json")]
+        argv += ["--plane", str(phantom_files / "plane.json"), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert f"labels volume {labels} must be an integer label map" in captured.out + captured.err
 
     def test_float_labels_exit_2_naming_the_file(self, phantom_files, tmp_path, capsys):
         labels = str(_unusable_template(tmp_path, "float"))
@@ -801,7 +814,7 @@ class TestCLI:
     @pytest.mark.parametrize(
         "role, kind, message",
         [("template", kind, message) for kind, message in UNUSABLE_TEMPLATES]
-        + [("subject", "float", "must be an integer label map")],
+        + [("subject", kind, "must be an integer label map") for kind in ("float", "signed")],
     )
     def test_midplane_unusable_input_exit_code_2(self, phantom_files, tmp_path, capsys, role, kind, message):
         bad = str(_unusable_template(tmp_path, kind))

@@ -573,10 +573,9 @@ class TestPrunedKernelsMatchAllPairs:
     def test_seed_points_match_all_pairs_filters(self, name):
         ref, spacing = _seeded_refiner(name)
         expected = _ref_seed_points(ref, spacing)
-        inserted = []
-        insert = ref.tr.insert
-        ref.tr.insert = lambda x, y, hint=None: (inserted.append((float(x), float(y))), insert(x, y, hint))[1]
+        before = len(ref.tr.fx)
         ref.seed_grid(spacing)
+        inserted = list(zip(ref.tr.fx[before:], ref.tr.fy[before:]))  # the points the call registered
         assert len(expected) > 20
         assert sorted(inserted) == sorted(expected)
 
@@ -752,6 +751,217 @@ class TestInsertionCost:
             [sys.executable, "-c", code], check=True, capture_output=True, text=True, env={"PYTHONPATH": src}
         )
         assert out.stdout.strip() == hashlib.sha256(off.encode()).hexdigest()
+
+
+# -- the whole-triangulation passes as array operations --
+
+
+def _reference_interior(ref):
+    """``_Refiner._interior`` as it was: a breadth-first flood over the dict of directed edges."""
+    blocked = set(ref.segs) | {(v, u) for u, v in ref.segs}
+    seeds = (ref.tr.edge2tri.get(seg) for seg in ref.segs)
+    order = list(dict.fromkeys(t for t in seeds if t is not None))
+    seen = set(order)
+    for t in order:  # the list grows while it is read
+        a, b, c = ref.tr.tris[t]
+        for u, v in ((a, b), (b, c), (c, a)):
+            if (u, v) in blocked:
+                continue
+            nb = ref.tr.edge2tri.get((v, u))
+            if nb is not None and nb not in seen:
+                seen.add(nb)
+                order.append(nb)
+    return order
+
+
+def _reference_bad(ref, tids):
+    """``_Refiner._bad`` as it was, gathering the corners as a list of tuples."""
+    tri = np.array([ref.tr.tris[t] for t in tids], dtype=np.int64).reshape(-1, 3)
+    fx = np.asarray(ref.tr.fx)[tri]
+    fy = np.asarray(ref.tr.fy)[tri]
+    ax, bx, cx = fx.T
+    ay, by, cy = fy.T
+    area = 0.5 * ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
+    l2a = (cx - bx) ** 2 + (cy - by) ** 2
+    l2b = (cx - ax) ** 2 + (cy - ay) ** 2
+    l2c = (bx - ax) ** 2 + (by - ay) ** 2
+    l2min = np.minimum(np.minimum(l2a, l2b), l2c)
+    denom = np.sqrt(np.where(l2min == l2a, l2b * l2c, np.where(l2min == l2b, l2a * l2c, l2a * l2b)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.clip(2.0 * area / denom, -1.0, 1.0)
+    ang = np.where(area <= 0, 0.0, np.degrees(np.arcsin(s)))
+    return (area > ref.max_area * (1.0 + 1e-12)) | (ang < ref.min_angle - 1e-9)
+
+
+def _reference_extract(ref, interior):
+    """``_Refiner.extract`` as it was, remapping the vertex ids through a set and a dict."""
+    tids = sorted(interior)
+    used = sorted({v for t in tids for v in ref.tr.tris[t]})
+    remap = {v: i for i, v in enumerate(used)}
+    verts = np.column_stack([np.asarray(ref.tr.fx)[used], np.asarray(ref.tr.fy)[used]])
+    tris = np.array([[remap[v] for v in ref.tr.tris[t]] for t in tids], dtype=np.int64)
+    on_boundary = {u for u, _ in ref.segs}
+    return TriMesh2D(verts, tris, np.array([v in on_boundary for v in used], dtype=bool))
+
+
+def _reference_register(tr, xy):
+    """Register the points one ``_add_point`` call at a time, as ``_Refiner`` and ``seed_grid`` did."""
+    return [tr._add_point(x, y)[0] for x, y in np.asarray(xy, dtype=float).tolist()]
+
+
+def _reference_presplit(ref, target_len):
+    """``_Refiner.presplit_long_segments`` as it was, measuring one segment at a time."""
+    changed = True
+    while changed:
+        changed = False
+        for seg in list(ref.segs.keys()):
+            if seg not in ref.segs:
+                continue
+            u, v = seg
+            L = np.hypot(ref.tr.fx[u] - ref.tr.fx[v], ref.tr.fy[u] - ref.tr.fy[v])
+            if L > 1.3 * target_len and ref._split(seg):
+                changed = True
+
+
+def _star_polygons(seed, count):
+    """Seeded polygons of 3-39 vertices, star-shaped about the origin (so simple), 1-2 mm from it."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        t = np.sort(rng.uniform(0.0, 2.0 * np.pi, int(rng.integers(3, 40))))
+        yield rng.uniform(1.0, 2.0, len(t))[:, None] * np.column_stack([np.cos(t), np.sin(t)])
+
+
+def _triangulator_state(tr):
+    return tr.fx, tr.fy, tr.ix, tr.iy, list(tr.by_int.items())
+
+
+def _checked_refine(ref):
+    """``ref.refine()``'s outcome, checking every round against the reference copies: each
+    flood, the quality of each flooded triangle, the bad list each round starts from and,
+    after the last round, the mesh. Returns (outcome, the bad list of each round)."""
+    interior, refine_pass = ref._interior, ref._refine_pass
+    rounds = []
+
+    def checked_interior():
+        got = interior()
+        assert got == _reference_interior(ref)
+        assert ref._bad(got).tolist() == _reference_bad(ref, got).tolist()
+        return got
+
+    def checked_pass(work, budget):
+        flood = _reference_interior(ref)
+        assert work == list(compress(flood, _reference_bad(ref, flood)))  # the round-end scan's list
+        rounds.append(list(work))
+        return refine_pass(work, budget)
+
+    ref._interior, ref._refine_pass = checked_interior, checked_pass
+    outcome = _outcome(ref.refine)
+    if not isinstance(outcome, str):
+        assert outcome == _reference_interior(ref) and not _reference_bad(ref, outcome).any()
+        got, expected = ref.extract(outcome), _reference_extract(ref, outcome)
+        for field in ("vertices", "triangles", "boundary_flags"):
+            a, b = getattr(got, field), getattr(expected, field)
+            assert a.dtype == b.dtype and np.array_equal(a, b), field
+    return outcome, rounds
+
+
+class TestArrayPasses:
+    """The flood, the quality scans, the mesh extraction and the bulk point
+    registration give what their one-object-at-a-time forms gave."""
+
+    @pytest.mark.parametrize("name", list(SEED_CASES))
+    def test_every_round_matches_reference(self, name):
+        outcome, rounds = _checked_refine(_built_refiner(name))
+        assert rounds[0]
+        assert isinstance(outcome, str) == (name == "seed104_m010")
+        assert len(rounds) == {"arch@0.25": 2, "seed209_m002": 5, "seed104_m010": 4}.get(name, 1)
+
+    @pytest.mark.parametrize("kind", ["walks", "stars"])
+    def test_random_polygons_match_reference(self, kind):
+        if kind == "walks":  # the simple ones among them
+            polygons = _random_polygons(5, 120)
+        else:
+            polygons = _star_polygons(6, 24)
+        meshed = 0
+        spacing = float(np.sqrt(0.05 * 4.0 / np.sqrt(3.0)))
+        for pts in polygons:
+            if first_self_intersection(pts) is not None or polygon_area(pts) == 0:
+                continue
+            ref = _Refiner(np.asarray(pts[::-1] if polygon_area(pts) < 0 else pts, dtype=float), 0.05, 20.0)
+            ref.initial_conformity()
+            ref.presplit_long_segments(spacing)
+            ref.seed_grid(spacing)
+            if isinstance(_outcome(ref.tr.build), str):  # Qhull leaves points out (CHANGES, FOUND)
+                continue
+            meshed += not isinstance(_checked_refine(ref)[0], str)
+        assert meshed >= {"walks": 5, "stars": 10}[kind]
+
+    @pytest.mark.parametrize("target", [0.05, 0.3])
+    def test_presplit_matches_reference(self, target):
+        split = 0
+        polygons = [SEED_CASES[name][0]().points for name in SEED_CASES] + list(_random_polygons(1, 200))
+        for pts in polygons:
+            if first_self_intersection(pts) is not None or polygon_area(pts) == 0:
+                continue
+            pts = np.asarray(pts[::-1] if polygon_area(pts) < 0 else pts, dtype=float)
+            ref, expected = _Refiner(pts, 0.1, 20.0), _Refiner(pts, 0.1, 20.0)
+            ref.presplit_long_segments(target)
+            _reference_presplit(expected, target)
+            assert list(ref.segs) == list(expected.segs) and ref.unsplittable == expected.unsplittable
+            assert _triangulator_state(ref.tr) == _triangulator_state(expected.tr)
+            split += len(ref.segs) > len(pts)
+        assert split >= 10
+
+    def test_seed_points_in_row_order(self):
+        """``seed_grid`` registers the points of the row-by-row all-pairs filters, in their order."""
+        l_shape = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 1.0], [1.25, 1.0], [1.25, 3.0], [0.0, 3.0]])
+        polygons = [SEED_CASES[name][0]().points for name in SEED_CASES] + [l_shape] + list(_star_polygons(7, 12))
+        seeded = 0
+        for pts in polygons:
+            if first_self_intersection(pts) is not None or polygon_area(pts) == 0:
+                continue
+            ref = _Refiner(np.asarray(pts[::-1] if polygon_area(pts) < 0 else pts, dtype=float), 0.1, 20.0)
+            spacing = 0.5  # the L's inner edge x = 1.25 holds candidates of the even rows
+            before = len(ref.tr.fx)
+            ref.seed_grid(spacing)
+            assert list(zip(ref.tr.fx[before:], ref.tr.fy[before:])) == _ref_seed_points(ref, spacing)
+            seeded += len(ref.tr.fx) > before
+        assert seeded >= 10
+
+    def test_registration_rounds_ties_half_to_even(self):
+        # bbox extent 1: the scale is 2**28, so these products are exactly k + 0.5
+        xy = np.column_stack([np.arange(-6, 6) + 0.5, 0.5 - np.arange(-6, 6)]) / 2.0**28
+        tr, expected = _Triangulator((0.0, 0.0), (1.0, 1.0)), _Triangulator((0.0, 0.0), (1.0, 1.0))
+        assert tr.scale == 2.0**28 and np.all(np.mod(xy * tr.scale, 1.0) == 0.5)
+        vids = tr._add_points(xy)
+        assert vids == _reference_register(expected, xy) == list(range(3, 3 + len(xy)))
+        assert _triangulator_state(tr) == _triangulator_state(expected)
+        assert tr.ix[3:] == [round(k + 0.5) for k in range(-6, 6)]  # -6, -4, -4, -2, -2, 0, 0, 2, ...
+
+    def test_registration_repeats_map_to_the_first_id(self):
+        rng = np.random.default_rng(11)
+        first = rng.uniform(0.0, 10.0, size=(20, 2))
+        # exact repeats, points within the snap of earlier ones, and points of the first call
+        batch = np.vstack([first[:5], rng.uniform(0.0, 10.0, size=(10, 2)), first[3:8] + 1e-12])
+        batch = np.vstack([batch, batch[5:9], batch[-2:] - 1e-12])
+        tr, expected = _Triangulator((0.0, 0.0), (10.0, 10.0)), _Triangulator((0.0, 0.0), (10.0, 10.0))
+        assert tr._add_points(first) == _reference_register(expected, first)
+        vids = tr._add_points(batch)
+        assert vids == _reference_register(expected, batch)
+        assert _triangulator_state(tr) == _triangulator_state(expected)
+        assert sorted(set(vids)) == list(range(3, 11)) + list(range(23, 33))  # 8 of the first call's, 10 new
+        assert tr._add_points(np.empty((0, 2))) == [] and _triangulator_state(tr) == _triangulator_state(expected)
+
+    @pytest.mark.parametrize("shift", [0.0, 1e-12])
+    def test_coincident_contour_points_raise(self, shift):
+        square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        poly = np.insert(square, 2, square[1] + shift, axis=0)  # vertex 1 again, or within its snap
+        with pytest.raises(ValueError, match="contour points coincide after snapping"):
+            _Refiner(poly, 0.1, 20.0)
+        ref = _Refiner(square, 0.1, 20.0)
+        assert list(ref.segs) == [(3, 4), (4, 5), (5, 6), (6, 3)]
+        assert ref._seg_arrays()[1].tolist() == [[0.5, 0.0], [1.0, 0.5], [0.5, 1.0], [0.0, 0.5]]
+        assert ref._seg_arrays()[2].tolist() == [0.25] * 4
 
 
 # -- the one-call build and its exact legalization --

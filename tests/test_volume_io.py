@@ -333,6 +333,47 @@ def test_is_label_map_scans_each_volume_once(monkeypatch):
     assert scanned == [24, 8]  # one scan per integer volume, none for floats
 
 
+def test_table_pass_decides_is_label_map(monkeypatch):
+    """A volume whose table is needed is read once: the table's pass answers ``is_label_map``."""
+    from ccmorph import volume
+
+    scanned, counted = [], []
+    real_min, real_chunk_table = np.min, volume._chunk_table
+    monkeypatch.setattr(np, "min", lambda a, *args, **kw: scanned.append(a.size) or real_min(a, *args, **kw))
+    monkeypatch.setattr(volume, "_chunk_table", lambda c, start: counted.append(start) or real_chunk_table(c, start))
+    monkeypatch.setattr(volume, "_TABLE_CHUNK_VOXELS", 12)  # one 3 x 4 plane a chunk
+    data = np.arange(24, dtype=np.int16).reshape(2, 3, 4) % 5
+
+    def vol(d):
+        return Volume(d, (1, 1, 1), np.eye(4))
+
+    labels = vol(data)
+    assert labels._is_label_map_with_table() and labels.is_label_map()
+    assert counted == [0, 1] and scanned == [] and "label_table" in labels.__dict__
+    table_first = vol(data)
+    assert table_first.label_table[0].tolist() == [1, 2, 3, 4]
+    assert table_first.is_label_map() and scanned == []  # a built table answers
+    assert vol(np.zeros((2, 3, 4), dtype=np.uint8))._is_label_map_with_table()  # no labels at all
+
+    signed = data.copy()
+    signed[0, 1, 2] = -3
+    counted.clear()
+    first = vol(signed)
+    assert not first._is_label_map_with_table() and not first.is_label_map()
+    assert counted == [0] and scanned == [] and "label_table" not in first.__dict__  # stopped at chunk 0
+    assert first.label_table[0].tolist() == [-3, 1, 2, 3, 4]  # the table itself still counts every voxel
+    counted.clear()
+    last = vol(signed[::-1].copy())
+    assert not last._is_label_map_with_table() and counted == [0, 1]
+
+    counted.clear()
+    assert not vol(data.astype(float))._is_label_map_with_table() and counted == []  # floats: no pass
+    scanned.clear()
+    scanned_first = vol(data)
+    assert scanned_first.is_label_map() and scanned == [12, 12]
+    assert scanned_first._is_label_map_with_table() and counted == []  # decided already: no table is forced
+
+
 # Seeded malformed files. Each must raise NiftiError from load_volume and
 # exit 2 (bad input) from every command that reads a volume. A header field
 # that is not finite is named in the message (the pattern to match).
