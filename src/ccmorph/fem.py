@@ -3,7 +3,10 @@
 Implements the cotangent stiffness matrix, Dirichlet and anchored Poisson
 solves, exact piecewise-linear gradients, the discrete divergence adjoint
 to the stiffness discretization (so that divergence(gradient(f)) == W @ f),
-and level-set extraction by marching triangles.
+and level-set extraction by marching triangles. The level sets of many
+levels come from one pass of array operations and one csgraph depth-first
+order, which serves both the midline's zero level set and the thickness
+profile's level paths.
 
 Scalar fields are plain per-vertex float arrays; triangle vector fields are
 (T, 2) arrays.
@@ -13,9 +16,11 @@ from __future__ import annotations
 
 import math
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.csgraph import depth_first_order
 from scipy.sparse.linalg import splu
 from scipy.spatial import cKDTree
 
@@ -211,68 +216,128 @@ def _barycentrics(tri, p):
     return out
 
 
-def _above_cut(level: float) -> float:
-    """The c for which x - level > c exactly when x, snapped, lies above ``level``.
+def _above_cuts(levels: np.ndarray) -> np.ndarray:
+    """The c for which x - level > c exactly when x, snapped, lies above each level.
 
     A value within _LEVEL_SNAP of the level snaps to level + _LEVEL_SNAP,
     which rounding can absorb; any other x is above when x - level >= _LEVEL_SNAP.
     """
-    return -_LEVEL_SNAP if level + _LEVEL_SNAP > level else math.nextafter(_LEVEL_SNAP, 0.0)
+    return np.where(levels + _LEVEL_SNAP > levels, -_LEVEL_SNAP, math.nextafter(_LEVEL_SNAP, 0.0))
 
 
-def _trace(mesh: TriMesh2D, values, level: float, tid: int):
-    """(first edge, component) of the level path of ``values`` through ``tid``, or None.
+class _LevelSets(NamedTuple):
+    """Every level-set component of a vertex field at some levels, from :func:`_level_sets`.
 
-    Reads and snaps only the visited vertices of ``values`` (fastest as a list).
-    Walks ``mesh.neighbors`` both ways from ``tid``. Edges are sorted vertex
-    pairs; an open path runs from its smaller end edge, a loop from its
-    smallest edge through the lower-numbered of that edge's two triangles.
+    Component c holds positions ``starts[c]`` to ``starts[c + 1]``: ``points``
+    are its ordered crossings, ``edges`` the sorted mesh edges they lie on,
+    and ``tris[i]`` the triangle between positions i and i + 1 (for a loop's
+    last position, the one back to its first).
     """
-    (t, nb), cut = mesh.adjacency_lists, _above_cut(level)
 
-    def crossed(s):  # (k, sorted edge) for each edge k -> k+1 of s the level crosses
-        a, b, c = t[s]
-        up_a, up_b, up_c = values[a] - level > cut, values[b] - level > cut, values[c] - level > cut
-        sides = ((0, a, b, up_a != up_b), (1, b, c, up_b != up_c), (2, c, a, up_c != up_a))
-        return [(k, (p, q) if p < q else (q, p)) for k, p, q, x in sides if x]
+    levels: np.ndarray  # sorted unique levels
+    points: np.ndarray
+    edges: np.ndarray
+    tris: np.ndarray
+    starts: np.ndarray
+    closed: np.ndarray
+    seg_keys: np.ndarray  # level index * T + triangle of every crossed (level, triangle), sorted
+    seg_comps: np.ndarray  # the component each one lies on
+    n_triangles: int
 
-    halves = []
-    for k, e in crossed(tid):  # none, or the two edges the path leaves tid by
-        edges, tris, s = [e], [], tid
-        while (nxt := nb[s][k]) not in (-1, tid):
-            k, e = next(c for c in crossed(nxt) if c[1] != edges[-1])
-            edges.append(e)
-            tris.append(nxt)
-            s = nxt
-        if nxt == tid:  # a loop: tris[i] lies between edges i and i + 1
-            tris.append(tid)
-            i = min(range(len(edges)), key=edges.__getitem__)
-            if tris[i] > tris[i - 1]:  # leave the smallest edge by its lower-numbered triangle
-                edges, tris, i = edges[::-1], tris[-2::-1] + tris[-1:], len(edges) - 1 - i
-            edges, tris = edges[i:] + edges[:i], tris[i:] + tris[:i]
-            break
-        halves.append((edges, tris))
-    else:
-        if not halves:
-            return None
-        (ea, ta), (eb, tb) = halves
-        edges, tris = eb[::-1] + ea, tb[::-1] + [tid] + ta
-        if edges[0] > edges[-1]:
-            edges, tris = edges[::-1], tris[::-1]
-    closed = nxt == tid
-    e = np.array(edges, dtype=np.int64)
-    w = np.array([(values[p], values[q]) for p, q in edges])
-    w[np.abs(w - level) < _LEVEL_SNAP] = level + _LEVEL_SNAP
+    def component(self, c: int) -> dict:
+        """Component ``c`` as a :func:`level_set_components` dict."""
+        a, b = int(self.starts[c]), int(self.starts[c + 1])
+        closed = bool(self.closed[c])
+        e = self.edges[a:b]
+        return {
+            "points": self.points[a:b],
+            "closed": closed,
+            "end_edges": None if closed else (tuple(e[0]), tuple(e[-1])),
+            "tri_ids": self.tris[a : b if closed else b - 1],
+        }
+
+    def find(self, levels, tids) -> np.ndarray:
+        """The component through triangle ``tids[k]`` at ``levels[k]`` (one of ``self.levels``), -1 where it is not crossed."""
+        key = np.searchsorted(self.levels, levels) * self.n_triangles + np.asarray(tids, dtype=np.int64)
+        if not len(self.seg_keys):
+            return np.full(key.shape, -1, dtype=np.int64)
+        at = np.minimum(np.searchsorted(self.seg_keys, key), len(self.seg_keys) - 1)
+        return np.where(self.seg_keys[at] == key, self.seg_comps[at], -1)
+
+
+def _level_sets(mesh: TriMesh2D, values: np.ndarray, levels) -> _LevelSets:
+    """All level-set components of ``values`` at every one of ``levels``, in one pass.
+
+    A triangle is crossed at a level when its vertices, snapped as in
+    :func:`level_set_components`, lie on both sides; only levels within
+    2e-12 of its value range can cross it, so one ``searchsorted`` of each
+    triangle's lowest and highest value shortlists them. Each crossed
+    (level, triangle) is a segment joining its two crossed (level, edge)
+    nodes, and one depth-first order of that graph orders every component:
+    a virtual root visits the path ends, then the other nodes, each in
+    (level, edge) order, and each node's row lists its segments by
+    triangle. So an open path runs from its smaller end edge, and a loop
+    from its smallest edge through the lower-numbered of that edge's
+    triangles. Open paths come before loops, each in (level, first edge)
+    order.
+    """
+    v = np.asarray(values, dtype=float)
+    t = mesh.triangles
+    n_v, n_t = len(v), len(t)
+    lv = np.unique(np.asarray(levels, dtype=float))
+    tv = v[t]
+    # rounding is monotone, so a level that crosses a triangle lies in [lo - 2e-12, hi + 2e-12]
+    j0 = np.searchsorted(lv, tv.min(axis=1) - 2 * _LEVEL_SNAP, "left")
+    n = np.searchsorted(lv, tv.max(axis=1) + 2 * _LEVEL_SNAP, "right") - j0
+    tri = np.repeat(np.arange(n_t), n)
+    lvl = np.arange(len(tri)) - np.repeat(np.cumsum(n) - n - j0, n)
+    up = tv[tri] - lv[lvl, None] > _above_cuts(lv)[lvl, None]
+    count = up.sum(axis=1)
+    keep = np.flatnonzero((count == 1) | (count == 2))
+    seg_keys = lvl[keep] * n_t + tri[keep]
+    order = np.argsort(seg_keys, kind="stable")
+    seg_keys, keep = seg_keys[order], keep[order]
+    tri, lvl, up = tri[keep], lvl[keep], up[keep]
+
+    # the two crossed edges k -> k + 1 of each segment, as (level, sorted edge) node keys
+    k = np.nonzero(up != np.roll(up, -1, axis=1))[1].reshape(-1, 2)
+    p, q = t[tri[:, None], k], t[tri[:, None], (k + 1) % 3]
+    edge = np.minimum(p, q) * n_v + np.maximum(p, q)
+    node_keys, node, deg = np.unique(lvl[:, None] * (n_v * n_v) + edge, return_inverse=True, return_counts=True)
+    node = node.reshape(-1, 2)
+    n_nodes = len(node_keys)
+    if n_nodes and deg.max() > 2:
+        raise ValueError("mesh edge shared by more than two triangles")
+    # each node's row lists its segments by triangle, then the root's row its children
+    half = np.lexsort((np.repeat(tri, 2), node.ravel()))
+    nbr, via = node[:, ::-1].ravel()[half], np.repeat(tri, 2)[half]
+    roots = np.concatenate([np.flatnonzero(deg == 1), np.flatnonzero(deg == 2)])
+    indptr = np.concatenate([[0], np.cumsum(deg), [len(half) + len(roots)]])
+    graph = sparse.csr_matrix(
+        (np.ones(len(half) + len(roots)), np.concatenate([nbr, roots]), indptr), shape=(n_nodes + 1,) * 2
+    )
+    walk, pred = depth_first_order(graph, n_nodes, directed=True, return_predecessors=True)
+    walk = walk[1:]
+    first = indptr[walk]
+    begins = pred[walk] == n_nodes
+    # the triangle each node is entered by; a component's start takes its loop's closing triangle
+    entered = np.where(nbr[first] == pred[walk], via[first], via[np.minimum(first + 1, len(half) - 1)])
+    starts = np.append(np.flatnonzero(begins), n_nodes)
+    closed = deg[walk[starts[:-1]]] == 2
+    tris = np.append(entered[1:], -1)
+    tris[starts[1:] - 1] = np.where(closed, entered[starts[:-1]], -1)
+
+    level = lv[node_keys[walk] // (n_v * n_v)]
+    e = node_keys[walk] % (n_v * n_v)
+    edges = np.column_stack([e // n_v, e % n_v])
+    w = v[edges]
+    w = np.where(np.abs(w - level[:, None]) < _LEVEL_SNAP, (level + _LEVEL_SNAP)[:, None], w)
     frac = (level - w[:, 0]) / (w[:, 1] - w[:, 0])
-    pts = (1.0 - frac)[:, None] * mesh.vertices[e[:, 0]] + frac[:, None] * mesh.vertices[e[:, 1]]
-    end_edges = None if closed else (tuple(e[0]), tuple(e[-1]))
-    return edges[0], {"points": pts, "closed": closed, "end_edges": end_edges, "tri_ids": np.array(tris)}
-
-
-def _level_path(mesh: TriMesh2D, values, level: float, tid: int):
-    """The :func:`level_set_components` component through triangle ``tid``, or None."""
-    path = _trace(mesh, values, level, tid)
-    return None if path is None else path[1]
+    points = (1.0 - frac)[:, None] * mesh.vertices[edges[:, 0]] + frac[:, None] * mesh.vertices[edges[:, 1]]
+    at = np.empty(n_nodes, dtype=np.int64)
+    at[walk] = np.arange(n_nodes)
+    comp_of = np.cumsum(begins) - 1
+    return _LevelSets(lv, points, edges, tris, starts, closed, seg_keys, comp_of[at[node[:, 0]]], n_t)
 
 
 def level_set_components(mesh: TriMesh2D, values: np.ndarray, level: float):
@@ -286,22 +351,17 @@ def level_set_components(mesh: TriMesh2D, values: np.ndarray, level: float):
       the endpoints lie on (None for loops),
     - ``tri_ids``: triangle index per segment.
 
-    Open paths come before loops, each in the order of their first edge.
-    Vertex values within 1e-12 of the level are nudged by +1e-12 so no
-    crossing is degenerate.
+    Open paths come before loops, each in the order of their first edge;
+    an open path runs from its smaller end edge, a loop from its smallest
+    edge through the lower-numbered of that edge's two triangles. Vertex
+    values within 1e-12 of the level are nudged by +1e-12 so no crossing
+    is degenerate.
     """
     v = np.asarray(values, dtype=float)
     if v.shape != (mesh.n_vertices,):
         raise ValueError("values must be per-vertex")
-    count = (v - level > _above_cut(level))[mesh.triangles].sum(axis=1)
-    vals, seen = v.tolist(), np.zeros(mesh.n_triangles, dtype=bool)
-    paths = []
-    for tid in np.flatnonzero((count == 1) | (count == 2)):
-        if not seen[tid]:
-            start, comp = _trace(mesh, vals, level, int(tid))
-            seen[comp["tri_ids"]] = True
-            paths.append((comp["closed"], start, comp))
-    return [comp for *_, comp in sorted(paths, key=lambda p: p[:2])]
+    sets = _level_sets(mesh, v, [level])
+    return [sets.component(c) for c in range(len(sets.closed))]
 
 
 def extract_level_set(mesh: TriMesh2D, values: np.ndarray, level: float):

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.csgraph import depth_first_order
 
 __all__ = ["TriMesh2D"]
 
@@ -136,34 +137,24 @@ class TriMesh2D:
         W.data.flags.writeable = W.indices.flags.writeable = W.indptr.flags.writeable = False
         return W
 
-    @functools.cached_property
-    def adjacency_lists(self) -> tuple:
-        """(triangles, neighbors) as nested Python lists, for walks that step one triangle at a time."""
-        return self.triangles.tolist(), self.neighbors.tolist()
-
     def boundary_edges(self) -> np.ndarray:
         """Directed boundary edges (u, v) with the interior to the left."""
         return self._directed_edges()[0][self.neighbors.T.ravel() == -1]
 
     def boundary_loop(self) -> np.ndarray:
-        """The ordered boundary vertex loop (single loop required)."""
-        be = self.boundary_edges()
-        nxt = {}
-        for u, v in be:
-            if u in nxt:
-                raise ValueError("mesh boundary is not a single simple loop")
-            nxt[int(u)] = int(v)
-        start = int(be[0, 0])
-        loop = [start]
-        cur = nxt[start]
-        while cur != start:
-            loop.append(cur)
-            cur = nxt[cur]
-            if len(loop) > len(be):
-                raise ValueError("mesh boundary is not a single simple loop")
-        if len(loop) != len(be):
+        """The ordered boundary vertex loop (single loop required), walked by one depth-first order."""
+        u, v = self.boundary_edges().T
+        if len(np.unique(u)) != len(u):
+            raise ValueError("mesh boundary is not a single simple loop")
+        nxt = np.full(self.n_vertices, -1, dtype=np.int64)
+        nxt[u] = v
+        walk = sparse.csr_matrix((np.ones(len(u)), (u, v)), shape=(self.n_vertices,) * 2)
+        loop = depth_first_order(walk, u[0], directed=True, return_predecessors=False).astype(np.int64)
+        if nxt[loop[-1]] != loop[0]:  # the walk ran into a dead end or a loop that misses its start
+            raise ValueError("mesh boundary is not a single simple loop")
+        if len(loop) != len(u):
             raise ValueError("mesh has more than one boundary loop")
-        return np.array(loop, dtype=np.int64)
+        return loop
 
     def euler_characteristic(self) -> int:
         return self.n_vertices - len(self.edges()) + self.n_triangles

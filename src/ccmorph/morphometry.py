@@ -267,10 +267,10 @@ def thickness_profile(mesh: TriMesh2D, f: np.ndarray, line: Polyline, n: int) ->
 
     Rotates the gradients of the Laplace solution by 90 degrees, solves the
     Poisson equation for the conjugate field g, and measures the length of
-    the level path of g through each interior line sample, traced through
-    the triangle adjacency both ways from the triangle holding the sample
-    (the level-set component that crosses that triangle). A level path
-    that does not span from the inferior to the superior boundary is
+    the level path of g through each interior line sample: the level-set
+    component that crosses the triangle holding the sample. One
+    ``fem._level_sets`` pass gives the components of all sample levels.
+    A level path that does not span from the inferior to the superior boundary is
     flagged invalid (NaN) rather than interpolated.
     """
     if len(line.points) != n + 2:
@@ -280,13 +280,14 @@ def thickness_profile(mesh: TriMesh2D, f: np.ndarray, line: Polyline, n: int) ->
     thickness = np.full(n, np.nan)
     valid = np.zeros(n, dtype=bool)
     tids, barys = fem._locate_all(mesh, line.points[1:-1])
-    g_list = g_field.tolist()  # the level paths read it one vertex at a time
-    for k, (tid, bary) in enumerate(zip(tids.tolist(), barys)):
-        level = float(g_field[mesh.triangles[tid]] @ bary)
-        path = fem._level_path(mesh, g_list, level, tid)
-        if path is None or not spans_inferior_superior(f, path):
+    # the stacked product gives each sample level the bits of g[t[tid]] @ bary
+    levels = np.matmul(g_field[mesh.triangles[tids]][:, None, :], barys[:, :, None])[:, 0, 0]
+    paths = fem._level_sets(mesh, g_field, levels)
+    seg = np.linalg.norm(np.diff(paths.points, axis=0), axis=1)
+    for k, c in enumerate(paths.find(levels, tids).tolist()):
+        if c < 0 or not spans_inferior_superior(f, paths.component(c)):
             continue
-        thickness[k] = polyline_length(path["points"])
+        thickness[k] = seg[paths.starts[c] : paths.starts[c + 1] - 1].sum()  # polyline_length's bits
         valid[k] = thickness[k] > 0
 
     length, curvature = length_and_curvature(line)

@@ -1,12 +1,14 @@
 import functools
+import math
 
 import numpy as np
 import pytest
 
 from ccmorph import fem
 from ccmorph import morphometry as mo
+from ccmorph.contour import polyline_length
 from ccmorph.mesh import TriMesh2D
-from ccmorph.phantoms import half_annulus_contour, rectangle_grid_mesh
+from ccmorph.phantoms import half_annulus_contour, half_annulus_landmarks, rectangle_grid_mesh
 from ccmorph.triangulate import triangulate
 
 
@@ -341,6 +343,55 @@ def _reference_level_set_components(mesh, values, level):
     return comps
 
 
+def _reference_trace(mesh, values, level, tid):
+    """The per-triangle walk that ``fem._level_sets`` replaced: the component through ``tid``, or None.
+
+    Walks ``mesh.neighbors`` both ways from ``tid``. Edges are sorted vertex
+    pairs; an open path runs from its smaller end edge, a loop from its
+    smallest edge through the lower-numbered of that edge's two triangles.
+    """
+    t, nb = mesh.triangles.tolist(), mesh.neighbors.tolist()
+    cut = -1e-12 if level + 1e-12 > level else math.nextafter(1e-12, 0.0)
+
+    def crossed(s):  # (k, sorted edge) for each edge k -> k+1 of s the level crosses
+        a, b, c = t[s]
+        up_a, up_b, up_c = values[a] - level > cut, values[b] - level > cut, values[c] - level > cut
+        sides = ((0, a, b, up_a != up_b), (1, b, c, up_b != up_c), (2, c, a, up_c != up_a))
+        return [(k, (p, q) if p < q else (q, p)) for k, p, q, x in sides if x]
+
+    halves = []
+    for k, e in crossed(tid):  # none, or the two edges the path leaves tid by
+        edges, tris, s = [e], [], tid
+        while (nxt := nb[s][k]) not in (-1, tid):
+            k, e = next(c for c in crossed(nxt) if c[1] != edges[-1])
+            edges.append(e)
+            tris.append(nxt)
+            s = nxt
+        if nxt == tid:  # a loop: tris[i] lies between edges i and i + 1
+            tris.append(tid)
+            i = min(range(len(edges)), key=edges.__getitem__)
+            if tris[i] > tris[i - 1]:  # leave the smallest edge by its lower-numbered triangle
+                edges, tris, i = edges[::-1], tris[-2::-1] + tris[-1:], len(edges) - 1 - i
+            edges, tris = edges[i:] + edges[:i], tris[i:] + tris[:i]
+            break
+        halves.append((edges, tris))
+    else:
+        if not halves:
+            return None
+        (ea, ta), (eb, tb) = halves
+        edges, tris = eb[::-1] + ea, tb[::-1] + [tid] + ta
+        if edges[0] > edges[-1]:
+            edges, tris = edges[::-1], tris[::-1]
+    closed = nxt == tid
+    e = np.array(edges, dtype=np.int64)
+    w = np.array([(values[p], values[q]) for p, q in edges])
+    w[np.abs(w - level) < 1e-12] = level + 1e-12
+    frac = (level - w[:, 0]) / (w[:, 1] - w[:, 0])
+    pts = (1.0 - frac)[:, None] * mesh.vertices[e[:, 0]] + frac[:, None] * mesh.vertices[e[:, 1]]
+    end_edges = None if closed else (tuple(e[0]), tuple(e[-1]))
+    return {"points": pts, "closed": closed, "end_edges": end_edges, "tri_ids": np.array(tris)}
+
+
 def _same_component(a, b):
     return (
         np.array_equal(a["points"], b["points"])
@@ -348,6 +399,16 @@ def _same_component(a, b):
         and a["end_edges"] == b["end_edges"]
         and np.array_equal(a["tri_ids"], b["tri_ids"])
     )
+
+
+def _paths(mesh, values, levels, tids):
+    """``fem._level_sets`` for many (level, triangle) samples in one call: a component dict or None each."""
+    sets = fem._level_sets(mesh, values, levels)
+    return [None if c < 0 else sets.component(c) for c in sets.find(levels, tids).tolist()]
+
+
+def _agree(got, want):
+    return (got is None) == (want is None) and (got is None or _same_component(got, want))
 
 
 @pytest.fixture(scope="module")
@@ -395,11 +456,37 @@ class TestLevelPathTracing:
         level = float(np.quantile(f, 0.02 if kind == "radial" else 0.5))
         comps = fem.level_set_components(mesh, f, level)
         assert any(c["closed"] for c in comps) == (kind != "linear")
-        for c in comps:
-            for tid in c["tri_ids"]:
-                assert _same_component(fem._level_path(mesh, f, level, int(tid)), c)
-        uncrossed = np.setdiff1d(np.arange(mesh.n_triangles), np.concatenate([c["tri_ids"] for c in comps]))
-        assert fem._level_path(mesh, f, level, int(uncrossed[0])) is None
+        tids = np.concatenate([c["tri_ids"] for c in comps])
+        uncrossed = np.setdiff1d(np.arange(mesh.n_triangles), tids)
+        got = _paths(mesh, f, np.full(len(tids) + 1, level), np.append(tids, uncrossed[0]))
+        want = [c for c in comps for _ in c["tri_ids"]]
+        assert all(_same_component(a, b) for a, b in zip(got, want))
+        assert got[-1] is None  # a triangle the level misses
+
+    @pytest.mark.parametrize("kind", ["radial", "linear", "random"])
+    @pytest.mark.parametrize("name", ["grid", "annulus", "arch"])
+    def test_many_samples_match_reference_walk(self, trace_meshes, name, kind):
+        # many levels in one call, repeated levels among them, each sample at a random triangle
+        # or at one the level crosses; the random field has several components per level
+        mesh = trace_meshes[name]
+        f = _field(mesh, kind)
+        rng = np.random.default_rng(21)
+        levels = np.repeat(np.quantile(f, np.linspace(0.01, 0.99, 40)), 2)
+        levels = np.concatenate([levels, f[rng.choice(len(f), 10)]])
+        lo, hi = f[mesh.triangles].min(axis=1), f[mesh.triangles].max(axis=1)
+        tids = np.array(
+            [rng.choice(np.flatnonzero((lo < x) & (hi > x))) if k % 3 else rng.integers(mesh.n_triangles)
+             for k, x in enumerate(levels)]
+        )
+        got = _paths(mesh, f, levels, tids)
+        want = [_reference_trace(mesh, f.tolist(), float(x), int(tid)) for x, tid in zip(levels, tids)]
+        assert all(_agree(a, b) for a, b in zip(got, want))
+        assert sum(w is None for w in want) > 0 and sum(w is not None for w in want) > 40
+        if kind == "radial":
+            assert any(w is not None and w["closed"] for w in want)
+        if kind == "random":
+            per_level = fem._level_sets(mesh, f, levels[:1])
+            assert len(per_level.closed) > 1
 
 
 class TestLevelAtVertexValue:
@@ -407,19 +494,41 @@ class TestLevelAtVertexValue:
     def test_traces_as_the_reference_tracer(self, trace_meshes, offset):
         mesh = trace_meshes["annulus"]
         f = _field(mesh, "linear") + offset
+        levels, tids, wants = [], [], []
         for k in (len(f) // 3, len(f) // 2):
             level = float(f[k])  # a sample level exactly equal to a vertex value
             ref = _reference_level_set_components(mesh, f, level)
             got = fem.level_set_components(mesh, f, level)
             assert len(got) == len(ref) and all(_same_component(a, b) for a, b in zip(got, ref))
-            crossed = 0
             for tid in np.flatnonzero((mesh.triangles == k).any(axis=1)).tolist():
                 want = next((c for c in ref if tid in c["tri_ids"]), None)
-                crossed += want is not None
-                for values in (f, f.tolist()):
-                    path = fem._level_path(mesh, values, level, tid)
-                    assert path is None if want is None else _same_component(path, want)
-            assert crossed > 0
+                assert _agree(_reference_trace(mesh, f.tolist(), level, tid), want)
+                levels.append(level)
+                tids.append(tid)
+                wants.append(want)
+        assert 0 < sum(w is None for w in wants) < len(wants)
+        got = _paths(mesh, f, np.array(levels), np.array(tids))
+        assert all(_agree(a, b) for a, b in zip(got, wants))
+
+
+class TestThicknessMatchesReferenceWalk:
+    @pytest.mark.parametrize("name", ["annulus", "arch"])
+    def test_all_samples(self, trace_meshes, name):
+        mesh = trace_meshes[name]
+        lm = half_annulus_landmarks(22.0, 30.0) if name == "arch" else half_annulus_landmarks()
+        line, f = mo.intercallosal_line(mesh, lm, 100)
+        prof = mo.thickness_profile(mesh, f, line, 100)
+        # the per-sample loop thickness_profile ran before one call served all samples
+        g = mo.conjugate_field(mesh, f, line)
+        tids, barys = fem._locate_all(mesh, line.points[1:-1])
+        want = np.full(100, np.nan)
+        for k, (tid, bary) in enumerate(zip(tids.tolist(), barys)):
+            level = float(g[mesh.triangles[tid]] @ bary)
+            path = _reference_trace(mesh, g.tolist(), level, tid)
+            if path is not None and mo.spans_inferior_superior(f, path):
+                want[k] = polyline_length(path["points"])
+        assert np.array_equal(prof.thickness_mm, want, equal_nan=True)
+        assert prof.valid.sum() > 90
 
 
 def _barycentric(tri, p):
