@@ -26,8 +26,9 @@ digest differs, is missing or is extra, and exits 1 if there is any:
 When a change moves mesh bytes on purpose, ``--compare`` says by how much
 the measured values moved between two kept work directories: each
 ``summary.json`` field's largest relative difference over the cases, the
-largest per-sample ``profile.csv`` difference, and every case's mesh
-vertex/triangle counts:
+largest per-sample ``profile.csv`` difference, every case's mesh
+vertex/triangle counts and, over the cases whose counts match, the largest
+absolute ``laplace.csv`` and ``line.csv`` value differences:
 
     PYTHONPATH=A/src python3 scripts/output_digest.py a.json --work wa
     PYTHONPATH=B/src python3 scripts/output_digest.py b.json --work wb
@@ -148,6 +149,10 @@ def _profile(path: Path) -> np.ndarray:
     return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
 
 
+# per-vertex and per-sample outputs whose values --compare reports when a case's mesh counts match
+FIELDS = ("laplace.csv", "line.csv")
+
+
 def _mesh_counts(path: Path) -> tuple:
     with path.open() as f:
         f.readline()  # OFF
@@ -163,6 +168,8 @@ def compare(work_a: Path, work_b: Path) -> list:
     cases = sorted(cases_a & cases_b)
     worst = {}  # summary field -> (relative difference, case)
     prof_rel, prof_abs, prof_at = 0.0, 0.0, "-"  # largest per-sample profile differences
+    fields = {name: (0.0, "-") for name in FIELDS}  # largest absolute difference, and where
+    same_counts = 0
     meshes = []
     for case in cases:
         a, b = work_a / "out" / case, work_b / "out" / case
@@ -183,6 +190,17 @@ def compare(work_a: Path, work_b: Path) -> list:
                 if 0.0 < rel < math.inf:
                     prof_abs = max(prof_abs, abs(ta - tb))
         meshes.append((case, _mesh_counts(a / "mesh.off"), _mesh_counts(b / "mesh.off")))
+        if meshes[-1][1] != meshes[-1][2]:
+            continue
+        same_counts += 1
+        for name in FIELDS:
+            fa, fb = _profile(a / name), _profile(b / name)
+            if fa.shape != fb.shape:
+                lines.append(f"{name} shapes differ: {case}")
+                continue
+            d = float(np.abs(fa - fb).max(initial=0.0))
+            if d > fields[name][0]:
+                fields[name] = (d, str(case))
 
     lines.append(f"summary.json, largest relative difference over {len(cases)} cases:")
     lines += [f"  {key:24s} {rel:.2e}  {case}" for key, (rel, case) in worst.items()]
@@ -190,6 +208,8 @@ def compare(work_a: Path, work_b: Path) -> list:
         f"profile.csv thickness_mm: largest relative difference {prof_rel:.2e} ({prof_at}), "
         f"largest absolute {prof_abs:.2e} mm"
     )
+    lines.append(f"largest absolute difference over the {same_counts} cases whose mesh counts match:")
+    lines += [f"  {name:24s} {d:.2e}  {case}" for name, (d, case) in fields.items()]
     lines.append("mesh.off vertices/triangles:")
     lines += [f"  {str(case):24s} {va}/{ta} -> {vb}/{tb}" for case, (va, ta), (vb, tb) in meshes]
     return lines

@@ -67,33 +67,43 @@ def solve_dirichlet(mesh: TriMesh2D, fixed) -> np.ndarray:
     ``fixed`` is a sequence of (vertex_index, value) pairs. The reduced
     system is solved with a direct sparse factorization; the maximum
     principle holds on Delaunay meshes, so interior values stay inside
-    [min fixed, max fixed].
+    [min fixed, max fixed]. A mesh part with no fixed vertex raises
+    ValueError.
     """
     fixed = list(fixed)
     if not fixed:
         raise ValueError("need at least one fixed vertex")
-    return _solve_reduced(stiffness_matrix(mesh), np.zeros(mesh.n_vertices), fixed)
+    return _solve_reduced(mesh, np.zeros(mesh.n_vertices), fixed)
 
 
-def _solve_reduced(W: sparse.csr_matrix, h: np.ndarray, fixed) -> np.ndarray:
+def _solve_reduced(mesh: TriMesh2D, h: np.ndarray, fixed) -> np.ndarray:
     """Solve (W @ u)[free] = h[free] for u, holding the (vertex, value) pairs.
 
-    The reduced right-hand side is h[free] - W[free][:, fixed] @ u[fixed];
-    a direct sparse factorization solves it. A singular reduced system (a
-    mesh part with no fixed vertex) raises ValueError.
+    The reduced right-hand side is h[free] - W[free][:, fixed] @ u[fixed].
+    A mesh part with no fixed vertex leaves the reduced system singular and
+    raises ValueError before any factoring. The free vertices take the
+    mesh's one reverse Cuthill-McKee order, and SuperLU factors the reduced
+    matrix, symmetric positive definite, in that order without pivoting.
     """
+    W = stiffness_matrix(mesh)
+    perm, part = mesh._solve_order
     vals = np.zeros(len(h))
     is_fixed = np.zeros(len(h), dtype=bool)
     for v, val in fixed:
         is_fixed[v] = True
         vals[v] = val
-    free = np.nonzero(~is_fixed)[0]
+    loose = np.setdiff1d(part, part[is_fixed])
+    if loose.size:
+        v = int(np.flatnonzero(part == loose[0])[0])
+        raise ValueError(f"singular reduced system: the mesh part of vertex {v} has no fixed vertex")
+    free = perm[~is_fixed[perm]]
     if free.size == 0:
         return vals
     W_free = W[free]
     rhs = h[free] - W_free[:, is_fixed] @ vals[is_fixed]
     try:
-        sol = splu(W_free[:, free].tocsc()).solve(rhs)
+        lu = splu(W_free[:, free].tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0, options={"SymmetricMode": True})
+        sol = lu.solve(rhs)
     except RuntimeError as e:
         raise ValueError(f"singular reduced system: {e}") from None
     if not np.all(np.isfinite(sol)):
@@ -146,7 +156,7 @@ def solve_poisson(mesh: TriMesh2D, h: np.ndarray, anchor) -> np.ndarray:
     h = np.asarray(h, dtype=float)
     if h.shape != (mesh.n_vertices,):
         raise ValueError("h must be per-vertex")
-    return _solve_reduced(stiffness_matrix(mesh), h, [anchor])
+    return _solve_reduced(mesh, h, [anchor])
 
 
 def interpolate(mesh: TriMesh2D, values: np.ndarray, points: np.ndarray) -> np.ndarray:

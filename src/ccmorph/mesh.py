@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import depth_first_order
+from scipy.sparse.csgraph import connected_components, depth_first_order, reverse_cuthill_mckee
 
 __all__ = ["TriMesh2D"]
 
@@ -136,6 +136,18 @@ class TriMesh2D:
         W.sum_duplicates()
         W.data.flags.writeable = W.indices.flags.writeable = W.indptr.flags.writeable = False
         return W
+
+    @functools.cached_property
+    def _solve_order(self) -> tuple:
+        """Reverse Cuthill-McKee order of ``_stiffness``'s graph and each vertex's connected part, on first use.
+
+        A vertex in no triangle has an empty row, so it is a part of its own.
+        """
+        W = self._stiffness
+        perm = reverse_cuthill_mckee(W, symmetric_mode=True).astype(np.int64)
+        part = connected_components(W, directed=False)[1]
+        perm.flags.writeable = part.flags.writeable = False
+        return perm, part
 
     def boundary_edges(self) -> np.ndarray:
         """Directed boundary edges (u, v) with the interior to the left."""

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from ccmorph import fem
 from ccmorph import morphometry as mo
@@ -68,13 +69,14 @@ def _count_builds(monkeypatch, name):
 
 class TestOneAssemblyPerMesh:
     def test_thickness_case_builds_each_operator_once(self, rect_case, monkeypatch):
-        built = {name: _count_builds(monkeypatch, name) for name in ("_hat_gradients", "_stiffness")}
+        names = ("_hat_gradients", "_stiffness", "_solve_order")
+        built = {name: _count_builds(monkeypatch, name) for name in names}
         m = rect_case["mesh"]
         mesh = TriMesh2D(m.vertices, m.triangles, m.boundary_flags)  # a new mesh: nothing built yet
         line, f = mo.intercallosal_line(mesh, rect_case["lm"], 100)
         profile = mo.thickness_profile(mesh, f, line, 100)
-        # two solves, the gradient and the divergence all read one copy
-        assert {name: len(meshes) for name, meshes in built.items()} == {"_hat_gradients": 1, "_stiffness": 1}
+        # two solves, the gradient and the divergence all read one copy; both solves one ordering
+        assert {name: len(meshes) for name, meshes in built.items()} == dict.fromkeys(names, 1)
         assert profile.valid.sum() > 90
 
     def test_stored_operators_are_read_only(self, unit_square_two_tris):
@@ -82,7 +84,7 @@ class TestOneAssemblyPerMesh:
         W = fem.stiffness_matrix(mesh)
         assert fem.stiffness_matrix(mesh) is W
         g, areas = mesh._hat_gradients
-        for arr in (g, areas, W.data, W.indices, W.indptr):
+        for arr in (g, areas, W.data, W.indices, W.indptr, *mesh._solve_order):
             assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             W[0, 0] = 2.0
@@ -212,6 +214,73 @@ class TestPoisson:
         mesh = TriMesh2D(verts, np.array([[0, 1, 2], [3, 4, 5]]), np.ones(6, dtype=bool))
         with pytest.raises(ValueError, match="singular reduced system"):
             fem.solve_poisson(mesh, np.zeros(6), (0, 0.0))
+
+
+def _two_parts():
+    """Two copies of a half-annulus mesh 100 mm apart: vertices of the second part come after the first's."""
+    one = triangulate(half_annulus_contour(), 1.0)
+    n = one.n_vertices
+    verts = np.vstack([one.vertices, one.vertices + [100.0, 0.0]])
+    return TriMesh2D(verts, np.vstack([one.triangles, one.triangles + n]), np.tile(one.boundary_flags, 2)), n
+
+
+class TestPartWithoutFixedVertex:
+    """Every connected part of the mesh needs a fixed vertex; the check runs before any factoring."""
+
+    def test_poisson_zero_mean_rhs(self):
+        mesh, _ = _two_parts()
+        h = np.random.default_rng(4).standard_normal(mesh.n_vertices)
+        with pytest.raises(ValueError, match="singular reduced system: the mesh part of vertex"):
+            fem.solve_poisson(mesh, h - h.mean(), (0, 0.0))
+
+    def test_poisson_rhs_consistent_on_each_part(self):
+        mesh, _ = _two_parts()
+        h = fem.stiffness_matrix(mesh) @ np.random.default_rng(6).standard_normal(mesh.n_vertices)
+        with pytest.raises(ValueError, match="singular reduced system"):
+            fem.solve_poisson(mesh, h, (0, 0.0))
+
+    def test_dirichlet_with_one_part_fixed(self):
+        mesh, n = _two_parts()
+        fixed = [(int(v), float(v % 2)) for v in np.flatnonzero(mesh.boundary_flags[:n])]
+        with pytest.raises(ValueError, match="singular reduced system"):
+            fem.solve_dirichlet(mesh, fixed)
+        both = fixed + [(v + n, val) for v, val in fixed]
+        u = fem.solve_dirichlet(mesh, both)
+        assert np.array_equal(u[:n], u[n:]) or np.abs(u[:n] - u[n:]).max() < 1e-12
+
+    def test_vertex_in_no_triangle_is_a_part(self, unit_square_two_tris):
+        m = unit_square_two_tris
+        mesh = TriMesh2D(np.vstack([m.vertices, [[5.0, 5.0]]]), m.triangles, np.ones(5, dtype=bool))
+        with pytest.raises(ValueError, match="the mesh part of vertex 4 has no fixed vertex"):
+            fem.solve_dirichlet(mesh, [(0, 0.0), (2, 1.0)])
+        u = fem.solve_dirichlet(mesh, [(0, 0.0), (2, 1.0), (4, 7.0)])
+        assert u[4] == 7.0 and np.abs(u[[1, 3]] - 0.5).max() < 1e-12
+
+
+def _colamd_reference(mesh, h, fixed):
+    """The reduced solve with SuperLU's default COLAMD order and partial pivoting."""
+    W = fem.stiffness_matrix(mesh)
+    u = np.zeros(mesh.n_vertices)
+    idx = np.array([v for v, _ in fixed])
+    u[idx] = [val for _, val in fixed]
+    free = np.setdiff1d(np.arange(mesh.n_vertices), idx)
+    u[free] = splu(W[free][:, free].tocsc()).solve(h[free] - W[free][:, idx] @ u[idx])
+    return u
+
+
+class TestReverseCuthillMcKeeSolves:
+    @pytest.mark.parametrize("name", ["grid", "annulus", "arch"])
+    def test_agree_with_colamd_reference(self, trace_meshes, name):
+        mesh = trace_meshes[name]
+        bnd = np.flatnonzero(mesh.boundary_flags)
+        fixed = [(int(v), float(np.sign(mesh.vertices[v, 0] - mesh.vertices[:, 0].mean()))) for v in bnd]
+        got = fem.solve_dirichlet(mesh, fixed)
+        want = _colamd_reference(mesh, np.zeros(mesh.n_vertices), fixed)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        h = fem.divergence(mesh, fem.rotate90(fem.gradient(mesh, got)))
+        got = fem.solve_poisson(mesh, h, (int(bnd[0]), 0.0))
+        want = _colamd_reference(mesh, h, [(int(bnd[0]), 0.0)])
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestLevelSets:
