@@ -33,7 +33,7 @@ from .morphometry import (
 )
 from .subseg import SubsegScheme, subsegment
 from .transforms import Landmarks, Plane, acpc_standardize
-from .triangulate import triangulate
+from .triangulate import SmallAngleError, triangulate
 from .volume import NiftiError, Volume, load_volume
 
 __all__ = [
@@ -297,7 +297,10 @@ def run_case(case: CaseSpec, cfg: RunConfig, out_dir=None) -> dict:
         )
         state["contour"] = contour
         write_atomic(out / "contour.csv", contour.to_csv())
-        state["mesh"] = triangulate(contour, cfg.max_area_mm2, cfg.min_angle_deg)
+        try:
+            state["mesh"] = triangulate(contour, cfg.max_area_mm2, cfg.min_angle_deg)
+        except SmallAngleError as e:
+            raise InputError(f"unusable labels file {case.labels}: {e}") from None
         write_atomic(out / "mesh.off", state["mesh"].to_off())
 
     def s_thickness():

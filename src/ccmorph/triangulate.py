@@ -776,6 +776,27 @@ class _Refiner:
         return TriMesh2D(verts, tris.reshape(-1, 3), flags)
 
 
+class SmallAngleError(ValueError):
+    """A contour corner is sharper than ``min_angle_deg``: every triangle at it has a smaller angle, so no mesh meets the bound."""
+
+
+def _check_corners(pts: np.ndarray, orientation: float, min_angle_deg: float) -> None:
+    """Raise ``SmallAngleError`` for the first vertex whose interior angle is below ``min_angle_deg``.
+
+    ``orientation`` is +1 for a counter-clockwise contour and -1 for a
+    clockwise one; the tolerance is ``_Refiner._bad``'s.
+    """
+    to_next, to_prev = np.roll(pts, -1, axis=0) - pts, np.roll(pts, 1, axis=0) - pts
+    cross = to_next[:, 0] * to_prev[:, 1] - to_next[:, 1] * to_prev[:, 0]
+    angle = np.degrees(np.arctan2(orientation * cross, (to_next * to_prev).sum(axis=1))) % 360.0
+    sharp = np.flatnonzero(angle < min_angle_deg - 1e-9)
+    if sharp.size:
+        raise SmallAngleError(
+            f"contour vertex {int(sharp[0])} has an interior angle of {angle[sharp[0]]:.4g} deg, below "
+            f"min_angle_deg {min_angle_deg:g}: no mesh can keep its angles at or above it"
+        )
+
+
 def triangulate(contour: Polyline, max_area_mm2: float, min_angle_deg: float = 20.0) -> TriMesh2D:
     """Constrained quality triangulation of a simple closed contour.
 
@@ -789,6 +810,10 @@ def triangulate(contour: Polyline, max_area_mm2: float, min_angle_deg: float = 2
     ValueError
         For open, self-intersecting, or degenerate contours; the
         self-intersection error names the first intersecting segment pair.
+    SmallAngleError
+        A ``ValueError`` raised before any point is inserted when a contour
+        vertex's interior angle is below ``min_angle_deg``; it names the
+        vertex, its angle and the bound.
     """
     if not isinstance(contour, Polyline) or not contour.closed:
         raise ValueError("triangulate requires a closed contour")
@@ -803,6 +828,7 @@ def triangulate(contour: Polyline, max_area_mm2: float, min_angle_deg: float = 2
     area = polygon_area(pts)
     if area == 0:
         raise ValueError("contour encloses zero area")
+    _check_corners(pts, np.sign(area), min_angle_deg)
     if area < 0:
         pts = pts[::-1]
 

@@ -7,6 +7,7 @@ import pytest
 
 from ccmorph.cli import main
 from ccmorph.config import RunConfig, parse_config_file
+from ccmorph.contour import Polyline
 from ccmorph.pipeline import CaseSpec, InputError, run_batch, run_case, run_eval, run_stats
 from ccmorph.phantoms import arch_mask_volume, label_ball_volume, rectangle_mask_volume
 from ccmorph.transforms import Landmarks, Plane
@@ -217,6 +218,23 @@ class TestRunCase:
         out = capsys.readouterr().out
         assert "] thickness: failed" in out
         assert f"InputError: unusable landmark file {lm}: anterior and posterior endpoints are adjacent" in out
+
+    def test_sharp_contour_exits_2_naming_the_file(self, arch_files, tmp_path, capsys, monkeypatch):
+        # no smoothed mask gives a corner below 20 deg, so the mesher is handed a sharp triangle instead
+        import ccmorph.pipeline as pipeline
+
+        sharp = Polyline(np.array([[0.0, 10.0], [-2.5, 10.0], [-10.0, 0.0]]), closed=True)
+        real = pipeline.triangulate
+        monkeypatch.setattr(pipeline, "triangulate", lambda contour, *args: real(sharp, *args))
+        plane = tmp_path / "plane.json"
+        plane.write_text(Plane(np.array([1.0, 0.0, 0.0]), 0.0).to_json())
+        labels = arch_files / "labels.nii"
+        argv = ["thickness", "--labels", str(labels), "--landmarks", str(arch_files / "lm.json")]
+        argv += ["--plane", str(plane), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        out = capsys.readouterr().out
+        assert "] mask2mesh: failed" in out
+        assert f"InputError: unusable labels file {labels}: contour vertex 2 has an interior angle of 8.13 deg" in out
 
     @pytest.mark.parametrize("path", ["plane", "template"])
     def test_plane_missing_the_volume_exits_2_naming_the_file(self, arch_files, tmp_path, capsys, path):

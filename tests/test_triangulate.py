@@ -14,7 +14,7 @@ from ccmorph import Landmarks2D, intercallosal_line, thickness_profile
 from ccmorph.contour import Mask2D, Polyline, extract_contour, polygon_area, smooth_mask
 from ccmorph.mesh import TriMesh2D
 from ccmorph.phantoms import arch_mask_volume, half_annulus_contour
-from ccmorph.triangulate import _Refiner, _Triangulator, first_self_intersection, triangulate
+from ccmorph.triangulate import SmallAngleError, _Refiner, _Triangulator, first_self_intersection, triangulate
 
 # Contours of contour_fuzz benchmark masks that the mesher failed on.
 # Recipe (ROADMAP item 4): `python3 ccbench/inputs.py --workload contour_fuzz
@@ -159,6 +159,46 @@ class TestValidation:
         pts[2, 1] = bad
         with pytest.raises(ValueError, match="polyline points must be finite"):
             Polyline(pts, closed=True)
+
+
+def _interior_angles(pts):
+    """Interior angle (degrees) at each vertex of a simple polygon, one vertex at a time."""
+    sign = 1.0 if polygon_area(pts) > 0 else -1.0
+    out = []
+    for k in range(len(pts)):
+        a, b = pts[k + 1 - len(pts)] - pts[k], pts[k - 1] - pts[k]
+        out.append(np.degrees(np.arctan2(sign * (a[0] * b[1] - a[1] * b[0]), a @ b)) % 360.0)
+    return np.array(out)
+
+
+class TestSmallInputAngles:
+    """A corner sharper than min_angle_deg has no mesh meeting the bound: the contour is bad input."""
+
+    @pytest.mark.parametrize("area", [0.05, 0.25])
+    def test_sharp_polygons_raise_before_meshing(self, area, monkeypatch):
+        triangle = np.array([[0.0, 1.0], [-0.25, 1.0], [-1.0, 0.0]])  # ROADMAP item 4's, 8.1 deg at (-1, 0)
+        polygons = list(_star_polygons(6, 24)) + [triangle]
+        monkeypatch.setattr(_Refiner, "__init__", lambda *a: pytest.fail("the mesher started"))
+        sharp = 0
+        for pts in polygons:
+            angles = _interior_angles(pts)
+            if angles.min() >= 20.0:
+                continue
+            sharp += 1
+            k = int(np.flatnonzero(angles < 20.0)[0])
+            with pytest.raises(SmallAngleError, match=f"contour vertex {k} has an interior angle of {angles[k]:.4g} deg, below min_angle_deg 20"):
+                triangulate(Polyline(pts, closed=True), area)
+        assert sharp == 10
+
+    def test_bound_and_orientation(self):
+        triangle = np.array([[0.0, 1.0], [-0.25, 1.0], [-1.0, 0.0]])
+        with pytest.raises(SmallAngleError, match="vertex 0 has an interior angle of 8.13 deg"):
+            triangulate(Polyline(triangle[[2, 1, 0]], closed=True), 0.25)  # the same triangle, counter-clockwise
+        with pytest.raises(SmallAngleError, match="below min_angle_deg 8"):
+            triangulate(Polyline(triangle, closed=True), 0.25, min_angle_deg=8.2)
+        assert isinstance(SmallAngleError("x"), ValueError)
+        square = Polyline(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]), closed=True)
+        assert triangulate(square, 0.25, min_angle_deg=33.0).n_triangles > 0  # right angles pass every bound
 
 
 class TestFuzzRegressions:
