@@ -267,7 +267,10 @@ class _LevelSets(NamedTuple):
         }
 
     def find(self, levels, tids) -> np.ndarray:
-        """The component through triangle ``tids[k]`` at ``levels[k]`` (one of ``self.levels``), -1 where it is not crossed."""
+        """The component through triangle ``tids[k]`` at ``levels[k]``, -1 where that triangle is not crossed.
+
+        Each level must be one of ``self.levels``.
+        """
         key = np.searchsorted(self.levels, levels) * self.n_triangles + np.asarray(tids, dtype=np.int64)
         if not len(self.seg_keys):
             return np.full(key.shape, -1, dtype=np.int64)

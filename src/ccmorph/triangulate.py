@@ -777,7 +777,10 @@ class _Refiner:
 
 
 class SmallAngleError(ValueError):
-    """A contour corner is sharper than ``min_angle_deg``: every triangle at it has a smaller angle, so no mesh meets the bound."""
+    """A contour corner is sharper than ``min_angle_deg``.
+
+    Every triangle at that corner has a smaller angle, so no mesh meets the bound.
+    """
 
 
 def _check_corners(pts: np.ndarray, orientation: float, min_angle_deg: float) -> None:

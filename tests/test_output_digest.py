@@ -23,7 +23,8 @@ def test_compare_reports_value_deltas_and_mesh_counts(tmp_path, capsys):
     _case(a / "out" / "one", 10.0, [1.0, 2.0, float("nan")], (5, 4))
     _case(b / "out" / "one", 10.001, [1.0, 2.02, float("nan")], (6, 5), (0.0, 9.0))
     _case(a / "out" / "group" / "two", 4.0, [3.0, 3.0, 3.0], (7, 8), line=((2.0, 1.0), (3.0, 1.0)))
-    _case(b / "out" / "group" / "two", 4.0, [3.0, 3.0, 3.0], (7, 8), (0.0, 1.0 + 3e-15), ((2.0, 1.0 - 2e-15), (3.0, 1.0)))
+    line_b = ((2.0, 1.0 - 2e-15), (3.0, 1.0))
+    _case(b / "out" / "group" / "two", 4.0, [3.0, 3.0, 3.0], (7, 8), (0.0, 1.0 + 3e-15), line_b)
     _case(a / "out" / "gone", 1.0, [1.0], (3, 1))
     assert output_digest.main(["--compare", str(a), str(b)]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -186,7 +186,8 @@ class TestSmallInputAngles:
                 continue
             sharp += 1
             k = int(np.flatnonzero(angles < 20.0)[0])
-            with pytest.raises(SmallAngleError, match=f"contour vertex {k} has an interior angle of {angles[k]:.4g} deg, below min_angle_deg 20"):
+            message = f"contour vertex {k} has an interior angle of {angles[k]:.4g} deg, below min_angle_deg 20"
+            with pytest.raises(SmallAngleError, match=message):
                 triangulate(Polyline(pts, closed=True), area)
         assert sharp == 10
 
