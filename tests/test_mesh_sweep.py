@@ -11,6 +11,13 @@ mesh_sweep = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(mesh_sweep)
 
 
+# sha256 over seed 100's small masks, taken before the flat triangle store and the
+# array-pass marching squares: the meshes at the three areas, in sweep order, and the
+# contours' ``to_csv()`` text
+SEED100_SMALL_MESHES_SHA256 = "bcd299a2f85dc2492b52ca8c4781d083e2250c1a99385259d2c6fc555d7150c7"
+SEED100_SMALL_CONTOURS_SHA256 = "6206da26cc747d42484848af4cacc2d01c635954b6f206672ac7656d4dc14491"
+
+
 def _digest(areas):
     """SHA-256 over the ``to_off()`` of seed 100's small masks meshed at ``areas``, in sweep order."""
     h = hashlib.sha256()
@@ -22,8 +29,15 @@ def _digest(areas):
 
 def test_small_seed_meshes(capsys):
     assert mesh_sweep.main(["--seeds", "100", "100", "--small"]) == 0
-    digest = _digest(mesh_sweep.FUZZ_AREAS_MM2)
-    assert capsys.readouterr().out.splitlines() == [f"0 of 12 meshes failed; meshes sha256 {digest}"]
+    assert _digest(mesh_sweep.FUZZ_AREAS_MM2) == SEED100_SMALL_MESHES_SHA256
+    assert capsys.readouterr().out.splitlines() == [f"0 of 12 meshes failed; meshes sha256 {SEED100_SMALL_MESHES_SHA256}"]
+
+
+def test_small_seed_contours():
+    h = hashlib.sha256()
+    for _, contour, _ in mesh_sweep.fuzz_contours(100, small=True):
+        h.update(contour.to_csv().encode())
+    assert h.hexdigest() == SEED100_SMALL_CONTOURS_SHA256
 
 
 def test_failures_listed_and_written(monkeypatch, capsys, tmp_path):

@@ -233,15 +233,23 @@ class TestFuzzRegressions:
             ("seed219_m015", 0.5),
             ("seed219_m015", 0.25),
             ("seed219_m015", 0.1),
+            ("tilted_plane", 0.25),
         ],
     )
     def test_known_failures_mesh(self, name, area):
-        """The `scripts/mesh_sweep.py` failures of seeds 100-129 and 200-229 (recipe above).
+        """The `scripts/mesh_sweep.py` failures of seeds 100-129 and 200-229 (recipe above),
+        and the contour of the arch phantom cut by a tilted plane (its entry holds its recipe).
 
         Seed 109 m015 raises "mesh refinement did not converge", the others
-        "degenerate insertion at the hull".
+        "degenerate insertion at the hull"; any other failure fails the test.
         """
-        triangulate(_fuzz_contour(name), area)
+        expected = "mesh refinement did not converge" if name == "seed109_m015" else "degenerate insertion at the hull"
+        try:
+            triangulate(_fuzz_contour(name), area)
+        except RuntimeError as e:
+            if str(e) != expected:
+                raise AssertionError(f"{name}@{area} raised {str(e)!r}, not {expected!r}") from e
+            raise
 
 
 class TestBoundaryFlags:
@@ -733,6 +741,11 @@ def _reference_insert(tr, x, y, hint=None):
     return vid, list(cavity)
 
 
+# sha256 of ``triangulate(half_annulus_contour(22.0, 30.0, 600), 0.5).to_off()``,
+# taken before the flat triangle store replaced the dict one: the mesh must not move
+ANNULUS_600_OFF_SHA256 = "7b0decffefb71969fabaea8ec1b248e833019fd03820c9387ba26eb58b08fc8c"
+
+
 class TestInsertionCost:
     @pytest.mark.parametrize("name", ["annulus", "fuzz"])
     def test_inlined_insert_matches_reference(self, monkeypatch, name):
@@ -780,6 +793,7 @@ class TestInsertionCost:
         contour = half_annulus_contour(22.0, 30.0, 600)
         off = triangulate(contour, 0.5).to_off()
         assert triangulate(contour, 0.5).to_off() == off
+        assert hashlib.sha256(off.encode()).hexdigest() == ANNULUS_600_OFF_SHA256
         code = (
             "import hashlib\n"
             "from ccmorph.phantoms import half_annulus_contour\n"
