@@ -14,11 +14,18 @@ call (Barber, Dobkin & Huhdanpaa 1996), and every edge is legalized under
 the exact incircle test by Lawson flips, with Shewchuk's (1997) float
 filters deciding where they can. Refinement points go in one at a time by
 Bowyer-Watson insertion under the same predicates.
+
+The triangles are flat records indexed by triangle id, as in Shewchuk's
+Triangle (1996): three corners, three neighbour slots and a live flag, and
+no map keyed by edges. Point location, insertion, the interior flood, the
+quality scans and the extraction read neighbours by index.
 """
 
 from __future__ import annotations
 
+from array import array
 from itertools import chain, compress
+from math import floor, sqrt
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -35,6 +42,20 @@ __all__ = ["triangulate", "first_self_intersection"]
 _EPS = 2.0**-53
 _CCW_BOUND = (3.0 + 16.0 * _EPS) * _EPS
 _ICC_BOUND = (10.0 + 96.0 * _EPS) * _EPS
+_ICC_FILTER = 2.0 * _ICC_BOUND
+
+
+def _incircle(ix, iy, a, b, c, d) -> int:
+    """The exact incircle determinant of integer points: > 0 iff d is strictly inside
+    the circumcircle of counter-clockwise (a, b, c)."""
+    dx, dy = ix[d], iy[d]
+    adx, ady = ix[a] - dx, iy[a] - dy
+    bdx, bdy = ix[b] - dx, iy[b] - dy
+    cdx, cdy = ix[c] - dx, iy[c] - dy
+    ad2 = adx * adx + ady * ady
+    bd2 = bdx * bdx + bdy * bdy
+    cd2 = cdx * cdx + cdy * cdy
+    return adx * (bdy * cd2 - cdy * bd2) - ady * (bdx * cd2 - cdx * bd2) + ad2 * (bdx * cdy - cdx * bdy)
 
 
 def _widen(radius, pts):
@@ -113,6 +134,13 @@ class _Triangulator:
 
     Points are only registered until ``build``, which triangulates them all
     at once; after it, ``insert`` adds points incrementally (Bowyer-Watson).
+
+    Triangle t has the counter-clockwise corners ``tv[3 t]``, ``tv[3 t + 1]``
+    and ``tv[3 t + 2]``; its neighbour slot ``tn[3 t + k]`` holds the triangle
+    across the edge from corner k to corner k + 1, or -1 on the hull, and
+    ``live[t]`` is 0 once it is gone. Ids are never reused, so the live ids
+    count up in the order the triangles were made. ``vt[v]`` is a live
+    triangle with corner v.
     """
 
     def __init__(self, bbox_lo, bbox_hi):
@@ -122,10 +150,14 @@ class _Triangulator:
         self.fy = []
         self.ix = []  # snapped int coords (predicates only)
         self.iy = []
+        self.gx = []  # the same as floats, for the float filters
+        self.gy = []
         self.by_int = {}
-        self.tris = {}  # tid -> (a, b, c) counter-clockwise
-        self.edge2tri = {}  # directed edge (u, v) -> tid
-        self.next_tid = 0
+        self.tv = []
+        self.tn = array("q")
+        self.live = bytearray()
+        self.vt = []
+        self._corners = np.empty((0, 3), dtype=np.int64)
         self.last_tid = 0
         self.built = False
 
@@ -135,6 +167,10 @@ class _Triangulator:
         self._add_point(cx - 3.0 * L, cy - 2.0 * L)
         self._add_point(cx + 3.0 * L, cy - 2.0 * L)
         self._add_point(cx, cy + 3.0 * L)
+
+    @property
+    def next_tid(self) -> int:
+        return len(self.live)
 
     # -- low-level helpers -------------------------------------------------
 
@@ -150,6 +186,8 @@ class _Triangulator:
         self.fy.append(float(y))
         self.ix.append(key[0])
         self.iy.append(key[1])
+        self.gx.append(float(key[0]))
+        self.gy.append(float(key[1]))
         self.by_int[key] = vid
         return vid, True
 
@@ -168,30 +206,95 @@ class _Triangulator:
         self.fy += xy[fresh, 1].tolist()
         self.ix += [keys[i][0] for i in fresh]
         self.iy += [keys[i][1] for i in fresh]
+        self.gx += snapped[fresh, 0].tolist()
+        self.gy += snapped[fresh, 1].tolist()
         return vids
+
+    def _load(self, corners: np.ndarray, slots: np.ndarray, live: np.ndarray):
+        """Fill the store from (n, 3) corners, (n, 3) neighbour slots and (n,) live
+        flags of the triangle ids 0 .. n - 1; ``vt`` is taken from the live ones."""
+        self.tv = corners.ravel().tolist()
+        self.tn = array("q", slots.astype(np.int64).ravel().tobytes())
+        self.live = bytearray(live.astype(np.uint8).tobytes())
+        self._corners = corners
+        alive = np.flatnonzero(live)
+        vt = np.full(len(self.ix), -1, dtype=np.int64)
+        vt[corners[alive].ravel()] = np.repeat(alive, 3)
+        self.vt = vt.tolist()
+
+    def corners(self) -> np.ndarray:
+        """(next_tid, 3) corners of every triangle id, as an array not to be written.
+
+        A triangle's corners never change after ``build``, so each call
+        converts only the triangles made since the last one.
+        """
+        done = self._corners
+        if 3 * len(done) < len(self.tv):
+            tail = self.tv[3 * len(done) :]
+            self._corners = done = np.concatenate([done, np.fromiter(tail, dtype=np.int64, count=len(tail)).reshape(-1, 3)])
+        return done
+
+    def coords(self, vids: np.ndarray):
+        """The float x and y of the vertex ids ``vids`` (an int array of any shape).
+
+        Fewer ids than vertices are gathered from the coordinate lists; more
+        read the lists converted whole (``fromiter``: no type discovery).
+        """
+        flat = vids.ravel()
+        out = []
+        for f in (self.fx, self.fy):
+            if len(flat) < len(f):
+                out.append(np.fromiter(map(f.__getitem__, flat.tolist()), dtype=float, count=len(flat)))
+            else:
+                out.append(np.fromiter(f, dtype=float, count=len(f))[flat])
+        return out[0].reshape(vids.shape), out[1].reshape(vids.shape)
+
+    def edge_tri(self, u, v) -> int:
+        """The triangle whose edge from one corner to the next runs u -> v, or -1
+        (always before ``build``).
+
+        The walk turns around u from ``vt[u]``: counter-clockwise until it
+        finds the edge, closes the fan or meets the hull, then clockwise.
+        """
+        if not self.built:
+            return -1
+        tv, tn = self.tv, self.tn
+        start = self.vt[u]
+        for turn in (2, 0):  # the slot crossed: edge (c, u), or edge (u, b)
+            t = start
+            while t >= 0:
+                i = 3 * t
+                k = 0 if tv[i] == u else 1 if tv[i + 1] == u else 2
+                if tv[i + (k + 1) % 3] == v:
+                    return t
+                t = tn[i + (k + turn) % 3]
+                if t == start:
+                    return -1
+        return -1
 
     def _locate(self, vid, hint=None):
         """Visibility walk to a triangle containing vertex vid; None if outside."""
-        tris, get, ix, iy = self.tris, self.edge2tri.get, self.ix, self.iy
-        tid = hint if hint in tris else self.last_tid
-        if tid not in tris:
-            tid = next(iter(tris))
+        tv, tn, live, ix, iy = self.tv, self.tn, self.live, self.ix, self.iy
+        tid = hint if hint is not None and live[hint] else self.last_tid
+        if not live[tid]:
+            tid = live.index(1)
         px, py = ix[vid], iy[vid]
-        guard = 4 * len(tris) + 64
+        guard = 4 * len(live) + 64
         while guard:
             guard -= 1
-            a, b, c = tris[tid]
+            i = 3 * tid
+            a, b, c = tv[i], tv[i + 1], tv[i + 2]
             xa, ya, xb, yb, xc, yc = ix[a], iy[a], ix[b], iy[b], ix[c], iy[c]
             # step across the first edge that has vid strictly on its right
             if (xb - xa) * (py - ya) - (yb - ya) * (px - xa) < 0:
-                tid = get((b, a))
+                tid = tn[i]
             elif (xc - xb) * (py - yb) - (yc - yb) * (px - xb) < 0:
-                tid = get((c, b))
+                tid = tn[i + 1]
             elif (xa - xc) * (py - yc) - (ya - yc) * (px - xc) < 0:
-                tid = get((a, c))
+                tid = tn[i + 2]
             else:
                 return tid
-            if tid is None:
+            if tid < 0:
                 return None
         raise RuntimeError("point location walk failed to terminate")
 
@@ -202,6 +305,8 @@ class _Triangulator:
 
         Returns (vid, None) when the point coincides with an existing vertex.
         Before ``build`` the point is only registered, with an empty cavity.
+        The new triangles (u, v, vid), one per cavity boundary edge (u, v),
+        take consecutive ids in the order of that edge list.
         """
         vid, fresh = self._add_point(x, y)
         if not fresh:
@@ -212,67 +317,87 @@ class _Triangulator:
         if t0 is None:
             # outside the triangulation: undo the point registration
             self.by_int.pop((self.ix[vid], self.iy[vid]))
-            self.fx.pop(), self.fy.pop(), self.ix.pop(), self.iy.pop()
+            for coords in (self.fx, self.fy, self.ix, self.iy, self.gx, self.gy):
+                coords.pop()
             return None, None
 
         # the incircle and orientation predicates and the triangle
         # bookkeeping are written out on locals: this is most of the
         # mesher's time
-        tris, edge2tri, ix, iy = self.tris, self.edge2tri, self.ix, self.iy
-        get = edge2tri.get
+        tv, tn, live, vt, ix, iy, gx, gy = self.tv, self.tn, self.live, self.vt, self.ix, self.iy, self.gx, self.gy
         dx, dy = ix[vid], iy[vid]
+        fdx, fdy = gx[vid], gy[vid]
         cavity = {t0}
         stack = [t0]
         while stack:
-            a, b, c = tris[stack.pop()]
-            for u, v in ((a, b), (b, c), (c, a)):
-                nb = get((v, u))
-                if nb is None or nb in cavity:
+            i = 3 * stack.pop()
+            for nb in (tn[i], tn[i + 1], tn[i + 2]):
+                if nb < 0 or nb in cavity:
                     continue
-                na, nbv, nc = tris[nb]
-                # incircle: > 0 iff vid is strictly inside the circumcircle of CCW (na, nbv, nc)
-                adx, ady = ix[na] - dx, iy[na] - dy
-                bdx, bdy = ix[nbv] - dx, iy[nbv] - dy
-                cdx, cdy = ix[nc] - dx, iy[nc] - dy
+                j = 3 * nb
+                na, nbv, nc = tv[j], tv[j + 1], tv[j + 2]
+                # incircle: > 0 iff vid is strictly inside the circumcircle of CCW (na, nbv, nc).
+                # In floats first: the differences are exact, and the error of the
+                # determinant is below Shewchuk's bound times its permanent, which is at
+                # most ad2 bd2 + bd2 cd2 + cd2 ad2 (|p q| <= (p^2 + q^2) / 2); twice that
+                # bound covers the rounding of this sum. Only within it do Python ints decide
+                adx, ady = gx[na] - fdx, gy[na] - fdy
+                bdx, bdy = gx[nbv] - fdx, gy[nbv] - fdy
+                cdx, cdy = gx[nc] - fdx, gy[nc] - fdy
                 ad2 = adx * adx + ady * ady
                 bd2 = bdx * bdx + bdy * bdy
                 cd2 = cdx * cdx + cdy * cdy
-                if adx * (bdy * cd2 - cdy * bd2) - ady * (bdx * cd2 - cdx * bd2) + ad2 * (bdx * cdy - cdx * bdy) > 0:
+                det = ad2 * (bdx * cdy - cdx * bdy) + bd2 * (cdx * ady - adx * cdy) + cd2 * (adx * bdy - bdx * ady)
+                err = _ICC_FILTER * (ad2 * (bd2 + cd2) + bd2 * cd2)
+                if det > err or (det >= -err and _incircle(ix, iy, na, nbv, nc, vid) > 0):
                     cavity.add(nb)
                     stack.append(nb)
 
         # boundary edges must see the new point strictly; pull grazed
         # neighbors (cocircular degeneracies) into the cavity
         while True:
-            boundary = []
+            boundary = []  # (u, v, the triangle across it)
             grazed = []
             for t in cavity:
-                a, b, c = tris[t]
-                for u, v in ((a, b), (b, c), (c, a)):
-                    nb = get((v, u))
+                i = 3 * t
+                a, b, c = tv[i], tv[i + 1], tv[i + 2]
+                for u, v, nb in ((a, b, tn[i]), (b, c, tn[i + 1]), (c, a, tn[i + 2])):
                     if nb in cavity:
                         continue
                     if (ix[v] - ix[u]) * (dy - iy[u]) - (iy[v] - iy[u]) * (dx - ix[u]) <= 0:  # orient(u, v, vid)
-                        if nb is None:
+                        if nb < 0:
                             raise RuntimeError("degenerate insertion at the hull")
                         grazed.append(nb)
                     else:
-                        boundary.append((u, v))
+                        boundary.append((u, v, nb))
             if not grazed:
                 break
             cavity.update(grazed)
 
         for t in cavity:
-            a, b, c = tris.pop(t)
-            for e in ((a, b), (b, c), (c, a)):
-                if get(e) == t:
-                    del edge2tri[e]
-        tid = self.next_tid
-        for u, v in boundary:
-            tris[tid] = (u, v, vid)
-            edge2tri[(u, v)] = edge2tri[(v, vid)] = edge2tri[(vid, u)] = tid
+            live[t] = 0
+        # the boundary is one loop around vid: new triangle (u, v, vid) meets the
+        # one starting at v across (v, vid) and the one ending at u across (vid, u)
+        first = tid = len(live)
+        for u, _, _ in boundary:
+            vt[u] = tid
             tid += 1
-        self.next_tid, self.last_tid = tid, tid - 1
+        corners, slots = [], []
+        tid = first
+        for u, v, nb in boundary:
+            corners += (u, v, vid)
+            slots += (nb, vt[v], -1)
+            if nb >= 0:  # its slot across (v, u) starts at corner v
+                j = 3 * nb
+                tn[j if tv[j] == v else j + 1 if tv[j + 1] == v else j + 2] = tid
+            tid += 1
+        for k in range(1, len(slots), 3):
+            slots[3 * (slots[k] - first) + 2] = first + k // 3
+        tv += corners
+        tn.extend(slots)
+        live.extend(b"\x01" * len(boundary))
+        vt.append(first)
+        self.last_tid = tid - 1
         return vid, list(cavity)
 
     # -- the initial triangulation ------------------------------------------
@@ -315,18 +440,15 @@ class _Triangulator:
         s[cw] = s[cw][:, [0, 2, 1]]
         nb[cw] = nb[cw][:, [0, 2, 1]]
 
-        # triangles numbered by their lowest vertex id, and one int object
-        # per vertex id in every tuple: neighbors then sit close in memory,
-        # which speeds refinement's dict walks (``_interior`` 2-3x)
+        # triangles numbered by their lowest vertex id: neighbours then sit
+        # close in the store. Qhull's neighbour j lies opposite corner j, so
+        # slot k (the edge from corner k to corner k + 1) reads column k + 2
         m = len(s)
-        verts = list(range(len(x)))
-        tris, edge2tri = {}, {}
-        corners = map(verts.__getitem__, s[np.argsort(s.min(axis=1), kind="stable")].ravel().tolist())
-        for tid, tri in enumerate(zip(corners, corners, corners)):
-            a, b, c = tris[tid] = tri
-            edge2tri[(a, b)] = edge2tri[(b, c)] = edge2tri[(c, a)] = tid
-        self.tris, self.edge2tri = tris, edge2tri
-        self.next_tid, self.last_tid = m, m - 1
+        order = np.argsort(s.min(axis=1), kind="stable")
+        rank = np.empty(m + 1, dtype=np.int64)
+        rank[order], rank[-1] = np.arange(m), -1  # Qhull's -1 (the hull) stays -1
+        self._load(s[order], rank[nb[order][:, [2, 0, 1]]], np.ones(m, dtype=bool))
+        self.last_tid = m - 1
         self.built = True
 
         # every interior edge once: side k of t (opposite s[t, k]) and the
@@ -334,7 +456,7 @@ class _Triangulator:
         t, k = np.nonzero(nb > np.arange(m)[:, None])
         o = nb[t, k]
         u, v, w = s[t, (k + 1) % 3], s[t, (k + 2) % 3], s[t, k]
-        d = s[o, np.argmax(nb[o] == t[:, None], axis=1)]
+        d = s[o].sum(axis=1) - u - v
         adx, ady = x[u] - x[d], y[u] - y[d]
         bdx, bdy = x[v] - x[d], y[v] - y[d]
         cdx, cdy = x[w] - x[d], y[w] - y[d]
@@ -354,42 +476,51 @@ class _Triangulator:
         outer edges of its quadrilateral. Edges no longer present, and hull
         edges, are skipped. Returns the number of flips.
         """
-        tris, edge2tri, ix, iy = self.tris, self.edge2tri, self.ix, self.iy
-        get = edge2tri.get
+        tv, tn, vt, ix, iy = self.tv, self.tn, self.vt, self.ix, self.iy
         flips = 0
         while stack:
             u, v = stack.pop()
-            t1, t2 = get((u, v)), get((v, u))
-            if t1 is None or t2 is None:
+            t1 = self.edge_tri(u, v)
+            if t1 < 0:
                 continue
-            a, b, c = tris[t1]
+            i = 3 * t1
+            k = 0 if tv[i] == u else 1 if tv[i + 1] == u else 2  # edge (u, v) is slot k
+            t2 = tn[i + k]
+            if t2 < 0:
+                continue
+            a, b, c = tv[i], tv[i + 1], tv[i + 2]
             w = a + b + c - u - v
-            p, q, r = tris[t2]
+            j = 3 * t2
+            p, q, r = tv[j], tv[j + 1], tv[j + 2]
             z = p + q + r - u - v
-            # incircle: > 0 iff z is strictly inside the circumcircle of CCW (a, b, c)
-            dx, dy = ix[z], iy[z]
-            adx, ady = ix[a] - dx, iy[a] - dy
-            bdx, bdy = ix[b] - dx, iy[b] - dy
-            cdx, cdy = ix[c] - dx, iy[c] - dy
-            ad2 = adx * adx + ady * ady
-            bd2 = bdx * bdx + bdy * bdy
-            cd2 = cdx * cdx + cdy * cdy
-            if adx * (bdy * cd2 - cdy * bd2) - ady * (bdx * cd2 - cdx * bd2) + ad2 * (bdx * cdy - cdx * bdy) <= 0:
+            if _incircle(ix, iy, a, b, c, z) <= 0:  # z is not strictly inside the circumcircle of (a, b, c)
                 continue
             # the quadrilateral u, z, v, w (counter-clockwise) takes diagonal z-w
-            del edge2tri[(u, v)], edge2tri[(v, u)]
-            tris[t1] = (u, z, w)
-            tris[t2] = (z, v, w)
-            edge2tri[(u, z)] = edge2tri[(z, w)] = edge2tri[(w, u)] = t1
-            edge2tri[(z, v)] = edge2tri[(v, w)] = edge2tri[(w, z)] = t2
+            n_vw, n_wu = tn[i + (k + 1) % 3], tn[i + (k + 2) % 3]
+            k2 = 0 if p == v else 1 if q == v else 2  # t2's edge (v, u) is slot k2
+            n_uz, n_zv = tn[j + (k2 + 1) % 3], tn[j + (k2 + 2) % 3]
+            tv[i : i + 3] = u, z, w
+            tn[i : i + 3] = array("q", (n_uz, t2, n_wu))
+            tv[j : j + 3] = z, v, w
+            tn[j : j + 3] = array("q", (n_zv, n_vw, t1))
+            if n_uz >= 0:  # its slot across (z, u) starts at corner z, and now faces t1
+                h = 3 * n_uz
+                tn[h if tv[h] == z else h + 1 if tv[h + 1] == z else h + 2] = t1
+            if n_vw >= 0:  # its slot across (w, v) now faces t2
+                h = 3 * n_vw
+                tn[h if tv[h] == w else h + 1 if tv[h + 1] == w else h + 2] = t2
+            vt[u], vt[v] = t1, t2
             stack += ((u, z), (z, v), (v, w), (w, u))
             flips += 1
+        if flips:
+            self._corners = np.empty((0, 3), dtype=np.int64)
         return flips
 
     # -- geometry in float coordinates --------------------------------------
 
     def tri_coords(self, tid):
-        a, b, c = self.tris[tid]
+        tv, i = self.tv, 3 * tid
+        a, b, c = tv[i], tv[i + 1], tv[i + 2]
         fx, fy = self.fx, self.fy
         return (fx[a], fy[a]), (fx[b], fy[b]), (fx[c], fy[c])
 
@@ -449,6 +580,15 @@ class _Refiner:
         self._mid[:n] = 0.5 * (p + q)
         self._r2[:n] = (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) / 4.0
         self._lim[:n] = self._r2[:n] * (1.0 - 1e-12)
+        # the rows by the grid cell of their midpoint. Splits only shorten segments,
+        # so with cells twice the longest diametral radius, a circle that holds a
+        # point has its midpoint in one of the 3 x 3 cells around the point's
+        self._cell = 2.0 * sqrt(float(self._r2[:n].max()))
+        self._grid = {}
+        mx, my = self._mid[:n].T
+        cells = zip(*np.floor(self._mid[:n] / self._cell).astype(np.int64).T.tolist())
+        for cell, entry in zip(cells, zip(range(n), mx.tolist(), my.tolist(), self._lim[:n].tolist())):
+            self._grid.setdefault(cell, []).append(entry)
         self.unsplittable = set()
 
     # -- segment bookkeeping -------------------------------------------------
@@ -463,10 +603,12 @@ class _Refiner:
             )
         fx, fy = self.tr.fx, self.tr.fy
         dx, dy = fx[u] - fx[v], fy[u] - fy[v]
+        mx, my = 0.5 * (fx[u] + fx[v]), 0.5 * (fy[u] + fy[v])
         self._uv[row] = u, v
-        self._mid[row] = 0.5 * (fx[u] + fx[v]), 0.5 * (fy[u] + fy[v])
+        self._mid[row] = mx, my
         self._r2[row] = r2 = (dx * dx + dy * dy) / 4.0
-        self._lim[row] = r2 * (1.0 - 1e-12)
+        self._lim[row] = lim = r2 * (1.0 - 1e-12)
+        self._grid.setdefault((floor(mx / self._cell), floor(my / self._cell)), []).append((row, mx, my, lim))
         self.segs[(u, v)] = row
         self._rows += 1
 
@@ -476,11 +618,25 @@ class _Refiner:
         return self._uv[: self._rows][alive], self._mid[: self._rows][alive], self._r2[: self._rows][alive]
 
     def _encroached_by(self, x, y):
-        """The live segments whose diametral circle holds (x, y), in row order."""
-        n = self._rows
-        mid = self._mid[:n]
-        hits = np.flatnonzero((mid[:, 0] - x) ** 2 + (mid[:, 1] - y) ** 2 < self._lim[:n])
-        return list(map(tuple, self._uv[hits].tolist())) if hits.size else []
+        """The live segments whose diametral circle holds (x, y), in row order.
+
+        Only the rows in the 3 x 3 grid cells around (x, y) are tested, each
+        by its squared midpoint distance against its bound, in float64 as a
+        NumPy pass over every row would compute them.
+        """
+        ci, cj = floor(x / self._cell), floor(y / self._cell)
+        get, lims = self._grid.get, self._lim
+        hits = []
+        for i in (ci - 1, ci, ci + 1):
+            for j in (cj - 1, cj, cj + 1):
+                for row, mx, my, lim in get((i, j), ()):
+                    dx, dy = mx - x, my - y
+                    if dx * dx + dy * dy < lim and lims[row] >= 0:
+                        hits.append(row)
+        if not hits:
+            return []
+        hits.sort()
+        return list(map(tuple, self._uv[hits].tolist()))
 
     def _encroaching(self, tree: cKDTree):
         """(point, segment) index arrays: the tree's points inside a segment's diametral circle."""
@@ -497,7 +653,8 @@ class _Refiner:
         u, v = seg
         x = 0.5 * (self.tr.fx[u] + self.tr.fx[v])
         y = 0.5 * (self.tr.fy[u] + self.tr.fy[v])
-        vid, cavity = self.tr.insert(x, y, hint=self.tr.edge2tri.get((u, v)))
+        left = self.tr.edge_tri(u, v)
+        vid, cavity = self.tr.insert(x, y, hint=left if left >= 0 else None)
         if vid is None or cavity is None:
             self.unsplittable.add(seg)
             return None
@@ -521,48 +678,59 @@ class _Refiner:
                     stack.append(m)
         return first is not None
 
-    def _interior(self):
+    def _segment_sides(self):
+        """(left, closed): the triangle left of each live segment in the order of
+        ``self.segs`` (-1 where the segment is no edge), and the store's slot
+        indices that lie along a segment, either way.
+
+        Only the live slots whose two corners are both segment ends are looked
+        up, by one search in the sorted undirected segment keys.
+        """
+        tr = self.tr
+        tv = tr.corners().ravel()
+        uv = self._seg_arrays()[0]
+        nv = len(tr.fx)
+        on = np.zeros(nv, dtype=bool)
+        on[uv[:, 0]] = True
+        slot = np.flatnonzero(on[tv])
+        k = slot % 3
+        nxt = slot - k + (k + 1) % 3  # slot k runs from corner k to corner k + 1
+        keep = on[tv[nxt]] & np.frombuffer(tr.live, dtype=bool)[slot // 3]
+        slot, nxt = slot[keep], nxt[keep]
+        u, v = tv[slot], tv[nxt]
+        seg_key = np.minimum(uv[:, 0], uv[:, 1]) * nv + np.maximum(uv[:, 0], uv[:, 1])
+        by_key = np.argsort(seg_key)
+        key = np.minimum(u, v) * nv + np.maximum(u, v)
+        at = by_key[np.minimum(np.searchsorted(seg_key[by_key], key), len(uv) - 1)]
+        hit = seg_key[at] == key
+        runs = hit & (u == uv[at, 0])  # the slot runs the segment's way
+        left = np.full(len(uv), -1, dtype=np.int64)
+        left[at[runs]] = slot[runs] // 3
+        return left, slot[hit]
+
+    def _interior(self, sides):
         """Interior triangle ids in flood order, bounded by the directed constraint segments.
 
         The flood is breadth-first. It starts from the triangle left of each
         segment, in the order of ``self.segs``, and takes each triangle's
         neighbours across its edges (a, b), (b, c), (c, a) in turn, never across
-        a segment. Neighbours pair up by one sort of undirected edge keys, and
-        csgraph's breadth-first order runs the flood from a virtual source whose
-        neighbours are the seeds.
+        a segment. ``sides`` is ``_segment_sides()``; csgraph's breadth-first
+        order runs the flood over the neighbour slots of the live triangles,
+        from a virtual source whose neighbours are the seeds.
         """
-        tris = self.tr.tris
-        n = len(tris)
-        u = np.fromiter(chain.from_iterable(tris.values()), dtype=np.int64, count=3 * n)
-        v = u.reshape(n, 3)[:, [1, 2, 0]].ravel()  # edge 3 i + k of triangle i runs from corner k to corner k + 1
-        nv = len(self.tr.fx)
-        key = np.minimum(u, v) * nv + np.maximum(u, v)
-        order = np.argsort(key)
-        key = key[order]
-        pair = np.flatnonzero(key[1:] == key[:-1])
-        across = np.full(3 * n, -1, dtype=np.int64)  # the triangle across each edge, or -1
-        across[order[pair]], across[order[pair + 1]] = order[pair + 1] // 3, order[pair] // 3
-        # a segment's key holds at most two edges, one each way: the flood crosses
-        # neither, and the triangle of the one that runs the segment's way is a seed
-        uv = self._seg_arrays()[0]
-        seg_key = np.minimum(uv[:, 0], uv[:, 1]) * nv + np.maximum(uv[:, 0], uv[:, 1])
-        seeds = np.full(len(uv), -1, dtype=np.int64)
-        first = np.searchsorted(key, seg_key)
-        for at in (first, first + 1):
-            at = np.minimum(at, 3 * n - 1)
-            hit = key[at] == seg_key
-            across[order[at[hit]]] = -1
-            runs = hit & (u[order[at]] == uv[:, 0])
-            seeds[runs] = order[at[runs]] // 3
-        open_ = across >= 0
+        left, closed = sides
+        tr = self.tr
+        n = tr.next_tid
+        across = np.array(tr.tn)
+        open_ = np.repeat(np.frombuffer(tr.live, dtype=bool), 3) & (across >= 0)
+        open_[closed] = False
         indptr = np.zeros(n + 2, dtype=np.int32)
-        np.cumsum(open_.reshape(n, 3).sum(axis=1), out=indptr[1:-1])
-        seeds = seeds[seeds >= 0]
+        indptr[1:-1] = np.cumsum(open_)[2::3]
+        seeds = left[left >= 0]
         indptr[-1] = indptr[-2] + len(seeds)
         indices = np.concatenate([across[open_], seeds]).astype(np.int32)
         graph = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n + 1, n + 1))
-        flood = breadth_first_order(graph, n, directed=True, return_predecessors=False)
-        return np.fromiter(tris, dtype=np.int64, count=n)[flood[1:]].tolist()
+        return breadth_first_order(graph, n, directed=True, return_predecessors=False)[1:].tolist()
 
     # -- phases ----------------------------------------------------------------
 
@@ -661,18 +829,25 @@ class _Refiner:
             quality[new] = 1 + self._bad(new.tolist())
             return tids[quality[tids] == 2].tolist()
 
-        interior = self._interior()
+        sides = self._segment_sides()
+        interior = self._interior(sides)
         bad = scan(interior)
         for _ in range(max_rounds):
             stamp = self.tr.next_tid
             progressed = self._refine_pass(bad, budget)
             # verify: all constraint segments are edges of the triangulation
             # and every interior triangle meets quality
-            missing = [s for s in self.segs if s not in self.tr.edge2tri]
-            for seg in missing:
-                self._split(seg)
             if self.tr.next_tid != stamp:  # every insertion makes triangles
-                interior = self._interior()
+                sides = self._segment_sides()
+            missing = list(compress(self.segs, sides[0] < 0))
+            if missing:
+                before = self.tr.next_tid
+                for seg in missing:
+                    self._split(seg)
+                if self.tr.next_tid != before:
+                    sides = self._segment_sides()
+            if self.tr.next_tid != stamp:
+                interior = self._interior(sides)
             bad = scan(interior)
             if not missing and not bad:
                 return interior
@@ -682,9 +857,7 @@ class _Refiner:
 
     def _bad(self, tids) -> np.ndarray:
         """Whether each triangle is larger than ``max_area`` or has an angle below ``min_angle``."""
-        tri = self._corners(tids)
-        fx = np.fromiter(self.tr.fx, dtype=float, count=len(self.tr.fx))[tri]  # fromiter: no type discovery
-        fy = np.fromiter(self.tr.fy, dtype=float, count=len(self.tr.fy))[tri]
+        fx, fy = self.tr.coords(self.tr.corners()[tids])
         ax, bx, cx = fx.T
         ay, by, cy = fy.T
         area = 0.5 * ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
@@ -702,11 +875,17 @@ class _Refiner:
     def _refinement_points(self, tid):
         """The circumcenter of ``tid`` (when defined), then the midpoint of its longest edge."""
         pts = self.tr.tri_coords(tid)
-        p, q = max(
-            ((pts[(k + 1) % 3], pts[(k + 2) % 3]) for k in range(3)),
-            key=lambda e: (e[0][0] - e[1][0]) ** 2 + (e[0][1] - e[1][1]) ** 2,
-        )
-        mid = (0.5 * (p[0] + q[0]), 0.5 * (p[1] + q[1]))
+        (ax, ay), (bx, by), (cx, cy) = pts
+        # the first longest of the edges (b, c), (c, a), (a, b)
+        la = (bx - cx) ** 2 + (by - cy) ** 2
+        lb = (cx - ax) ** 2 + (cy - ay) ** 2
+        lc = (ax - bx) ** 2 + (ay - by) ** 2
+        if la >= lb and la >= lc:
+            mid = (0.5 * (bx + cx), 0.5 * (by + cy))
+        elif lb >= lc:
+            mid = (0.5 * (cx + ax), 0.5 * (cy + ay))
+        else:
+            mid = (0.5 * (ax + bx), 0.5 * (ay + by))
         cc = _circumcenter(*pts)
         return [mid] if cc is None else [cc, mid]
 
@@ -719,7 +898,7 @@ class _Refiner:
         enc = self._encroached_by(x, y)
         if enc:
             placed = sum(self._split(seg) for seg in enc)
-            if placed and tid in self.tr.tris:
+            if placed and self.tr.live[tid]:
                 self.work.append(tid)
             return placed
         first = self.tr.next_tid
@@ -735,7 +914,7 @@ class _Refiner:
         among the triangles this wave queued are the next wave. A triangle's
         vertices never change after ``build``, so the waves visit the triangles
         of one first-in first-out queue that tests each when taking it out."""
-        tris = self.tr.tris
+        live = self.tr.live
         progressed = False
         stall = set()
         while work:
@@ -743,7 +922,7 @@ class _Refiner:
             for tid in work:
                 if budget <= 0:
                     raise RuntimeError("mesh refinement exceeded its insertion budget")
-                if tid not in tris or tid in stall:
+                if not live[tid] or tid in stall:
                     continue
                 placed = 0
                 for x, y in self._refinement_points(tid):
@@ -757,20 +936,15 @@ class _Refiner:
                     stall.add(tid)
             if budget <= 0 and self.work:  # the queue's next item would raise
                 raise RuntimeError("mesh refinement exceeded its insertion budget")
-            live = [t for t in self.work if t in tris]
-            work = list(compress(live, self._bad(live)))
+            made = [t for t in self.work if live[t]]
+            work = list(compress(made, self._bad(made)))
         return progressed
-
-    def _corners(self, tids) -> np.ndarray:
-        """(len(tids), 3) vertex ids of the triangles ``tids``."""
-        flat = chain.from_iterable(map(self.tr.tris.__getitem__, tids))
-        return np.fromiter(flat, dtype=np.int64, count=3 * len(tids)).reshape(-1, 3)
 
     def extract(self, interior) -> TriMesh2D:
         if not interior:
             raise RuntimeError("triangulation produced no interior triangles")
-        used, tris = np.unique(self._corners(np.sort(interior).tolist()), return_inverse=True)
-        verts = np.column_stack([np.asarray(self.tr.fx)[used], np.asarray(self.tr.fy)[used]])
+        used, tris = np.unique(self.tr.corners()[np.sort(interior)], return_inverse=True)
+        verts = np.column_stack(self.tr.coords(used))
         # refine() leaves every constraint segment an edge, so they are the mesh boundary
         flags = np.isin(used, self._seg_arrays()[0][:, 0])
         return TriMesh2D(verts, tris.reshape(-1, 3), flags)

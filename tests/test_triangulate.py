@@ -2,6 +2,8 @@ import hashlib
 import json
 import subprocess
 import sys
+import weakref
+from array import array
 from collections import deque
 from itertools import compress
 from pathlib import Path
@@ -517,7 +519,7 @@ def _ref_refine_pass(ref, work, budget):
         if budget <= 0:
             raise RuntimeError("mesh refinement exceeded its insertion budget")
         tid = ref.work.popleft()
-        if tid not in ref.tr.tris or tid in stall or not _ref_is_bad(ref, tid):
+        if not ref.tr.live[tid] or tid in stall or not _ref_is_bad(ref, tid):
             continue
         placed = 0
         for x, y in ref._refinement_points(tid):
@@ -549,6 +551,49 @@ def _outcome(run):
         return run()
     except RuntimeError as e:
         return str(e)
+
+
+def _live(tr):
+    """The live triangle ids, ascending."""
+    return np.flatnonzero(np.frombuffer(tr.live, dtype=bool)).tolist()
+
+
+def _tris(tr):
+    """{tid: (a, b, c)} of the live triangles in id order, read from the flat store."""
+    return {t: (tr.tv[3 * t], tr.tv[3 * t + 1], tr.tv[3 * t + 2]) for t in _live(tr)}
+
+
+def _edges(tr):
+    """{directed edge (u, v): the live triangle with it}, by matching corners alone."""
+    return {(tri[k], tri[(k + 1) % 3]): t for t, tri in _tris(tr).items() for k in range(3)}
+
+
+def _live_slots(tr):
+    """{tid: its three neighbour slots} of the live triangles."""
+    return {t: tuple(tr.tn[3 * t : 3 * t + 3]) for t in _live(tr)}
+
+
+def _assert_slots_match_edges(tr):
+    """Slot k of each live triangle is the live triangle with the reversed edge k (-1 if none),
+    and each vertex's entry is a live triangle with that corner."""
+    tris, edges = _tris(tr), _edges(tr)
+    for t, (a, b, c) in tris.items():
+        assert tr.tn[3 * t : 3 * t + 3].tolist() == [edges.get(e, -1) for e in ((b, a), (c, b), (a, c))], t
+    for v in {v for tri in tris.values() for v in tri}:
+        assert v in tris[tr.vt[v]]
+
+
+def _load_dict_store(tr, tris, n):
+    """Fill the flat store from {tid: (a, b, c)} with ids below ``n``, its slots by matching
+    directed edges."""
+    edges = {(tri[k], tri[(k + 1) % 3]): t for t, tri in tris.items() for k in range(3)}
+    corners = np.zeros((n, 3), dtype=np.int64)
+    slots = np.full((n, 3), -1, dtype=np.int64)
+    live = np.zeros(n, dtype=bool)
+    for t, (a, b, c) in tris.items():
+        corners[t], live[t] = (a, b, c), True
+        slots[t] = [edges.get(e, -1) for e in ((b, a), (c, b), (a, c))]
+    tr._load(corners, slots, live)
 
 
 def _random_polygons(seed, count):
@@ -635,7 +680,7 @@ class TestPrunedKernelsMatchAllPairs:
         for phase in ("built", "refined"):
             if phase == "refined":
                 ref.refine()
-            tids = list(ref.tr.tris)  # the exterior triangles too
+            tids = _live(ref.tr)  # the exterior triangles too
             bad = ref._bad(tids)
             assert bad.tolist() == [_ref_is_bad(ref, t) for t in tids], phase
             seen.update(bad.tolist())
@@ -646,7 +691,7 @@ class TestPrunedKernelsMatchAllPairs:
         results = []
         for fifo in (False, True):
             ref = _built_refiner(name, fifo)
-            results.append((_outcome(ref.refine), ref.tr.fx, ref.tr.fy, ref.tr.tris))
+            results.append((_outcome(ref.refine), ref.tr.fx, ref.tr.fy, _tris(ref.tr), _live_slots(ref.tr)))
         assert results[0] == results[1]
         failed = isinstance(results[0][0], str)
         assert failed == (name == "seed104_m010"), results[0][0] if failed else name
@@ -664,22 +709,26 @@ class TestPrunedKernelsMatchAllPairs:
 
         ref._place = counted_place
         ref._bad = lambda tids: ends.append(sum(placed)) or bad(tids)
-        interior = ref._interior()
+        interior = ref._interior(ref._segment_sides())
         ref._refine_pass(list(compress(interior, ref._bad(interior))), 10**9)
         assert len(ends) >= 4
         for budget in sorted({b + d for b in ends[1:] for d in (0, 1)}):
             results = []
             for fifo in (False, True):
                 ref = _built_refiner("annulus_small@0.01", fifo)
-                interior = ref._interior()
+                interior = ref._interior(ref._segment_sides())
                 work = list(compress(interior, ref._bad(interior)))
-                results.append((_outcome(lambda: ref._refine_pass(work, budget)), ref.tr.tris))
+                results.append((_outcome(lambda: ref._refine_pass(work, budget)), _tris(ref.tr), _live_slots(ref.tr)))
             assert results[0] == results[1], budget
         assert results[0][0] is True  # the largest budget finishes the pass
 
 
+_SHADOWS = weakref.WeakKeyDictionary()  # triangulator -> its triangles as the dicts of the old store
+
+
 def _reference_insert(tr, x, y, hint=None):
-    """``_Triangulator.insert`` as it was with predicate and bookkeeping helpers."""
+    """``_Triangulator.insert`` as it was on the dict store: a dict of triangles and a dict of
+    directed edges, kept beside the flat store and written into it triangle by triangle."""
     ix, iy = tr.ix, tr.iy
 
     def orient(a, b, c):
@@ -697,25 +746,29 @@ def _reference_insert(tr, x, y, hint=None):
         return vid, None
     if not tr.built:  # registered only, until the one-call build
         return vid, []
+    if tr not in _SHADOWS:
+        _SHADOWS[tr] = (_tris(tr), _edges(tr))
+    tris, edge2tri = _SHADOWS[tr]
     t0 = tr._locate(vid, hint)
     if t0 is None:
         tr.by_int.pop((ix[vid], iy[vid]))
-        tr.fx.pop(), tr.fy.pop(), ix.pop(), iy.pop()
+        for coords in (tr.fx, tr.fy, ix, iy, tr.gx, tr.gy):
+            coords.pop()
         return None, None
     cavity, stack = {t0}, [t0]
     while stack:
-        a, b, c = tr.tris[stack.pop()]
+        a, b, c = tris[stack.pop()]
         for u, v in ((a, b), (b, c), (c, a)):
-            nb = tr.edge2tri.get((v, u))
-            if nb is not None and nb not in cavity and incircle(*tr.tris[nb], vid) > 0:
+            nb = edge2tri.get((v, u))
+            if nb is not None and nb not in cavity and incircle(*tris[nb], vid) > 0:
                 cavity.add(nb)
                 stack.append(nb)
     while True:
         boundary, grazed = [], []
         for t in cavity:
-            a, b, c = tr.tris[t]
+            a, b, c = tris[t]
             for u, v in ((a, b), (b, c), (c, a)):
-                nb = tr.edge2tri.get((v, u))
+                nb = edge2tri.get((v, u))
                 if nb in cavity:
                     continue
                 if orient(u, v, vid) <= 0:
@@ -728,16 +781,29 @@ def _reference_insert(tr, x, y, hint=None):
             break
         cavity.update(grazed)
     for t in cavity:  # drop
-        a, b, c = tr.tris.pop(t)
+        a, b, c = tris.pop(t)
         for e in ((a, b), (b, c), (c, a)):
-            if tr.edge2tri.get(e) == t:
-                del tr.edge2tri[e]
+            if edge2tri.get(e) == t:
+                del edge2tri[e]
+        tr.live[t] = 0
+    made = []
     for u, v in boundary:  # make
-        tid = tr.next_tid
-        tr.next_tid += 1
-        tr.tris[tid] = (u, v, vid)
-        tr.edge2tri[(u, v)] = tr.edge2tri[(v, vid)] = tr.edge2tri[(vid, u)] = tid
-        tr.last_tid = tid
+        tid = tr.next_tid + len(made)
+        tris[tid] = (u, v, vid)
+        edge2tri[(u, v)] = edge2tri[(v, vid)] = edge2tri[(vid, u)] = tid
+        made.append(tid)
+    tr.vt.append(-1)
+    for t in made:  # write the new triangles and their neighbours' slots from the edge dict
+        a, b, c = tris[t]
+        tr.tv += (a, b, c)
+        tr.tn.extend((-1, -1, -1))
+        tr.live.append(1)
+        tr.vt[a] = tr.vt[b] = tr.vt[c] = t
+    for t in made + [edge2tri.get((v, u)) for u, v in boundary]:
+        if t is not None:
+            a, b, c = tris[t]
+            tr.tn[3 * t : 3 * t + 3] = array("q", [edge2tri.get(e, -1) for e in ((b, a), (c, b), (a, c))])
+    tr.last_tid = made[-1]
     return vid, list(cavity)
 
 
@@ -749,24 +815,26 @@ ANNULUS_600_OFF_SHA256 = "7b0decffefb71969fabaea8ec1b248e833019fd03820c9387ba26e
 class TestInsertionCost:
     @pytest.mark.parametrize("name", ["annulus", "fuzz"])
     def test_inlined_insert_matches_reference(self, monkeypatch, name):
-        """The same triangles, ids, cavities and edge map as the helper-based insertion."""
+        """The same meshes, ids, cavities and live triangles as the dict-store insertion,
+        and neighbour slots that match the directed edges."""
         if name == "annulus":
             contour, area = half_annulus_contour(22.0, 30.0, 300), 0.25
         else:
             contour, area = _fuzz_contour("seed209_m002"), FUZZ["seed209_m002"]["max_area_mm2"]
         logs = []
         for insert in (_Triangulator.insert, _reference_insert):
-            log = []
+            log, seen = [], []
 
-            def logged(tr, x, y, hint=None, _insert=insert, _log=log):
+            def logged(tr, x, y, hint=None, _insert=insert, _log=log, _seen=seen):
                 out = _insert(tr, x, y, hint)
-                _log.append((out, tr.next_tid, tr.last_tid, len(tr.edge2tri)))
+                _log.append((out, tr.next_tid, tr.last_tid, sum(tr.live)))
+                _seen[:] = [tr]
                 return out
 
             monkeypatch.setattr(_Triangulator, "insert", logged)
-            logs.append((triangulate(contour, area).to_off(), log))
-        assert logs[0][0] == logs[1][0]
-        assert logs[0][1] == logs[1][1]
+            logs.append((triangulate(contour, area).to_off(), log, _tris(seen[0]), _live_slots(seen[0])))
+            _assert_slots_match_edges(seen[0])
+        assert logs[0] == logs[1]
 
     def test_triangles_per_inserted_vertex(self, monkeypatch):
         """Triangles made per vertex inserted after the build.
@@ -812,17 +880,18 @@ class TestInsertionCost:
 
 
 def _reference_interior(ref):
-    """``_Refiner._interior`` as it was: a breadth-first flood over the dict of directed edges."""
+    """``_Refiner._interior`` as it was: a breadth-first flood over a dict of directed edges."""
+    tris, edge2tri = _tris(ref.tr), _edges(ref.tr)
     blocked = set(ref.segs) | {(v, u) for u, v in ref.segs}
-    seeds = (ref.tr.edge2tri.get(seg) for seg in ref.segs)
+    seeds = (edge2tri.get(seg) for seg in ref.segs)
     order = list(dict.fromkeys(t for t in seeds if t is not None))
     seen = set(order)
     for t in order:  # the list grows while it is read
-        a, b, c = ref.tr.tris[t]
+        a, b, c = tris[t]
         for u, v in ((a, b), (b, c), (c, a)):
             if (u, v) in blocked:
                 continue
-            nb = ref.tr.edge2tri.get((v, u))
+            nb = edge2tri.get((v, u))
             if nb is not None and nb not in seen:
                 seen.add(nb)
                 order.append(nb)
@@ -831,7 +900,8 @@ def _reference_interior(ref):
 
 def _reference_bad(ref, tids):
     """``_Refiner._bad`` as it was, gathering the corners as a list of tuples."""
-    tri = np.array([ref.tr.tris[t] for t in tids], dtype=np.int64).reshape(-1, 3)
+    tris = _tris(ref.tr)
+    tri = np.array([tris[t] for t in tids], dtype=np.int64).reshape(-1, 3)
     fx = np.asarray(ref.tr.fx)[tri]
     fy = np.asarray(ref.tr.fy)[tri]
     ax, bx, cx = fx.T
@@ -850,11 +920,11 @@ def _reference_bad(ref, tids):
 
 def _reference_extract(ref, interior):
     """``_Refiner.extract`` as it was, remapping the vertex ids through a set and a dict."""
-    tids = sorted(interior)
-    used = sorted({v for t in tids for v in ref.tr.tris[t]})
+    tids, tri = sorted(interior), _tris(ref.tr)
+    used = sorted({v for t in tids for v in tri[t]})
     remap = {v: i for i, v in enumerate(used)}
     verts = np.column_stack([np.asarray(ref.tr.fx)[used], np.asarray(ref.tr.fy)[used]])
-    tris = np.array([[remap[v] for v in ref.tr.tris[t]] for t in tids], dtype=np.int64)
+    tris = np.array([[remap[v] for v in tri[t]] for t in tids], dtype=np.int64)
     on_boundary = {u for u, _ in ref.segs}
     return TriMesh2D(verts, tris, np.array([v in on_boundary for v in used], dtype=bool))
 
@@ -897,8 +967,8 @@ def _checked_refine(ref):
     interior, refine_pass = ref._interior, ref._refine_pass
     rounds = []
 
-    def checked_interior():
-        got = interior()
+    def checked_interior(sides):
+        got = interior(sides)
         assert got == _reference_interior(ref)
         assert ref._bad(got).tolist() == _reference_bad(ref, got).tolist()
         return got
@@ -1038,21 +1108,22 @@ def _incircle_int(tr, a, b, c, d):
 
 def _interior_edges(tr):
     """(u, v, t, o, z) for each interior edge once: u->v in triangle t, z the corner of o across it."""
-    for (u, v), t in tr.edge2tri.items():
-        o = tr.edge2tri.get((v, u))
+    tris, edge2tri = _tris(tr), _edges(tr)
+    for (u, v), t in edge2tri.items():
+        o = edge2tri.get((v, u))
         if o is not None and u < v:
-            yield u, v, t, o, sum(tr.tris[o]) - u - v
+            yield u, v, t, o, sum(tris[o]) - u - v
 
 
 def _assert_valid_delaunay(tr):
     n = len(tr.ix)
-    assert {v for tri in tr.tris.values() for v in tri} == set(range(n))  # every point is a vertex
-    assert all(_orient_int(tr, *tri) > 0 for tri in tr.tris.values())
-    assert len(tr.tris) == 2 * n - 5  # the hull is the super-triangle
-    for t, (a, b, c) in tr.tris.items():
-        assert tr.edge2tri[(a, b)] == tr.edge2tri[(b, c)] == tr.edge2tri[(c, a)] == t
-    assert len(tr.edge2tri) == 3 * len(tr.tris)
-    assert all(_incircle_int(tr, *tr.tris[t], z) <= 0 for _, _, t, _, z in _interior_edges(tr))
+    tris = _tris(tr)
+    assert {v for tri in tris.values() for v in tri} == set(range(n))  # every point is a vertex
+    assert all(_orient_int(tr, *tri) > 0 for tri in tris.values())
+    assert len(tris) == 2 * n - 5  # the hull is the super-triangle
+    assert len(_edges(tr)) == 3 * len(tris)  # no directed edge twice
+    _assert_slots_match_edges(tr)
+    assert all(_incircle_int(tr, *tris[t], z) <= 0 for _, _, t, _, z in _interior_edges(tr))
 
 
 def _lattice_triangulator(side=8):
@@ -1071,11 +1142,11 @@ class TestBuild:
         ref, spacing = _seeded_refiner(name)
         ref.seed_grid(spacing)
         n = len(ref.tr.ix)
-        assert not ref.tr.tris  # registration only, so far
+        assert ref.tr.next_tid == 0  # registration only, so far
         ref.tr.build()
         assert len(ref.tr.ix) == n
         _assert_valid_delaunay(ref.tr)
-        assert (ref.tr.next_tid, ref.tr.last_tid) == (len(ref.tr.tris), len(ref.tr.tris) - 1)
+        assert (ref.tr.next_tid, ref.tr.last_tid) == (len(_tris(ref.tr)), len(_tris(ref.tr)) - 1)
 
     def test_duplicates_rejected_before_the_build(self):
         tr = _lattice_triangulator(2)
@@ -1087,7 +1158,8 @@ class TestBuild:
         tr = _lattice_triangulator()
         assert tr.build() == 0  # every lattice square is cocircular: no edge fails
         _assert_valid_delaunay(tr)
-        assert sum(_incircle_int(tr, *tr.tris[t], z) == 0 for _, _, t, _, z in _interior_edges(tr)) >= 64
+        tris = _tris(tr)
+        assert sum(_incircle_int(tr, *tris[t], z) == 0 for _, _, t, _, z in _interior_edges(tr)) >= 64
 
     @pytest.mark.parametrize("name", ["arch@0.25", "annulus@0.25"])
     def test_legalize_restores_flipped_diagonals(self, name):
@@ -1096,22 +1168,24 @@ class TestBuild:
         tr = ref.tr
         tr.build()
         # flip strictly legal diagonals of convex quadrilaterals, no two in one triangle
+        tris = _tris(tr)
         touched, flipped = set(), 0
         for u, v, t, o, z in list(_interior_edges(tr)):
-            w = sum(tr.tris[t]) - u - v
-            if t in touched or o in touched or _incircle_int(tr, *tr.tris[t], z) >= 0:
+            w = sum(tris[t]) - u - v
+            if t in touched or o in touched or _incircle_int(tr, *tris[t], z) >= 0:
                 continue
             if _orient_int(tr, u, z, w) <= 0 or _orient_int(tr, z, v, w) <= 0:
                 continue
-            del tr.edge2tri[(u, v)], tr.edge2tri[(v, u)]
-            tr.tris[t], tr.tris[o] = (u, z, w), (z, v, w)
-            tr.edge2tri.update({(u, z): t, (z, w): t, (w, u): t, (z, v): o, (v, w): o, (w, z): o})
+            tris[t], tris[o] = (u, z, w), (z, v, w)
             touched |= {t, o}
             flipped += 1
         assert flipped > 100
-        bad = sum(_incircle_int(tr, *tr.tris[t], z) > 0 for _, _, t, _, z in _interior_edges(tr))
+        _load_dict_store(tr, tris, tr.next_tid)
+        _assert_slots_match_edges(tr)
+        tris = _tris(tr)
+        bad = sum(_incircle_int(tr, *tris[t], z) > 0 for _, _, t, _, z in _interior_edges(tr))
         assert bad >= flipped
-        assert tr._legalize(list(tr.edge2tri)) >= flipped
+        assert tr._legalize(list(_edges(tr))) >= flipped
         _assert_valid_delaunay(tr)
 
     @pytest.mark.parametrize(
