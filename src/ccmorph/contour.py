@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import depth_first_order
 
 __all__ = [
     "Mask2D",
@@ -140,6 +142,10 @@ _SEGMENTS = {
     11: ((2, 1),), 12: ((1, 3),), 13: ((1, 0),), 14: ((0, 3),),
     5 | 16: ((3, 2), (1, 0)), 10 | 16: ((0, 3), (2, 1)),
 }
+# the same as arrays indexed by case: the segment count and the (edge_a, edge_b) pairs
+_SEG_COUNT = np.array([len(_SEGMENTS.get(c, ())) for c in range(32)])
+_SEG_EDGES = np.array([(_SEGMENTS.get(c, ()) + ((0, 0), (0, 0)))[:2] for c in range(32)])
+_EDGE_STEPS = np.array(_EDGES)
 
 
 def extract_contour(
@@ -172,63 +178,49 @@ def extract_contour(
     px = np.broadcast_to(np.asarray(pixel_size, dtype=float).ravel(), (2,))
     ox, oy = float(origin[0]), float(origin[1])
 
-    # vertex on a grid edge, keyed so neighboring cells agree exactly
-    verts: dict = {}
-
-    def edge_vertex(i, j, e):
-        di0, dj0, di1, dj1 = _EDGES[e]
-        i0, j0, i1, j1 = key = (i + di0, j + dj0, i + di1, j + dj1)
-        v = verts.get(key)
-        if v is None:
-            f0, f1 = f[i0, j0], f[i1, j1]
-            t = (iso - f0) / (f1 - f0)
-            x = (i0 + t * (i1 - i0)) * px[0] + ox
-            y = (j0 + t * (j1 - j0)) * px[1] + oy
-            v = (len(verts), x, y)
-            verts[key] = v
-        return v
-
-    # adjacency between edge-vertices
-    segs: dict = {}
-
-    def add_seg(a, b):
-        segs.setdefault(a[0], []).append((a, b))
-        segs.setdefault(b[0], []).append((b, a))
-
     up = above.astype(np.uint8)
     case = up[:-1, :-1] | up[1:, :-1] << 1 | up[1:, 1:] << 2 | up[:-1, 1:] << 3
-    center_above = (f[:-1, :-1] + f[1:, :-1] + f[1:, 1:] + f[:-1, 1:]) / 4.0 > iso
-    case[((case == 5) | (case == 10)) & center_above] |= 16
-    # crossed cells only, in row-major order: vertex ids follow first use
+    si, sj = np.nonzero((case == 5) | (case == 10))  # saddles: the cell-center average decides
+    center_above = (f[si, sj] + f[si + 1, sj] + f[si + 1, sj + 1] + f[si, sj + 1]) / 4.0 > iso
+    case[si[center_above], sj[center_above]] |= 16
+    # crossed cells only, in row-major order, and their segments in ``_SEGMENTS`` order
     ii, jj = np.nonzero((case != 0) & (case != 15))
-    for i, j, c in zip(ii.tolist(), jj.tolist(), case[ii, jj].tolist()):
-        for ea, eb in _SEGMENTS[c]:
-            add_seg(edge_vertex(i, j, ea), edge_vertex(i, j, eb))
-
-    if not segs:
+    if not len(ii):
         raise ValueError("empty contour: field does not cross the iso value")
+    c = case[ii, jj]
+    count = _SEG_COUNT[c]
+    cell = np.repeat(np.arange(len(c)), count)
+    nth = np.arange(len(cell)) - np.repeat(np.cumsum(count) - count, count)
+    edge = _SEG_EDGES[c[cell], nth].ravel()  # each segment's (edge_a, edge_b), one after the other
 
-    # chain segments into loops
-    visited = set()
-    loops = []
-    for start_id in sorted(segs):
-        if start_id in visited:
-            continue
-        nbrs = segs[start_id]
-        if len(nbrs) != 2:
-            raise ValueError("contour not closed (crosses the field border); pad the field first")
-        cur, nxt = nbrs[0]
-        loop = [cur]
-        visited.add(cur[0])
-        while nxt[0] != start_id:
-            loop.append(nxt)
-            visited.add(nxt[0])
-            candidates = segs.get(nxt[0], [])
-            if len(candidates) != 2:
-                raise ValueError("contour not closed (crosses the field border); pad the field first")
-            prev = loop[-2]
-            nxt = candidates[0][1] if candidates[0][1][0] != prev[0] else candidates[1][1]
-        loops.append(np.array([(x, y) for _, x, y in loop]))
+    # the grid edge of each segment end, keyed so neighbouring cells agree; vertex ids
+    # follow first use
+    i0, j0, i1, j1 = (np.repeat(base[cell], 2) + _EDGE_STEPS[edge, k] for base, k in ((ii, 0), (jj, 1), (ii, 2), (jj, 3)))
+    _, first, inverse = np.unique((i0 * f.shape[1] + j0) * 2 + (i1 - i0), return_index=True, return_inverse=True)
+    by_use = np.argsort(first)
+    vid = np.empty_like(by_use)
+    vid[by_use] = np.arange(len(by_use))
+    ends = vid[inverse.ravel()]
+    at = first[by_use]
+    i0, j0, i1, j1 = i0[at], j0[at], i1[at], j1[at]
+    f0, f1 = f[i0, j0], f[i1, j1]
+    t = (iso - f0) / (f1 - f0)
+    x = (i0 + t * (i1 - i0)) * px[0] + ox
+    y = (j0 + t * (j1 - j0)) * px[1] + oy
+
+    # each vertex's neighbours, the first recorded first
+    n = len(at)
+    if (np.bincount(ends, minlength=n) != 2).any():
+        raise ValueError("contour not closed (crosses the field border); pad the field first")
+    nbrs = ends.reshape(-1, 2)[:, ::-1].ravel()[np.argsort(ends, kind="stable")]
+
+    # chain the loops: a depth-first order from a virtual root whose row lists every
+    # vertex by id starts each loop at its smallest id and walks to its first neighbour
+    indptr = np.append(np.arange(0, 2 * n + 1, 2), 3 * n)
+    graph = csr_matrix((np.ones(3 * n), np.concatenate([nbrs, np.arange(n)]), indptr), shape=(n + 1, n + 1))
+    order, pred = depth_first_order(graph, n, directed=True, return_predecessors=True)
+    order = order[1:]
+    loops = [np.column_stack([x[L], y[L]]) for L in np.split(order, np.flatnonzero(pred[order] == n)[1:])]
 
     best = max(loops, key=lambda L: abs(polygon_area(L)))
     if polygon_area(best) < 0:
