@@ -583,6 +583,7 @@ def run_batch(cases, cfg: RunConfig, out_root) -> list:
         if threads < 1:
             raise InputError(f"CCMORPH_THREADS must be an integer >= 1, got {env!r}")
     if threads > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as ex:
+        # a fork-started pool forks all its workers at the first submit: no more than cases
+        with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as ex:
             return list(ex.map(_run_case_star, jobs))
     return [_run_case_star(j) for j in jobs]

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ccmorph import pipeline
 from ccmorph.cli import main
 from ccmorph.config import RunConfig, parse_config_file
 from ccmorph.contour import Polyline
@@ -349,6 +350,28 @@ class TestBatch:
                 a = (tmp_path / "seq" / f"case{i}" / name).read_bytes()
                 b = (tmp_path / "par" / f"case{i}" / name).read_bytes()
                 assert a == b
+
+    @pytest.mark.parametrize("threads, workers", [(8, 2), (2, 2)])
+    def test_pool_no_larger_than_the_batch(self, phantom_files, tmp_path, monkeypatch, threads, workers):
+        pools = []
+
+        class SerialPool:  # records its size and runs the cases in this process
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", SerialPool)
+        cases = [_case(phantom_files, f"pool{i}") for i in range(2)]
+        assert all(s["ok"] for s in run_batch(cases, _cfg(threads=threads), tmp_path / "b"))
+        assert pools == [workers]
 
     def test_env_var_thread_override(self, phantom_files, tmp_path, monkeypatch):
         monkeypatch.setenv("CCMORPH_THREADS", "2")
