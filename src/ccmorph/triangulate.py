@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from array import array
 from itertools import chain, compress
-from math import floor, sqrt
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -42,20 +41,6 @@ __all__ = ["triangulate", "first_self_intersection"]
 _EPS = 2.0**-53
 _CCW_BOUND = (3.0 + 16.0 * _EPS) * _EPS
 _ICC_BOUND = (10.0 + 96.0 * _EPS) * _EPS
-_ICC_FILTER = 2.0 * _ICC_BOUND
-
-
-def _incircle(ix, iy, a, b, c, d) -> int:
-    """The exact incircle determinant of integer points: > 0 iff d is strictly inside
-    the circumcircle of counter-clockwise (a, b, c)."""
-    dx, dy = ix[d], iy[d]
-    adx, ady = ix[a] - dx, iy[a] - dy
-    bdx, bdy = ix[b] - dx, iy[b] - dy
-    cdx, cdy = ix[c] - dx, iy[c] - dy
-    ad2 = adx * adx + ady * ady
-    bd2 = bdx * bdx + bdy * bdy
-    cd2 = cdx * cdx + cdy * cdy
-    return adx * (bdy * cd2 - cdy * bd2) - ady * (bdx * cd2 - cdx * bd2) + ad2 * (bdx * cdy - cdx * bdy)
 
 
 def _widen(radius, pts):
@@ -150,8 +135,6 @@ class _Triangulator:
         self.fy = []
         self.ix = []  # snapped int coords (predicates only)
         self.iy = []
-        self.gx = []  # the same as floats, for the float filters
-        self.gy = []
         self.by_int = {}
         self.tv = []
         self.tn = array("q")
@@ -186,8 +169,6 @@ class _Triangulator:
         self.fy.append(float(y))
         self.ix.append(key[0])
         self.iy.append(key[1])
-        self.gx.append(float(key[0]))
-        self.gy.append(float(key[1]))
         self.by_int[key] = vid
         return vid, True
 
@@ -206,8 +187,6 @@ class _Triangulator:
         self.fy += xy[fresh, 1].tolist()
         self.ix += [keys[i][0] for i in fresh]
         self.iy += [keys[i][1] for i in fresh]
-        self.gx += snapped[fresh, 0].tolist()
-        self.gy += snapped[fresh, 1].tolist()
         return vids
 
     def _load(self, corners: np.ndarray, slots: np.ndarray, live: np.ndarray):
@@ -235,19 +214,11 @@ class _Triangulator:
         return done
 
     def coords(self, vids: np.ndarray):
-        """The float x and y of the vertex ids ``vids`` (an int array of any shape).
-
-        Fewer ids than vertices are gathered from the coordinate lists; more
-        read the lists converted whole (``fromiter``: no type discovery).
-        """
-        flat = vids.ravel()
-        out = []
-        for f in (self.fx, self.fy):
-            if len(flat) < len(f):
-                out.append(np.fromiter(map(f.__getitem__, flat.tolist()), dtype=float, count=len(flat)))
-            else:
-                out.append(np.fromiter(f, dtype=float, count=len(f))[flat])
-        return out[0].reshape(vids.shape), out[1].reshape(vids.shape)
+        """The float x and y of the vertex ids ``vids`` (an int array of any shape),
+        gathered from the coordinate lists."""
+        flat = vids.ravel().tolist()
+        x, y = (np.fromiter(map(f.__getitem__, flat), dtype=float, count=len(flat)) for f in (self.fx, self.fy))
+        return x.reshape(vids.shape), y.reshape(vids.shape)
 
     def edge_tri(self, u, v) -> int:
         """The triangle whose edge from one corner to the next runs u -> v, or -1
@@ -317,16 +288,15 @@ class _Triangulator:
         if t0 is None:
             # outside the triangulation: undo the point registration
             self.by_int.pop((self.ix[vid], self.iy[vid]))
-            for coords in (self.fx, self.fy, self.ix, self.iy, self.gx, self.gy):
+            for coords in (self.fx, self.fy, self.ix, self.iy):
                 coords.pop()
             return None, None
 
         # the incircle and orientation predicates and the triangle
         # bookkeeping are written out on locals: this is most of the
         # mesher's time
-        tv, tn, live, vt, ix, iy, gx, gy = self.tv, self.tn, self.live, self.vt, self.ix, self.iy, self.gx, self.gy
+        tv, tn, live, vt, ix, iy = self.tv, self.tn, self.live, self.vt, self.ix, self.iy
         dx, dy = ix[vid], iy[vid]
-        fdx, fdy = gx[vid], gy[vid]
         cavity = {t0}
         stack = [t0]
         while stack:
@@ -336,20 +306,14 @@ class _Triangulator:
                     continue
                 j = 3 * nb
                 na, nbv, nc = tv[j], tv[j + 1], tv[j + 2]
-                # incircle: > 0 iff vid is strictly inside the circumcircle of CCW (na, nbv, nc).
-                # In floats first: the differences are exact, and the error of the
-                # determinant is below Shewchuk's bound times its permanent, which is at
-                # most ad2 bd2 + bd2 cd2 + cd2 ad2 (|p q| <= (p^2 + q^2) / 2); twice that
-                # bound covers the rounding of this sum. Only within it do Python ints decide
-                adx, ady = gx[na] - fdx, gy[na] - fdy
-                bdx, bdy = gx[nbv] - fdx, gy[nbv] - fdy
-                cdx, cdy = gx[nc] - fdx, gy[nc] - fdy
+                # incircle: > 0 iff vid is strictly inside the circumcircle of CCW (na, nbv, nc)
+                adx, ady = ix[na] - dx, iy[na] - dy
+                bdx, bdy = ix[nbv] - dx, iy[nbv] - dy
+                cdx, cdy = ix[nc] - dx, iy[nc] - dy
                 ad2 = adx * adx + ady * ady
                 bd2 = bdx * bdx + bdy * bdy
                 cd2 = cdx * cdx + cdy * cdy
-                det = ad2 * (bdx * cdy - cdx * bdy) + bd2 * (cdx * ady - adx * cdy) + cd2 * (adx * bdy - bdx * ady)
-                err = _ICC_FILTER * (ad2 * (bd2 + cd2) + bd2 * cd2)
-                if det > err or (det >= -err and _incircle(ix, iy, na, nbv, nc, vid) > 0):
+                if adx * (bdy * cd2 - cdy * bd2) - ady * (bdx * cd2 - cdx * bd2) + ad2 * (bdx * cdy - cdx * bdy) > 0:
                     cavity.add(nb)
                     stack.append(nb)
 
@@ -493,7 +457,15 @@ class _Triangulator:
             j = 3 * t2
             p, q, r = tv[j], tv[j + 1], tv[j + 2]
             z = p + q + r - u - v
-            if _incircle(ix, iy, a, b, c, z) <= 0:  # z is not strictly inside the circumcircle of (a, b, c)
+            # incircle: > 0 iff z is strictly inside the circumcircle of CCW (a, b, c)
+            dx, dy = ix[z], iy[z]
+            adx, ady = ix[a] - dx, iy[a] - dy
+            bdx, bdy = ix[b] - dx, iy[b] - dy
+            cdx, cdy = ix[c] - dx, iy[c] - dy
+            ad2 = adx * adx + ady * ady
+            bd2 = bdx * bdx + bdy * bdy
+            cd2 = cdx * cdx + cdy * cdy
+            if adx * (bdy * cd2 - cdy * bd2) - ady * (bdx * cd2 - cdx * bd2) + ad2 * (bdx * cdy - cdx * bdy) <= 0:
                 continue
             # the quadrilateral u, z, v, w (counter-clockwise) takes diagonal z-w
             n_vw, n_wu = tn[i + (k + 1) % 3], tn[i + (k + 2) % 3]
@@ -580,15 +552,6 @@ class _Refiner:
         self._mid[:n] = 0.5 * (p + q)
         self._r2[:n] = (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) / 4.0
         self._lim[:n] = self._r2[:n] * (1.0 - 1e-12)
-        # the rows by the grid cell of their midpoint. Splits only shorten segments,
-        # so with cells twice the longest diametral radius, a circle that holds a
-        # point has its midpoint in one of the 3 x 3 cells around the point's
-        self._cell = 2.0 * sqrt(float(self._r2[:n].max()))
-        self._grid = {}
-        mx, my = self._mid[:n].T
-        cells = zip(*np.floor(self._mid[:n] / self._cell).astype(np.int64).T.tolist())
-        for cell, entry in zip(cells, zip(range(n), mx.tolist(), my.tolist(), self._lim[:n].tolist())):
-            self._grid.setdefault(cell, []).append(entry)
         self.unsplittable = set()
 
     # -- segment bookkeeping -------------------------------------------------
@@ -603,12 +566,10 @@ class _Refiner:
             )
         fx, fy = self.tr.fx, self.tr.fy
         dx, dy = fx[u] - fx[v], fy[u] - fy[v]
-        mx, my = 0.5 * (fx[u] + fx[v]), 0.5 * (fy[u] + fy[v])
         self._uv[row] = u, v
-        self._mid[row] = mx, my
+        self._mid[row] = 0.5 * (fx[u] + fx[v]), 0.5 * (fy[u] + fy[v])
         self._r2[row] = r2 = (dx * dx + dy * dy) / 4.0
-        self._lim[row] = lim = r2 * (1.0 - 1e-12)
-        self._grid.setdefault((floor(mx / self._cell), floor(my / self._cell)), []).append((row, mx, my, lim))
+        self._lim[row] = r2 * (1.0 - 1e-12)
         self.segs[(u, v)] = row
         self._rows += 1
 
@@ -618,25 +579,11 @@ class _Refiner:
         return self._uv[: self._rows][alive], self._mid[: self._rows][alive], self._r2[: self._rows][alive]
 
     def _encroached_by(self, x, y):
-        """The live segments whose diametral circle holds (x, y), in row order.
-
-        Only the rows in the 3 x 3 grid cells around (x, y) are tested, each
-        by its squared midpoint distance against its bound, in float64 as a
-        NumPy pass over every row would compute them.
-        """
-        ci, cj = floor(x / self._cell), floor(y / self._cell)
-        get, lims = self._grid.get, self._lim
-        hits = []
-        for i in (ci - 1, ci, ci + 1):
-            for j in (cj - 1, cj, cj + 1):
-                for row, mx, my, lim in get((i, j), ()):
-                    dx, dy = mx - x, my - y
-                    if dx * dx + dy * dy < lim and lims[row] >= 0:
-                        hits.append(row)
-        if not hits:
-            return []
-        hits.sort()
-        return list(map(tuple, self._uv[hits].tolist()))
+        """The live segments whose diametral circle holds (x, y), in row order."""
+        n = self._rows
+        mid = self._mid[:n]
+        hits = np.flatnonzero((mid[:, 0] - x) ** 2 + (mid[:, 1] - y) ** 2 < self._lim[:n])
+        return list(map(tuple, self._uv[hits].tolist())) if hits.size else []
 
     def _encroaching(self, tree: cKDTree):
         """(point, segment) index arrays: the tree's points inside a segment's diametral circle."""
@@ -875,17 +822,11 @@ class _Refiner:
     def _refinement_points(self, tid):
         """The circumcenter of ``tid`` (when defined), then the midpoint of its longest edge."""
         pts = self.tr.tri_coords(tid)
-        (ax, ay), (bx, by), (cx, cy) = pts
-        # the first longest of the edges (b, c), (c, a), (a, b)
-        la = (bx - cx) ** 2 + (by - cy) ** 2
-        lb = (cx - ax) ** 2 + (cy - ay) ** 2
-        lc = (ax - bx) ** 2 + (ay - by) ** 2
-        if la >= lb and la >= lc:
-            mid = (0.5 * (bx + cx), 0.5 * (by + cy))
-        elif lb >= lc:
-            mid = (0.5 * (cx + ax), 0.5 * (cy + ay))
-        else:
-            mid = (0.5 * (ax + bx), 0.5 * (ay + by))
+        p, q = max(
+            ((pts[(k + 1) % 3], pts[(k + 2) % 3]) for k in range(3)),
+            key=lambda e: (e[0][0] - e[1][0]) ** 2 + (e[0][1] - e[1][1]) ** 2,
+        )
+        mid = (0.5 * (p[0] + q[0]), 0.5 * (p[1] + q[1]))
         cc = _circumcenter(*pts)
         return [mid] if cc is None else [cc, mid]
 

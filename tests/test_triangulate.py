@@ -752,7 +752,7 @@ def _reference_insert(tr, x, y, hint=None):
     t0 = tr._locate(vid, hint)
     if t0 is None:
         tr.by_int.pop((ix[vid], iy[vid]))
-        for coords in (tr.fx, tr.fy, ix, iy, tr.gx, tr.gy):
+        for coords in (tr.fx, tr.fy, ix, iy):
             coords.pop()
         return None, None
     cavity, stack = {t0}, [t0]
