@@ -214,11 +214,8 @@ class _Triangulator:
         return done
 
     def coords(self, vids: np.ndarray):
-        """The float x and y of the vertex ids ``vids`` (an int array of any shape),
-        gathered from the coordinate lists."""
-        flat = vids.ravel().tolist()
-        x, y = (np.fromiter(map(f.__getitem__, flat), dtype=float, count=len(flat)) for f in (self.fx, self.fy))
-        return x.reshape(vids.shape), y.reshape(vids.shape)
+        """The float x and y of the vertex ids ``vids`` (an int array of any shape)."""
+        return tuple(np.fromiter(f, dtype=float, count=len(f))[vids] for f in (self.fx, self.fy))  # fromiter: no type discovery
 
     def edge_tri(self, u, v) -> int:
         """The triangle whose edge from one corner to the next runs u -> v, or -1
