@@ -52,44 +52,42 @@ from pathlib import Path
 
 import numpy as np
 
-import ccmorph
-from ccmorph.config import RunConfig
-from ccmorph.contour import Mask2D, extract_contour, smooth_mask
-from ccmorph.phantoms import arch_mask_volume, rectangle_mask_volume
-from ccmorph.pipeline import CaseSpec, run_case
-from ccmorph.subseg import SCHEME_KINDS
-from ccmorph.transforms import Plane
-from ccmorph.volume import save_volume
-
 REPO = Path(__file__).resolve().parent.parent
 SEED = 7
 FUZZ_SEED = 15
-# child processes import the same ccmorph as this one, whatever the working directory
-ENV = dict(os.environ, PYTHONPATH=str(Path(ccmorph.__file__).resolve().parent.parent))
 
 
 def _run(script: Path, *args) -> None:
-    subprocess.run([sys.executable, str(script), *map(str, args)], check=True, env=ENV, stdout=subprocess.DEVNULL)
+    import ccmorph  # only the digest runs import it, so --check and --compare need no PYTHONPATH
+
+    # child processes import the same ccmorph as this one, whatever the working directory
+    env = dict(os.environ, PYTHONPATH=str(Path(ccmorph.__file__).resolve().parent.parent))
+    subprocess.run([sys.executable, str(script), *map(str, args)], check=True, env=env, stdout=subprocess.DEVNULL)
 
 
 def _inputs(workload: str, out: Path, seed: int = SEED) -> None:
     _run(REPO / "ccbench" / "inputs.py", "--workload", workload, "--seed", seed, "--out", out)
 
 
-def _phantom(name: str, vol, lm, root: Path) -> CaseSpec:
-    root.mkdir(parents=True, exist_ok=True)
-    save_volume(vol, root / "labels.nii.gz")
-    (root / "lm.json").write_text(lm.to_json())
-    (root / "plane.json").write_text(Plane(np.array([1.0, 0.0, 0.0]), 0.0).to_json())
-    return CaseSpec(name, str(root / "labels.nii.gz"), str(root / "lm.json"), str(root / "plane.json"))
-
-
 def run_all(work: Path) -> None:
+    from ccmorph.config import RunConfig
+    from ccmorph.contour import Mask2D, extract_contour, smooth_mask
+    from ccmorph.phantoms import arch_mask_volume, rectangle_mask_volume
+    from ccmorph.pipeline import CaseSpec, run_case
+    from ccmorph.subseg import SCHEME_KINDS
+    from ccmorph.transforms import Plane
+    from ccmorph.volume import save_volume
+
     schemes = list(SCHEME_KINDS)
     known_plane = RunConfig(slab_spacing_mm=1.0, schemes=schemes).validate()
 
     for name, (vol, lm) in (("rect", rectangle_mask_volume()), ("arch", arch_mask_volume())):
-        case = _phantom(name, vol, lm, work / "inputs" / name)
+        root = work / "inputs" / name
+        root.mkdir(parents=True, exist_ok=True)
+        save_volume(vol, root / "labels.nii.gz")
+        (root / "lm.json").write_text(lm.to_json())
+        (root / "plane.json").write_text(Plane(np.array([1.0, 0.0, 0.0]), 0.0).to_json())
+        case = CaseSpec(name, str(root / "labels.nii.gz"), str(root / "lm.json"), str(root / "plane.json"))
         run_case(case, known_plane, work / "out" / name)
 
     script = work / "inputs" / "run_phantom_case"

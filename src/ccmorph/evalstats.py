@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
+from scipy import ndimage
 from scipy.spatial import cKDTree
 from scipy.special import stdtr
 
@@ -61,18 +62,9 @@ def boundary_voxels(mask, voxel_size=(1.0, 1.0, 1.0)) -> np.ndarray:
     m = _as_mask(mask)
     if m.ndim != 3:
         raise ValueError("mask must be 3D")
-    interior = np.ones_like(m)
-    for ax in range(3):
-        for shift in (1, -1):
-            rolled = np.roll(m, shift, axis=ax)
-            # voxels at the array border face the outside
-            sl = [slice(None)] * 3
-            sl[ax] = 0 if shift == 1 else -1
-            rolled[tuple(sl)] = False
-            interior &= rolled
-    surf = m & ~interior
-    ijk = np.argwhere(surf)
-    return ijk * np.asarray(voxel_size, dtype=float)
+    # voxels at the array border face the outside
+    interior = ndimage.binary_erosion(m, ndimage.generate_binary_structure(3, 1), border_value=0)
+    return np.argwhere(m & ~interior) * np.asarray(voxel_size, dtype=float)
 
 
 def hausdorff95(x, y, voxel_size=(1.0, 1.0, 1.0), pooled: bool = True) -> float:

@@ -14,7 +14,6 @@ Scalar fields are plain per-vertex float arrays; triangle vector fields are
 
 from __future__ import annotations
 
-import math
 from itertools import chain
 from typing import NamedTuple
 
@@ -226,13 +225,14 @@ def _barycentrics(tri, p):
     return out
 
 
-def _above_cuts(levels: np.ndarray) -> np.ndarray:
-    """The c for which x - level > c exactly when x, snapped, lies above each level.
+def _snapped(x: np.ndarray, level: np.ndarray) -> np.ndarray:
+    """``x`` with each value within _LEVEL_SNAP of its level moved to level + _LEVEL_SNAP.
 
-    A value within _LEVEL_SNAP of the level snaps to level + _LEVEL_SNAP,
-    which rounding can absorb; any other x is above when x - level >= _LEVEL_SNAP.
+    A value lies above its level when its snapped value is greater. At a
+    large level rounding can absorb the nudge, and a value snapped onto the
+    level lies below it.
     """
-    return np.where(levels + _LEVEL_SNAP > levels, -_LEVEL_SNAP, math.nextafter(_LEVEL_SNAP, 0.0))
+    return np.where(np.abs(x - level) < _LEVEL_SNAP, level + _LEVEL_SNAP, x)
 
 
 class _LevelSets(NamedTuple):
@@ -304,7 +304,7 @@ def _level_sets(mesh: TriMesh2D, values: np.ndarray, levels) -> _LevelSets:
     n = np.searchsorted(lv, tv.max(axis=1) + 2 * _LEVEL_SNAP, "right") - j0
     tri = np.repeat(np.arange(n_t), n)
     lvl = np.arange(len(tri)) - np.repeat(np.cumsum(n) - n - j0, n)
-    up = tv[tri] - lv[lvl, None] > _above_cuts(lv)[lvl, None]
+    up = _snapped(tv[tri], lv[lvl, None]) > lv[lvl, None]
     count = up.sum(axis=1)
     keep = np.flatnonzero((count == 1) | (count == 2))
     seg_keys = lvl[keep] * n_t + tri[keep]
@@ -343,8 +343,7 @@ def _level_sets(mesh: TriMesh2D, values: np.ndarray, levels) -> _LevelSets:
     level = lv[node_keys[walk] // (n_v * n_v)]
     e = node_keys[walk] % (n_v * n_v)
     edges = np.column_stack([e // n_v, e % n_v])
-    w = v[edges]
-    w = np.where(np.abs(w - level[:, None]) < _LEVEL_SNAP, (level + _LEVEL_SNAP)[:, None], w)
+    w = _snapped(v[edges], level[:, None])
     frac = (level - w[:, 0]) / (w[:, 1] - w[:, 0])
     points = (1.0 - frac)[:, None] * mesh.vertices[edges[:, 0]] + frac[:, None] * mesh.vertices[edges[:, 1]]
     at = np.empty(n_nodes, dtype=np.int64)

@@ -540,40 +540,38 @@ class _Refiner:
         self._rows = n
         self._uv = np.zeros((2 * n, 2), dtype=np.int64)
         self._mid = np.zeros((2 * n, 2))
-        self._r2 = np.zeros(2 * n)
-        self._lim = np.full(2 * n, -1.0)  # a live row's encroachment bound r2 (1 - 1e-12), -1 once retired
+        # a live row's encroachment bound, its squared diametral radius times (1 - 1e-12); -1 once retired
+        self._lim = np.full(2 * n, -1.0)
         # the arithmetic of ``_add_seg``, row by row
         p, q = poly, np.roll(poly, -1, axis=0)
         d = p - q
         self._uv[:n] = np.column_stack([vids, nxt])
         self._mid[:n] = 0.5 * (p + q)
-        self._r2[:n] = (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) / 4.0
-        self._lim[:n] = self._r2[:n] * (1.0 - 1e-12)
+        self._lim[:n] = (d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) / 4.0 * (1.0 - 1e-12)
         self.unsplittable = set()
 
     # -- segment bookkeeping -------------------------------------------------
 
     def _add_seg(self, u, v):
-        """Append segment (u, v) as a live row with its midpoint and squared diametral radius."""
+        """Append segment (u, v) as a live row with its midpoint and encroachment bound."""
         row = self._rows
         if row == len(self._lim):  # full: double the capacity
-            self._uv, self._mid, self._r2, self._lim = (
+            self._uv, self._mid, self._lim = (
                 np.concatenate([a, np.full_like(a, fill)])
-                for a, fill in ((self._uv, 0), (self._mid, 0.0), (self._r2, 0.0), (self._lim, -1.0))
+                for a, fill in ((self._uv, 0), (self._mid, 0.0), (self._lim, -1.0))
             )
         fx, fy = self.tr.fx, self.tr.fy
         dx, dy = fx[u] - fx[v], fy[u] - fy[v]
         self._uv[row] = u, v
         self._mid[row] = 0.5 * (fx[u] + fx[v]), 0.5 * (fy[u] + fy[v])
-        self._r2[row] = r2 = (dx * dx + dy * dy) / 4.0
-        self._lim[row] = r2 * (1.0 - 1e-12)
+        self._lim[row] = (dx * dx + dy * dy) / 4.0 * (1.0 - 1e-12)
         self.segs[(u, v)] = row
         self._rows += 1
 
     def _seg_arrays(self):
-        """(uv, mid, r2) of the live segments, in the order of ``self.segs``."""
+        """(uv, mid, encroachment bound) of the live segments, in the order of ``self.segs``."""
         alive = self._lim[: self._rows] >= 0
-        return self._uv[: self._rows][alive], self._mid[: self._rows][alive], self._r2[: self._rows][alive]
+        return self._uv[: self._rows][alive], self._mid[: self._rows][alive], self._lim[: self._rows][alive]
 
     def _encroached_by(self, x, y):
         """The live segments whose diametral circle holds (x, y), in row order."""
@@ -584,10 +582,9 @@ class _Refiner:
 
     def _encroaching(self, tree: cKDTree):
         """(point, segment) index arrays: the tree's points inside a segment's diametral circle."""
-        _, mid, r2 = self._seg_arrays()
-        p, s = _ball_pairs(tree, mid, np.sqrt(r2))
-        d2 = (mid[s, 0] - tree.data[p, 0]) ** 2 + (mid[s, 1] - tree.data[p, 1]) ** 2
-        hit = d2 < r2[s] * (1.0 - 1e-12)
+        _, mid, lim = self._seg_arrays()
+        p, s = _ball_pairs(tree, mid, np.sqrt(lim))
+        hit = (mid[s, 0] - tree.data[p, 0]) ** 2 + (mid[s, 1] - tree.data[p, 1]) ** 2 < lim[s]
         return p[hit], s[hit]
 
     def _split_segment(self, seg):
@@ -759,6 +756,7 @@ class _Refiner:
     def refine(self) -> list:
         """Refine until every interior triangle is good; returns the interior triangle ids."""
         max_rounds = 40
+        # one insertion budget per mesh: each round gets what the rounds before it left
         budget = 40 * len(self.tr.fx) + int(20.0 * abs(polygon_area(self.poly)) / self.max_area) + 4000
         # each triangle's quality by tid: 0 untested, 1 good, 2 bad; it is fixed when the
         # triangle is made, so a scan tests only the triangles no earlier scan tested
@@ -777,8 +775,8 @@ class _Refiner:
         interior = self._interior(sides)
         bad = scan(interior)
         for _ in range(max_rounds):
-            stamp = self.tr.next_tid
-            progressed = self._refine_pass(bad, budget)
+            stamp, given = self.tr.next_tid, budget
+            budget = self._refine_pass(bad, budget)
             # verify: all constraint segments are edges of the triangulation
             # and every interior triangle meets quality
             if self.tr.next_tid != stamp:  # every insertion makes triangles
@@ -795,7 +793,7 @@ class _Refiner:
             bad = scan(interior)
             if not missing and not bad:
                 return interior
-            if not progressed and not missing:
+            if budget == given and not missing:  # nothing placed
                 break
         raise RuntimeError("mesh refinement did not converge")
 
@@ -847,13 +845,13 @@ class _Refiner:
         self.work.extend(range(first, self.tr.next_tid))
         return 1
 
-    def _refine_pass(self, work, budget):
+    def _refine_pass(self, work, budget) -> int:
         """Place a point for each bad triangle of ``work`` in order; the bad ones
         among the triangles this wave queued are the next wave. A triangle's
         vertices never change after ``build``, so the waves visit the triangles
-        of one first-in first-out queue that tests each when taking it out."""
+        of one first-in first-out queue that tests each when taking it out.
+        Returns the part of the insertion ``budget`` left."""
         live = self.tr.live
-        progressed = False
         stall = set()
         while work:
             self.work = []
@@ -869,14 +867,13 @@ class _Refiner:
                         break
                 if placed:
                     budget -= placed
-                    progressed = True
                 else:
                     stall.add(tid)
             if budget <= 0 and self.work:  # the queue's next item would raise
                 raise RuntimeError("mesh refinement exceeded its insertion budget")
             made = [t for t in self.work if live[t]]
             work = list(compress(made, self._bad(made)))
-        return progressed
+        return budget
 
     def extract(self, interior) -> TriMesh2D:
         if not interior:

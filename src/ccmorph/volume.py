@@ -130,16 +130,9 @@ class Volume:
         """
         return self._count_labels()
 
-    def _count_labels(self, stop_at_negative=False):
-        """``label_table``'s pass, which also records ``label_bounds``. With
-        ``stop_at_negative`` it ends at the first chunk that holds a negative
-        voxel and returns None: the data are no label map, and no table is made.
-        """
-        tables = []
-        for start, chunk in _plane_chunks(self.data):
-            tables.append(_chunk_table(chunk, start))
-            if stop_at_negative and len(tables[-1][0]) and tables[-1][0][0] < 0:  # labels are sorted
-                return None
+    def _count_labels(self):
+        """``label_table``'s pass, which also records ``label_bounds``."""
+        tables = [_chunk_table(chunk, start) for start, chunk in _plane_chunks(self.data)]
         chunk_labels, chunk_counts, chunk_sums, chunk_lo, chunk_hi = zip(*tables)
         labels, rows = np.unique(np.concatenate(chunk_labels), return_inverse=True)
         counts = np.zeros(len(labels), dtype=np.intp)
@@ -188,17 +181,10 @@ class Volume:
         """``is_label_map()`` of a volume whose ``label_table`` is needed anyway.
 
         An undecided integer volume is decided by building its table, so its
-        data are read once, not twice. The pass stops at the first chunk that
-        holds a negative voxel: a signed volume is not counted whole, and gets
-        no table.
+        data are read once, not twice; a signed volume is counted whole too.
         """
-        undecided = "_is_label_map" not in self.__dict__ and "label_table" not in self.__dict__
-        if undecided and np.issubdtype(self.data.dtype, np.integer):
-            table = self._count_labels(stop_at_negative=True)
-            if table is None:
-                self.__dict__["_is_label_map"] = False
-            else:
-                self.__dict__["label_table"] = table
+        if "_is_label_map" not in self.__dict__ and np.issubdtype(self.data.dtype, np.integer):
+            self.label_table  # noqa: B018 - the table's pass decides
         return self.is_label_map()
 
 

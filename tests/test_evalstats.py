@@ -131,6 +131,26 @@ class TestHausdorff95:
         m = np.ones((3, 3, 3), dtype=int)
         assert len(es.boundary_voxels(m)) == 26
 
+    def test_matches_six_neighbour_loop(self):
+        # a voxel is on the surface when one of its six neighbours is off the mask or off the array
+        rng = np.random.default_rng(11)
+        steps = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+        masks = [rng.random(shape) < p for shape in ((4, 5, 6), (1, 4, 5), (6, 2, 3)) for p in (0.3, 0.7, 0.95)]
+        masks.append(np.ones((3, 4, 5), dtype=bool))
+        for m in masks:
+            want = [
+                ijk
+                for ijk in np.ndindex(m.shape)
+                if m[ijk]
+                and not all(
+                    all(0 <= a + d < n for a, d, n in zip(ijk, step, m.shape)) and m[tuple(np.add(ijk, step))]
+                    for step in steps
+                )
+            ]
+            got = es.boundary_voxels(m, (0.5, 1.0, 2.0))
+            assert got.tolist() == (np.array(want, dtype=float).reshape(-1, 3) * [0.5, 1.0, 2.0]).tolist()
+        assert all(m[0].any() or m[-1].any() for m in masks)
+
 
 class TestWilcoxon:
     def test_identical_multisets(self):

@@ -1,5 +1,8 @@
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "output_digest.py"
@@ -55,3 +58,14 @@ def test_check_lists_every_differing_missing_and_extra_digest(tmp_path, capsys):
         f"extra in {b}: new.csv",
         "2 digests equal, 3 not",
     ]
+
+
+def test_check_runs_without_pythonpath(tmp_path):
+    # only the digest runs import ccmorph, so comparing two tables needs no PYTHONPATH
+    (tmp_path / "a.json").write_text(json.dumps({"x/mesh.off": "1"}))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    run = subprocess.run(
+        [sys.executable, str(SCRIPT), "--check", "a.json", "a.json"], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["1 digests equal, 0 not"]

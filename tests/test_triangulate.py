@@ -511,9 +511,8 @@ def _ref_is_bad(ref, tid):
 
 def _ref_refine_pass(ref, work, budget):
     """``_Refiner._refine_pass`` as one first-in first-out queue that tests a
-    triangle's quality when the triangle is taken out."""
+    triangle's quality when the triangle is taken out; returns the budget left."""
     ref.work = deque(work)
-    progressed = False
     stall = set()
     while ref.work:
         if budget <= 0:
@@ -528,10 +527,9 @@ def _ref_refine_pass(ref, work, budget):
                 break
         if placed:
             budget -= placed
-            progressed = True
         else:
             stall.add(tid)
-    return progressed
+    return budget
 
 
 def _built_refiner(name, fifo=False):
@@ -720,7 +718,31 @@ class TestPrunedKernelsMatchAllPairs:
                 work = list(compress(interior, ref._bad(interior)))
                 results.append((_outcome(lambda: ref._refine_pass(work, budget)), _tris(ref.tr), _live_slots(ref.tr)))
             assert results[0] == results[1], budget
-        assert results[0][0] is True  # the largest budget finishes the pass
+        assert results[0][0] == 1  # the largest budget finishes the pass with one insertion left
+
+    def test_budget_is_per_mesh(self):
+        # each round of ``refine`` gets the budget the rounds before it left
+        ref = _built_refiner("seed209_m002")
+        budget = 40 * len(ref.tr.fx) + int(20.0 * abs(polygon_area(ref.poly)) / ref.max_area) + 4000
+        rounds, placed = [], []  # (budget given, points placed) per round
+        refine_pass, place = ref._refine_pass, ref._place
+
+        def counted_place(tid, x, y):
+            placed.append(place(tid, x, y))
+            return placed[-1]
+
+        def recorded_pass(work, given):
+            before = len(placed)
+            left = refine_pass(work, given)
+            rounds.append((given, sum(placed[before:])))
+            assert left == given - rounds[-1][1]
+            return left
+
+        ref._place, ref._refine_pass = counted_place, recorded_pass
+        ref.refine()
+        assert len(rounds) == 5 and rounds[0][0] == budget
+        assert all(b == a - spent for (a, spent), (b, _) in zip(rounds, rounds[1:]))
+        assert all(spent > 0 for _, spent in rounds[:-1])
 
 
 _SHADOWS = weakref.WeakKeyDictionary()  # triangulator -> its triangles as the dicts of the old store
@@ -1086,7 +1108,7 @@ class TestArrayPasses:
         ref = _Refiner(square, 0.1, 20.0)
         assert list(ref.segs) == [(3, 4), (4, 5), (5, 6), (6, 3)]
         assert ref._seg_arrays()[1].tolist() == [[0.5, 0.0], [1.0, 0.5], [0.5, 1.0], [0.0, 0.5]]
-        assert ref._seg_arrays()[2].tolist() == [0.25] * 4
+        assert ref._seg_arrays()[2].tolist() == [0.25 * (1 - 1e-12)] * 4
 
 
 # -- the one-call build and its exact legalization --

@@ -360,11 +360,8 @@ def test_table_pass_decides_is_label_map(monkeypatch):
     counted.clear()
     first = vol(signed)
     assert not first._is_label_map_with_table() and not first.is_label_map()
-    assert counted == [0] and scanned == [] and "label_table" not in first.__dict__  # stopped at chunk 0
-    assert first.label_table[0].tolist() == [-3, 1, 2, 3, 4]  # the table itself still counts every voxel
-    counted.clear()
-    last = vol(signed[::-1].copy())
-    assert not last._is_label_map_with_table() and counted == [0, 1]
+    assert counted == [0, 1] and scanned == []  # counted whole, with no scan
+    assert first.__dict__["label_table"][0].tolist() == [-3, 1, 2, 3, 4]  # the kept table lists the negative label
 
     counted.clear()
     assert not vol(data.astype(float))._is_label_map_with_table() and counted == []  # floats: no pass
