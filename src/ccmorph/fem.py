@@ -14,7 +14,6 @@ Scalar fields are plain per-vertex float arrays; triangle vector fields are
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -25,7 +24,7 @@ from scipy.spatial import cKDTree
 
 from .contour import Polyline
 from .mesh import TriMesh2D
-from .triangulate import _widen
+from .triangulate import _ball_pairs
 
 __all__ = [
     "stiffness_matrix",
@@ -161,42 +160,30 @@ def solve_poisson(mesh: TriMesh2D, h: np.ndarray, anchor) -> np.ndarray:
 def interpolate(mesh: TriMesh2D, values: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Barycentric interpolation of a vertex field at arbitrary points."""
     values = np.asarray(values, dtype=float)
+    if values.shape != (mesh.n_vertices,):
+        raise ValueError("values must be per-vertex")
     tids, barys = _locate_all(mesh, points)
-    return np.array([f @ b for f, b in zip(values[mesh.triangles[tids]], barys)], dtype=float)
-
-
-def _lowest(v, corners, q):
-    """Smallest barycentric coordinate of ``q`` in each (3, K) corner-id column, NaN if degenerate."""
-    # corners relative to q; cross[k] is twice the area of (q, corner k,
-    # corner k + 1), so cross over its sum are barycentrics
-    x, y = v[corners, 0] - q[..., 0], v[corners, 1] - q[..., 1]
-    cross = x * np.roll(y, -1, axis=0) - y * np.roll(x, -1, axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return cross.min(axis=0) / cross.sum(axis=0)
+    # the stacked product gives each point the bits of values[t[tid]] @ bary
+    return np.matmul(values[mesh.triangles[tids]][:, None, :], barys[:, :, None])[:, 0, 0]
 
 
 def _locate_all(mesh: TriMesh2D, points):
     """Triangle ids (n,) and barycentric coords (n, 3) of the triangle holding each point.
 
-    A triangle holds p when its smallest coordinate is >= -1e-12; the
-    lowest id wins, and its coordinates are clipped to [0, 1]. One cKDTree
-    ball query over the triangle centroids shortlists each point's
-    triangles: a triangle holding p has p no farther from its centroid than
-    its farthest corner, so the largest centroid-to-corner distance,
+    A triangle holds p when its smallest solved coordinate is >= -1e-12;
+    the lowest id wins, and its coordinates are clipped to [0, 1]. One
+    cKDTree ball query over the triangle centroids gives each point's
+    candidates: a triangle holding p has p no farther from its centroid
+    than its farthest corner, so the largest centroid-to-corner distance,
     widened past rounding, is the radius. A point no triangle holds gets
-    the least-negative triangle over the whole mesh, with normalized
-    coordinates.
+    the triangle whose smallest coordinate is largest over the whole mesh,
+    with its coordinates clipped at 0 and normalized.
     """
-    v, t = mesh.vertices, mesh.triangles
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    corners = np.take(v, t, axis=0)
+    corners = np.take(mesh.vertices, mesh.triangles, axis=0)
     cent = corners.mean(axis=1)
     radius = float(np.sqrt(((corners - cent[:, None, :]) ** 2).sum(axis=2).max()))
-    near = cKDTree(cent).query_ball_point(pts, _widen(radius, v), return_sorted=True)
-    pi = np.repeat(np.arange(len(pts)), [len(c) for c in near])
-    tj = np.fromiter(chain.from_iterable(near), dtype=np.int64, count=len(pi))
-    short = _lowest(v, t[tj].T, pts[pi]) >= -1e-9  # a shortlist: the solved coordinates decide
-    pi, tj = pi[short], tj[short]
+    tj, pi = _ball_pairs(cKDTree(cent), pts, radius)
     bary = _barycentrics(corners[tj], pts[pi])
     held = bary.min(axis=1) >= -1e-12
     # pairs run by point, then by triangle id, so a point's first held pair is its lowest id
@@ -204,7 +191,8 @@ def _locate_all(mesh: TriMesh2D, points):
     tids, barys = np.full(len(pts), -1, dtype=np.int64), np.empty((len(pts), 3))
     tids[first], barys[first] = tj[held][k], np.clip(bary[held][k], 0.0, 1.0)
     miss = np.flatnonzero(tids < 0)
-    far = np.array([np.nanargmax(_lowest(v, t.T, pts[i])) for i in miss.tolist()], dtype=np.int64)
+    lowest = [_barycentrics(corners, np.broadcast_to(pts[i], cent.shape)).min(axis=1) for i in miss.tolist()]
+    far = np.array([low.argmax() for low in lowest], dtype=np.int64)
     bary = np.clip(_barycentrics(corners[far], pts[miss]), 0.0, None)
     tids[miss], barys[miss] = far, bary / np.maximum(bary.sum(axis=1), 1e-30)[:, None]
     return tids, barys

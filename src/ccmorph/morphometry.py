@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -117,16 +117,7 @@ class ShapeSummary:
     curvature_per_mm: float
 
     def to_dict(self) -> dict:
-        return {
-            "area_mm2": self.area_mm2,
-            "perimeter_mm": self.perimeter_mm,
-            "circularity": self.circularity,
-            "cc_index_raw": self.cc_index_raw,
-            "cc_index_norm": self.cc_index_norm,
-            "volume_mm3": self.volume_mm3,
-            "length_mm": self.length_mm,
-            "curvature_per_mm": self.curvature_per_mm,
-        }
+        return asdict(self)
 
 
 def _superior_dir(lm: Landmarks2D, outline: np.ndarray) -> np.ndarray:
@@ -277,46 +268,46 @@ def thickness_profile(mesh: TriMesh2D, f: np.ndarray, line: Polyline, n: int) ->
         raise ValueError(f"line must have n + 2 = {n + 2} points, got {len(line.points)}")
     g_field = conjugate_field(mesh, f, line)
 
-    thickness = np.full(n, np.nan)
-    valid = np.zeros(n, dtype=bool)
     tids, barys = fem._locate_all(mesh, line.points[1:-1])
     # the stacked product gives each sample level the bits of g[t[tid]] @ bary
     levels = np.matmul(g_field[mesh.triangles[tids]][:, None, :], barys[:, :, None])[:, 0, 0]
     paths = fem._level_sets(mesh, g_field, levels)
     seg = np.linalg.norm(np.diff(paths.points, axis=0), axis=1)
-    for k, c in enumerate(paths.find(levels, tids).tolist()):
-        if c < 0 or not spans_inferior_superior(f, paths.component(c)):
-            continue
-        thickness[k] = seg[paths.starts[c] : paths.starts[c + 1] - 1].sum()  # polyline_length's bits
-        valid[k] = thickness[k] > 0
+    comp = paths.find(levels, tids)
+    spans = np.append(_spanning(f, paths), False)[comp]  # comp -1: no path
+    thickness = np.full(n, np.nan)
+    for k in np.flatnonzero(spans).tolist():
+        thickness[k] = seg[paths.starts[comp[k]] : paths.starts[comp[k] + 1] - 1].sum()  # polyline_length's bits
+    valid = thickness > 0
 
     length, curvature = length_and_curvature(line)
     positions = np.arange(1, n + 1) / (n + 1)
     return ThicknessProfile(positions, thickness, valid, length, curvature)
 
 
-def spans_inferior_superior(f: np.ndarray, component: dict) -> bool:
-    """True if a level-set component runs from the inferior to the superior arc.
+def _spanning(f: np.ndarray, paths: fem._LevelSets) -> np.ndarray:
+    """Per component of ``paths``: True where it runs from the inferior to the superior arc.
 
     Open components end on boundary mesh edges; the sign of the Laplace
     boundary values on those edges tells the arc (negative inferior,
-    positive superior; the endpoint vertices themselves sit at 0).
+    positive superior; the endpoint vertices themselves sit at 0), so a
+    path spans when ``f`` summed over its first edge and over its last edge
+    have opposite signs. A loop spans nothing.
     """
-    if component["closed"] or component["end_edges"] is None:
-        return False
-    (u0, v0), (u1, v1) = component["end_edges"]
-    return float(f[u0] + f[v0]) * float(f[u1] + f[v1]) < 0
+    ends = f[paths.edges].sum(axis=1)
+    return ~paths.closed & (ends[paths.starts[:-1]] * ends[paths.starts[1:] - 1] < 0)
 
 
-def conjugate_field(mesh: TriMesh2D, f: np.ndarray, line: Polyline | None = None) -> np.ndarray:
-    """Solve the Poisson equation for the rotated-gradient (conjugate) field."""
+def conjugate_field(mesh: TriMesh2D, f: np.ndarray, line: Polyline) -> np.ndarray:
+    """Solve the Poisson equation for the rotated-gradient (conjugate) field.
+
+    The solve is anchored at 0 on the boundary vertex closest to the
+    anterior end of ``line``.
+    """
     rot = fem.rotate90(fem.gradient(mesh, f))
     h = fem.divergence(mesh, rot)
-    anchor_vertex = 0
-    if line is not None:
-        # anchor at the boundary vertex closest to the anterior line end
-        bidx = np.nonzero(mesh.boundary_flags)[0]
-        anchor_vertex = int(bidx[_nearest_index(mesh.vertices[bidx], line.points[0])])
+    bidx = np.nonzero(mesh.boundary_flags)[0]
+    anchor_vertex = int(bidx[_nearest_index(mesh.vertices[bidx], line.points[0])])
     return fem.solve_poisson(mesh, h, (anchor_vertex, 0.0))
 
 

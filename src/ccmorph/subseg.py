@@ -25,19 +25,17 @@ _FRACTIONS = {
     "witelson": (1 / 3, 1 / 2, 2 / 3, 4 / 5),
     "jancke": (1 / 3, 1 / 2, 2 / 3, 4 / 5),
     "hofer_frahm": (1 / 6, 1 / 2, 2 / 3, 3 / 4),
+    "hampel": (0.2, 0.4, 0.6, 0.8),  # five equal-angle sectors
+    "eigendirection": (0.2, 0.4, 0.6, 0.8),
     "shape_aware": (1 / 6, 1 / 2, 2 / 3, 3 / 4),
 }
 
 
 def default_fractions(kind: str):
     """Default cut fractions per scheme (from the respective originals)."""
-    if kind in _FRACTIONS:
-        return _FRACTIONS[kind]
-    if kind == "eigendirection":
-        return (0.2, 0.4, 0.6, 0.8)
-    if kind == "hampel":
-        return (0.2, 0.4, 0.6, 0.8)  # five equal-angle sectors
-    raise ValueError(f"unknown sub-segmentation scheme {kind!r}")
+    if kind not in _FRACTIONS:
+        raise ValueError(f"unknown sub-segmentation scheme {kind!r}")
+    return _FRACTIONS[kind]
 
 
 @dataclass(frozen=True)
@@ -77,12 +75,6 @@ class SubsegResult:
         return "\n".join(lines) + "\n"
 
 
-def _bucket_by_axis(centroids, direction, lo, hi, fractions):
-    t = (centroids @ direction - lo) / max(hi - lo, 1e-30)
-    cuts = np.asarray(fractions)
-    return np.searchsorted(cuts, t, side="right")
-
-
 def _result(scheme, mesh, labels):
     areas = mesh.signed_areas()
     seg_areas = np.zeros(scheme.segment_count)
@@ -105,41 +97,6 @@ def subsegment(
     cent = mesh.centroids()
     u = lm.anterior_dir()  # points anterior
     ap = -u  # anterior -> posterior direction
-
-    if scheme.kind in ("witelson", "hofer_frahm"):
-        # anchor line through the most anterior and most posterior mesh points
-        p_ant, p_post = _extremes(mesh.vertices, ap)
-        d = p_post - p_ant
-        d = d / np.linalg.norm(d)
-        pr = mesh.vertices @ d
-        labels = _bucket_by_axis(cent, d, pr.min(), pr.max(), scheme.fractions)
-        return _result(scheme, mesh, labels)
-
-    if scheme.kind == "jancke":
-        pr = mesh.vertices @ ap
-        labels = _bucket_by_axis(cent, ap, pr.min(), pr.max(), scheme.fractions)
-        return _result(scheme, mesh, labels)
-
-    if scheme.kind == "eigendirection":
-        areas = mesh.signed_areas()
-        a, b, c = mesh.corners()
-        mids = ((a + b) / 2, (b + c) / 2, (c + a) / 2)
-        total = areas.sum()
-        mean = sum((areas[:, None] * mm).sum(axis=0) for mm in mids) / (3.0 * total)
-        cov = np.zeros((2, 2))
-        for mm in mids:
-            d0 = mm - mean
-            cov += (areas[:, None, None] * (d0[:, :, None] * d0[:, None, :])).sum(axis=0)
-        cov /= 3.0 * total
-        evals, evecs = np.linalg.eigh(cov)
-        if evals[1] - evals[0] <= 1e-6 * max(evals[1], 1e-30):
-            raise ValueError("degenerate principal axis: shape is isotropic")
-        d = evecs[:, 1]
-        if d @ ap < 0:
-            d = -d  # orient anterior -> posterior
-        pr = mesh.vertices @ d
-        labels = _bucket_by_axis(cent, d, pr.min(), pr.max(), scheme.fractions)
-        return _result(scheme, mesh, labels)
 
     if scheme.kind == "hampel":
         # rectangle fitted around the CC, axis-aligned in the standardized
@@ -177,4 +134,33 @@ def subsegment(
             labels += ((cent - q) @ tang > 0).astype(np.int64)
         return _result(scheme, mesh, labels)
 
-    raise ValueError(f"unknown sub-segmentation scheme {scheme.kind!r}")
+    # the other four cut at fractions of the mesh's extent along one axis d
+    if scheme.kind in ("witelson", "hofer_frahm"):
+        # anchor line through the most anterior and most posterior mesh points
+        p_ant, p_post = _extremes(mesh.vertices, ap)
+        d = p_post - p_ant
+        d = d / np.linalg.norm(d)
+    elif scheme.kind == "jancke":
+        d = ap
+    elif scheme.kind == "eigendirection":
+        areas = mesh.signed_areas()
+        a, b, c = mesh.corners()
+        mids = ((a + b) / 2, (b + c) / 2, (c + a) / 2)
+        total = areas.sum()
+        mean = sum((areas[:, None] * mm).sum(axis=0) for mm in mids) / (3.0 * total)
+        cov = np.zeros((2, 2))
+        for mm in mids:
+            d0 = mm - mean
+            cov += (areas[:, None, None] * (d0[:, :, None] * d0[:, None, :])).sum(axis=0)
+        cov /= 3.0 * total
+        evals, evecs = np.linalg.eigh(cov)
+        if evals[1] - evals[0] <= 1e-6 * max(evals[1], 1e-30):
+            raise ValueError("degenerate principal axis: shape is isotropic")
+        d = evecs[:, 1]
+        if d @ ap < 0:
+            d = -d  # orient anterior -> posterior
+    else:
+        raise ValueError(f"unknown sub-segmentation scheme {scheme.kind!r}")
+    pr = mesh.vertices @ d
+    t = (cent @ d - pr.min()) / max(pr.max() - pr.min(), 1e-30)
+    return _result(scheme, mesh, np.searchsorted(np.asarray(scheme.fractions), t, side="right"))

@@ -339,6 +339,12 @@ class TestInterpolate:
         got = fem.interpolate(square_mesh, f, pts)
         np.testing.assert_allclose(got, 3 * pts[:, 0] - 2 * pts[:, 1] + 0.5, atol=1e-12)
 
+    def test_rejects_wrong_length(self, square_mesh):
+        f = np.zeros(square_mesh.n_vertices + 1)
+        for values in (f[:-2], f):  # one short, one long
+            with pytest.raises(ValueError, match="values must be per-vertex"):
+                fem.interpolate(square_mesh, values, np.array([[0.5, 0.5]]))
+
     def test_field_csv(self):
         s = fem.field_to_csv(np.array([1.5, 2.0]))
         assert s == "vertex,value\n0,1.5\n1,2.0\n"
@@ -580,6 +586,15 @@ class TestLevelAtVertexValue:
         assert all(_agree(a, b) for a, b in zip(got, wants))
 
 
+def _reference_spans(f, component):
+    """The span rule on one component dict: an open path whose end edges lie
+    on opposite sides, by the sign of ``f`` summed over each end edge."""
+    if component["closed"] or component["end_edges"] is None:
+        return False
+    (u0, v0), (u1, v1) = component["end_edges"]
+    return float(f[u0] + f[v0]) * float(f[u1] + f[v1]) < 0
+
+
 class TestThicknessMatchesReferenceWalk:
     @pytest.mark.parametrize("name", ["annulus", "arch"])
     def test_all_samples(self, trace_meshes, name):
@@ -594,7 +609,7 @@ class TestThicknessMatchesReferenceWalk:
         for k, (tid, bary) in enumerate(zip(tids.tolist(), barys)):
             level = float(g[mesh.triangles[tid]] @ bary)
             path = _reference_trace(mesh, g.tolist(), level, tid)
-            if path is not None and mo.spans_inferior_superior(f, path):
+            if path is not None and _reference_spans(f, path):
                 want[k] = polyline_length(path["points"])
         assert np.array_equal(prof.thickness_mm, want, equal_nan=True)
         assert prof.valid.sum() > 90

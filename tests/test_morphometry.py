@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from test_fem import _field, _reference_spans
 
+from ccmorph import fem
 from ccmorph import morphometry as mo
 from ccmorph.contour import Polyline
 from ccmorph.phantoms import (
@@ -162,14 +164,29 @@ class TestThicknessProfile:
 
 
 class TestValiditySpanCheck:
-    def test_component_classification(self):
-        f = np.array([0.0, -1.0, -1.0, 1.0, 1.0, -1.0])
-        spanning = {"closed": False, "end_edges": ((0, 1), (3, 4)), "tri_ids": None}
-        same_side = {"closed": False, "end_edges": ((1, 2), (2, 5)), "tri_ids": None}
-        loop = {"closed": True, "end_edges": None, "tri_ids": None}
-        assert mo.spans_inferior_superior(f, spanning)
-        assert not mo.spans_inferior_superior(f, same_side)
-        assert not mo.spans_inferior_superior(f, loop)
+    def test_component_classification(self, annulus_case):
+        # the array rule against the per-component dict rule, on every level-set component of a
+        # radial field (loops, and open paths with ends on one arc or on both) and of the Laplace
+        # field; random signs also give loops whose first and last edges lie on opposite sides
+        mesh, f = annulus_case["mesh"], annulus_case["f"]
+        noise = np.random.default_rng(4).standard_normal(mesh.n_vertices)
+        got, want = [], []
+        for field in (_field(mesh, "radial"), f):
+            sets = fem._level_sets(mesh, field, np.quantile(field, np.linspace(0.01, 0.99, 25)))
+            assert sets.closed.any() == (field is not f)
+            for judge in (f, noise):
+                got += mo._spanning(judge, sets).tolist()
+                want += [_reference_spans(judge, sets.component(c)) for c in range(len(sets.closed))]
+        assert got == want
+        assert 0 < sum(want) < len(want)
+
+    def test_one_sided_field_has_no_valid_sample(self, rect_case):
+        # f + 2 and f - 2 have f's gradient, so the level paths stay and every end lies on one side
+        mesh, f, line = rect_case["mesh"], rect_case["f"], rect_case["line"]
+        assert mo.thickness_profile(mesh, f, line, 100).valid.sum() > 90
+        for shifted in (f + 2.0, f - 2.0):
+            prof = mo.thickness_profile(mesh, shifted, line, 100)
+            assert np.isnan(prof.thickness_mm).all() and not prof.valid.any()
 
     def test_invalid_sample_reported_as_nan(self, rect_case):
         # profile with a doctored field: thickness values are NaN (not
