@@ -6,7 +6,7 @@ import numpy as np
 from scipy import ndimage
 
 from .transforms import Plane, kabsch_rigid
-from .volume import Volume
+from .volume import Volume, _read_box
 
 __all__ = [
     "label_centroids",
@@ -100,6 +100,13 @@ def resample_slab(
     that can hold those labels (from ``Volume.label_bounds``): the result
     keeps the full grid's shape and affine, equals it inside the window,
     and is 0 outside, where none of ``labels`` can fall.
+
+    The samples are read from an in-memory copy of the source voxel box
+    they can reach, not from ``vol.data`` itself. The copy is made chunk by
+    chunk (``volume._read_box``), so of a volume mapped from a ``.nii``
+    file at most one chunk of pages is resident at a time and none is left
+    after; the slab is the same bit for bit as one sampled from the whole
+    volume.
     """
     if width_mm <= 0 or spacing_mm <= 0:
         raise ValueError("width and spacing must be positive")
@@ -136,21 +143,38 @@ def resample_slab(
     if nearest and labels is not None:
         (i0, i1), (j0, j1) = _label_window(vol, labels, to_source, (nu, nv))
         to_source[:3, 3] += to_source[:3, :2] @ (i0, j0)  # the window's first voxel is slab index (i0, j0)
-    window = ndimage.affine_transform(
-        vol.data,
-        to_source,
-        output_shape=(i1 - i0, j1 - j0, nsl),
-        output=None if nearest else float,
-        order=0 if nearest else 1,
-        mode="constant",
-        cval=0.0,
-        prefilter=False,
-    )
-    data = window
-    if window.shape[:2] != (nu, nv):
-        data = np.zeros((nu, nv, nsl), dtype=window.dtype)
-        data[i0:i1, j0:j1] = window
+    data = np.zeros((nu, nv, nsl), dtype=vol.data.dtype.name if nearest else float)
+    window = data[i0:i1, j0:j1]
+    lo, hi = _source_box(to_source, window.shape, vol.dims)
+    if np.all(hi > lo):  # else every sample lies a voxel or more outside the volume and reads cval
+        to_source[:3, 3] -= lo  # the box's first voxel is source index lo
+        ndimage.affine_transform(
+            _read_box(vol.data, lo, hi),
+            to_source,
+            output=window,
+            order=0 if nearest else 1,
+            mode="constant",
+            cval=0.0,
+            prefilter=False,
+        )
     return Volume(data, np.array([sp_in, sp_in, spacing_mm]), slab_affine)
+
+
+def _source_box(to_source, shape, dims):
+    """(lo, hi): the source voxel box ``lo <= index < hi`` that samples of an output of ``shape`` can read.
+
+    The samples' source positions lie in the box of the output corners'
+    positions under ``to_source``; widened by a voxel, it holds every voxel a
+    nearest or linear sample reads, and clipped to ``dims``, its clipped sides
+    are the volume's own. An empty output gives an empty box.
+    """
+    if 0 in shape:
+        return np.zeros(3, dtype=int), np.zeros(3, dtype=int)
+    corners = np.array([[i, j, k, 1.0] for i in (0, shape[0] - 1) for j in (0, shape[1] - 1) for k in (0, shape[2] - 1)])
+    xyz = (corners @ to_source.T)[:, :3]
+    lo = np.clip(np.floor(xyz.min(axis=0)).astype(int) - 1, 0, dims)
+    hi = np.clip(np.ceil(xyz.max(axis=0)).astype(int) + 2, lo, dims)  # exclusive
+    return lo, hi
 
 
 def _label_window(vol: Volume, labels, to_source, shape):

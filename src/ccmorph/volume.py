@@ -43,8 +43,8 @@ _DTYPES = {
 _DTYPE_CODES = {np.dtype(v): k for k, v in _DTYPES.items()}
 
 _HDR_SIZE = 348
-# voxels per chunk of the label scans (_plane_chunks): 8 planes of 256 x 256, or a whole 0.5 mm slab;
-# 2**18 to 2**21 time alike on a 256^3 label map, and the temporaries grow with the chunk
+# voxels per chunk of the label scans and the slab's box read (_plane_chunks): 8 planes of 256 x 256,
+# or a whole 0.5 mm slab; 2**18 to 2**21 time alike on a 256^3 label map, and the temporaries grow with the chunk
 _TABLE_CHUNK_VOXELS = 2**19
 _QFORM_FIELDS = ("quatern_b", "quatern_c", "quatern_d", "qoffset_x", "qoffset_y", "qoffset_z")
 _SROW_FIELDS = tuple(f"srow_{axis}[{k}]" for axis in "xyz" for k in range(4))
@@ -188,27 +188,47 @@ class Volume:
         return self.is_label_map()
 
 
-def _plane_chunks(data):
+def _plane_chunks(data, first=0, stop=None):
     """Yield ``(start, chunk)``: the planes ``start, start + 1, ...`` of ``data``
-    along its slowest memory axis, about ``_TABLE_CHUNK_VOXELS`` voxels a chunk.
+    along its slowest memory axis, from plane ``first`` up to ``stop`` (the
+    last plane by default), about ``_TABLE_CHUNK_VOXELS`` voxels a chunk.
 
     A C-contiguous volume is cut as it is, any other layout (a Fortran-ordered
     one included) as its transpose, so a chunk's axes are (z, y, x) of a loaded
-    volume. A volume without planes gives one empty chunk. When ``data`` view a
+    volume. An empty plane range gives one empty chunk. When ``data`` view a
     read-only file map, each chunk's whole pages are handed back to the page
     cache once the caller asks for the next chunk: a scan then holds one chunk
     of the file resident, not the volume, and a later read of those pages
     faults the same bytes back in from the page cache.
     """
     planes = data if data.flags.c_contiguous else data.T
+    stop = len(planes) if stop is None else stop
     depth = max(1, _TABLE_CHUNK_VOXELS // max(1, math.prod(planes.shape[1:])))
     # chunks of C-contiguous planes are contiguous, so each owns the bytes between its ends
     file_map = _read_only_map(data) if planes.flags.c_contiguous else None
-    for start in range(0, len(planes) or 1, depth):
-        chunk = planes[start : start + depth]
+    for start in range(first, max(stop, first + 1), depth):
+        chunk = planes[start : min(start + depth, stop)]
         yield start, chunk
         if file_map is not None:
             _release_pages(*file_map, chunk)
+
+
+def _read_box(data, lo, hi):
+    """An in-memory copy of ``data[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]]``.
+
+    The box is read plane range by plane range through ``_plane_chunks``, so
+    a mapped file's pages go back to the page cache chunk by chunk; only the
+    box-sized copy stays. It is laid out as ``data``'s planes, so each chunk's
+    rows are copied as they are.
+    """
+    transposed = not data.flags.c_contiguous  # _plane_chunks cuts such data as its transpose
+    if transposed:
+        lo, hi = lo[::-1], hi[::-1]
+    box = np.empty(tuple(hi - lo), dtype=data.dtype)
+    rows = (slice(None), slice(lo[1], hi[1]), slice(lo[2], hi[2]))
+    for start, chunk in _plane_chunks(data, lo[0], hi[0]):
+        box[start - lo[0] : start - lo[0] + len(chunk)] = chunk[rows]
+    return box.T if transposed else box
 
 
 def _read_only_map(data):

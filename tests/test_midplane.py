@@ -679,6 +679,158 @@ class TestWindowedSlab:
         )
 
 
+def _mapped(tmp_path, vol, layout):
+    """``vol`` written by ``save_volume`` and loaded back as a view of the file's map:
+    as loaded (``"F"``) or as its C-contiguous transpose, with the axes swapped in the affine (``"C"``)."""
+    path = tmp_path / f"{layout}.nii"
+    save_volume(vol, path)
+    loaded = load_volume(path)
+    if layout == "C":
+        loaded = Volume(loaded.data.T, loaded.voxel_size[::-1], loaded.affine[:, [2, 1, 0, 3]])
+    assert volume._read_only_map(loaded.data) is not None
+    return loaded
+
+
+def _full_map_slab(vol, slab):
+    """The slab's grid sampled by one ``affine_transform`` over the whole in-memory volume."""
+    nearest = vol.is_label_map()
+    return ndimage.affine_transform(
+        np.array(vol.data),
+        np.linalg.inv(vol.affine) @ slab.affine,
+        output_shape=slab.dims,
+        output=None if nearest else float,
+        order=0 if nearest else 1,
+        mode="constant",
+        cval=0.0,
+        prefilter=False,
+    )
+
+
+def _assert_slab_of(vol, slab, labels=None):
+    """``slab`` of the mapped ``vol`` equals, bit for bit, the reference and the full-map sampling of
+    an in-memory copy: inside the window of ``labels``, and 0 outside it. Returns the window."""
+    memory = Volume(np.array(vol.data), vol.voxel_size, vol.affine)
+    ref, full = _reference_slab_data(memory, slab), _full_map_slab(memory, slab)
+    assert slab.data.dtype == full.dtype == ref.dtype == vol.data.dtype
+    window = (0, slab.dims[0]), (0, slab.dims[1])
+    if labels is not None:
+        window = _label_window(vol, labels, np.linalg.inv(vol.affine) @ slab.affine, slab.dims[:2])
+    (i0, i1), (j0, j1) = window
+    inside = np.zeros(slab.dims, dtype=bool)
+    inside[i0:i1, j0:j1] = True
+    np.testing.assert_array_equal(slab.data[inside], ref[inside])
+    np.testing.assert_array_equal(slab.data[inside], full[inside])
+    assert not slab.data[~inside].any()
+    return window
+
+
+def _ball_map(rng, shape=(40, 36, 44)):
+    """A whole-brain-like label map: large balls around a small two-label CC at the center."""
+    centers = rng.integers(6, np.array(shape) - 6, (6, 3))
+    balls = [(tuple(int(c) for c in ctr), 6, lab) for lab, ctr in zip(range(2, 8), centers)]
+    mid = np.array(shape) // 2
+    balls += [(tuple(int(c) for c in mid + (0, -3, 0)), 3, 251), (tuple(int(c) for c in mid + (0, 3, 1)), 3, 252)]
+    return label_ball_volume(shape, balls)
+
+
+def _tilted_plane(rng, vol):
+    """A plane through the volume's central voxel whose normal is its first axis tilted at random."""
+    normal = vol.affine[:3, 0] / np.linalg.norm(vol.affine[:3, 0]) + rng.normal(0, 0.15, 3)
+    normal /= np.linalg.norm(normal)
+    return Plane(normal, float(normal @ vol.voxel_to_world(np.array(vol.dims) // 2)[0]))
+
+
+class TestMappedSlab:
+    """A slab of a mapped file is sampled from a box-sized copy read chunk by chunk; it must not differ."""
+
+    @pytest.fixture(autouse=True)
+    def _small_chunks(self, monkeypatch):
+        monkeypatch.setattr(volume, "_TABLE_CHUNK_VOXELS", 3 * 40 * 36)  # 3 planes of a ball map
+
+    @pytest.mark.parametrize("layout", ["F", "C"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_tilted_planes(self, tmp_path, seed, layout):
+        rng = np.random.default_rng([seed, 46])
+        vol = _mapped(tmp_path, _random_label_volume(rng, rng.choice(1000, 6, replace=False) + 1, "F"), layout)
+        slab = resample_slab(vol, _random_plane(rng, vol), rng.uniform(2.0, 6.0), rng.uniform(0.4, 1.5), 0.7)
+        _assert_slab_of(vol, slab)
+        assert np.count_nonzero(slab.data) > 100
+
+    @pytest.mark.parametrize("layout", ["F", "C"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_label_window_on_tilted_planes(self, tmp_path, seed, layout):
+        rng = np.random.default_rng([seed, 47])
+        vol = _mapped(tmp_path, Volume(_ball_map(rng).data, (1, 1, 1), _random_affine(rng)), layout)
+        labels = [251, 252]
+        slab = resample_slab(vol, _tilted_plane(rng, vol), 5.0, rng.uniform(0.5, 1.0), rng.uniform(0.4, 0.8), labels)
+        _assert_slab_of(vol, slab, labels)
+        assert np.isin(slab.data, labels).sum() > 20
+
+    @pytest.mark.parametrize("spacing", [1.0, 0.5])
+    def test_axis_aligned_plane_at_half_voxel_positions(self, tmp_path, spacing):
+        # the arch_cohort slab: 0.5 mm pixels on an even grid put every in-plane sample
+        # on a voxel face, where nearest-neighbour rounding breaks a tie
+        vol = _mapped(tmp_path, arch_mask_volume(n_inplane=64, r_in=5.5, r_out=7.5)[0], "F")
+        plane = Plane(np.array([1.0, 0.0, 0.0]), 0.0)
+        full = resample_slab(vol, plane, 5.0, spacing, 0.5)
+        assert np.all((np.linalg.inv(vol.affine) @ full.affine)[1:3, 3] % 1 == 0.5)
+        _assert_slab_of(vol, full)
+        win = resample_slab(vol, plane, 5.0, spacing, 0.5, labels=[251])
+        _assert_slab_of(vol, win, [251])
+        assert np.isin(win.data, 251).sum() == np.isin(full.data, 251).sum() > 0
+
+    def test_window_clipped_at_the_volume_border(self, tmp_path):
+        base = label_ball_volume((9, 20, 16), [((4, 0, 8), 3, 251), ((4, 15, 8), 3, 9), ((4, 8, 15), 2, 252)])
+        vol = _mapped(tmp_path, base, "F")
+        slab = resample_slab(vol, Plane(np.array([1.0, 0.0, 0.0]), 4.0), 5.0, 1.0, 1.0, labels=[251, 252])
+        (i0, i1), (j0, j1) = _assert_slab_of(vol, slab, [251, 252])
+        assert i0 == 0 and j1 == slab.dims[1]  # the window meets the grid's edge at y = 0 and z = 15
+        assert np.isin(slab.data, 251).any() and np.isin(slab.data, 252).any()
+
+    def test_empty_window(self, tmp_path, monkeypatch):
+        vol = _mapped(tmp_path, _ball_map(np.random.default_rng(48)), "F")
+        plane = Plane(np.array([1.0, 0.0, 0.0]), 20.0)
+        full = resample_slab(vol, plane, 5.0, 1.0, 1.0)
+        vol.label_table  # noqa: B018 - scanned before the spies
+        calls = []
+        monkeypatch.setattr(ndimage, "affine_transform", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr(volume, "_release_pages", lambda *a: calls.append(a))
+        empty = resample_slab(vol, plane, 5.0, 1.0, 1.0, labels=[250, 253])
+        assert calls == []  # nothing is read
+        assert empty.dims == full.dims and empty.data.dtype == full.data.dtype and not empty.data.any()
+
+    @pytest.mark.parametrize("labels", [None, [251, 252]])
+    def test_reads_no_map_and_releases_the_box(self, tmp_path, monkeypatch, labels):
+        rng = np.random.default_rng(49)
+        vol = _mapped(tmp_path, _ball_map(rng), "F")
+        vol.label_table  # noqa: B018 - scanned before the spies
+        inputs, planes = [], []
+        transform, release = ndimage.affine_transform, volume._release_pages
+        plane_bytes, address = vol.data[:, :, 0].nbytes, vol.data.ctypes.data
+
+        def record(*args):
+            first = (args[-1].ctypes.data - address) // plane_bytes
+            planes.extend(range(first, first + len(args[-1])))
+            release(*args)
+
+        monkeypatch.setattr(ndimage, "affine_transform", lambda *a, **k: inputs.append(a[0]) or transform(*a, **k))
+        monkeypatch.setattr(volume, "_release_pages", record)
+        slab = resample_slab(vol, _tilted_plane(rng, vol), 5.0, 1.0, 0.5, labels)
+        monkeypatch.undo()
+        (i0, i1), (j0, j1) = _assert_slab_of(vol, slab, labels)
+        assert len(inputs) == 1 and volume._read_only_map(inputs[0]) is None
+        # each plane that a window sample's nearest voxel lies in is handed back, once and in
+        # order, and the box reaches at most two planes beyond them
+        to_source = np.linalg.inv(vol.affine) @ slab.affine
+        ijk = np.indices(slab.dims)[:, i0:i1, j0:j1].reshape(3, -1)
+        z = np.floor(to_source[2, :3] @ ijk + to_source[2, 3] + 0.5)
+        z = z[(z >= 0) & (z < vol.dims[2])]
+        assert planes == list(range(planes[0], planes[-1] + 1))
+        assert z.min() - 2 <= planes[0] <= z.min() and z.max() <= planes[-1] <= z.max() + 2
+        if labels is not None:
+            assert len(planes) < vol.dims[2] // 2  # the window's box, not the volume
+
+
 class TestLabelTableMemory:
     @pytest.mark.parametrize("layout", ["F", "C"])
     def test_temporaries_below_a_quarter_of_the_volume(self, layout):
@@ -714,6 +866,28 @@ class TestLabelTableMemory:
         before = rss_file()
         assert vol.is_label_map() and len(vol.label_table[0]) == 39
         assert rss_file() - before < 0.25 * data.nbytes
+
+    @pytest.mark.skipif(not hasattr(mmap, "MADV_DONTNEED"), reason="no madvise(MADV_DONTNEED)")
+    def test_slab_of_a_mapped_file_leaves_it_paged_out(self, tmp_path):
+        # the tilted slab reads a band of x on every line of the 16 MB volume: sampled
+        # through the map, that faults in every page of the file
+        status = Path("/proc/self/status")
+        if not status.exists() or "RssFile:" not in status.read_text():
+            pytest.skip("no RssFile in /proc/self/status")
+
+        def rss_file():
+            return 1024 * int(re.search(r"RssFile:\s+(\d+) kB", status.read_text()).group(1))
+
+        rng = np.random.default_rng(50)
+        data = rng.integers(0, 40, size=(256, 256, 64), dtype=np.int32)
+        save_volume(Volume(data, (1, 1, 1), np.eye(4)), tmp_path / "v.nii")
+        vol = load_volume(tmp_path / "v.nii")
+        assert vol.is_label_map()
+        normal = np.array([1.0, 0.1, 0.2]) / np.linalg.norm([1.0, 0.1, 0.2])
+        before = rss_file()
+        slab = resample_slab(vol, Plane(normal, float(normal @ [128, 128, 32])), 5.0, 1.0)
+        assert rss_file() - before < 0.25 * data.nbytes
+        assert np.count_nonzero(slab.data) > 0.5 * slab.data[..., 0].size
 
 
 class TestPlaneDisagreement:
