@@ -76,6 +76,8 @@ class RunConfig:
             raise ValueError("slab geometry must be positive")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        if 0 in self.cc_labels:  # the slab's CC mask is looked for among its non-zero voxels
+            raise ValueError("cc_labels must not hold 0, the background label")
         fr = self.fractions or []
         if any(not (0.0 < x < 1.0) for x in fr) or any(b <= a for a, b in zip(fr, fr[1:])):
             raise ValueError("fractions must be strictly increasing within (0, 1)")

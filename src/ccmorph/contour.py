@@ -123,11 +123,22 @@ def smooth_mask(mask: Mask2D, sigma_mm: float) -> np.ndarray:
     The kernel is truncated at 4 sigma with reflect padding, so constants are
     preserved and the output stays in [0, 1]. Sigma is given in mm and
     converted per axis into pixels.
+
+    Only the mask's non-zero box, widened by the kernel radius, is filtered;
+    the rest of the field is 0. That is the full-grid filter bit for bit: a
+    pixel farther than the radius from the box reads only zeros, and inside
+    the window every read, reflected at a window side or not, finds the
+    value the full grid has there.
     """
     if sigma_mm <= 0:
         raise ValueError("sigma must be positive")
     sig = (sigma_mm / mask.pixel_size[0], sigma_mm / mask.pixel_size[1])
-    return ndimage.gaussian_filter(mask.data.astype(float), sigma=sig, mode="reflect", truncate=4.0)
+    field = np.zeros(mask.data.shape)
+    for box in ndimage.find_objects(mask.data):  # one box, or none for an all-zero mask
+        radius = [int(4.0 * s + 0.5) for s in sig]  # gaussian_filter's at truncate=4
+        window = tuple(slice(max(b.start - r, 0), b.stop + r) for b, r in zip(box, radius))
+        field[window] = ndimage.gaussian_filter(mask.data[window].astype(float), sigma=sig, mode="reflect", truncate=4.0)
+    return field
 
 
 # marching squares. Corners are numbered 0:(i,j) 1:(i+1,j) 2:(i+1,j+1) 3:(i,j+1)

@@ -104,8 +104,8 @@ def resample_slab(
     The samples are read from an in-memory copy of the source voxel box
     they can reach, not from ``vol.data`` itself. The copy is made chunk by
     chunk (``volume._read_box``), so of a volume mapped from a ``.nii``
-    file at most one chunk of pages is resident at a time and none is left
-    after; the slab is the same bit for bit as one sampled from the whole
+    file only the box's rows are read, by positional reads that map no
+    page; the slab is the same bit for bit as one sampled from the whole
     volume.
     """
     if width_mm <= 0 or spacing_mm <= 0:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy import ndimage
 
 from . import fem, svgfig
 from .config import RunConfig
@@ -34,7 +35,7 @@ from .morphometry import (
 from .subseg import SubsegScheme, subsegment
 from .transforms import Landmarks, Plane, acpc_standardize
 from .triangulate import SmallAngleError, triangulate
-from .volume import NiftiError, Volume, load_volume
+from .volume import NiftiError, Volume, _positive, load_volume
 
 __all__ = [
     "CaseSpec",
@@ -212,7 +213,7 @@ def run_case(case: CaseSpec, cfg: RunConfig, out_dir=None) -> dict:
         except Exception as e:  # noqa: BLE001 - per-stage error capture is the contract
             status["ok"] = False
             status["error_kind"] = (
-                "input" if isinstance(e, (InputError, FileNotFoundError)) else "internal"
+                "input" if isinstance(e, (InputError, FileNotFoundError, NiftiError)) else "internal"
             )
             status["stages"].append(
                 {
@@ -268,16 +269,22 @@ def run_case(case: CaseSpec, cfg: RunConfig, out_dir=None) -> dict:
             slab = resample_slab(
                 vol, state["plane"], cfg.slab_width_mm, spacing, inplane_spacing_mm=finest, labels=cfg.cc_labels
             )
+        except NiftiError:  # the labels file, truncated since it was loaded
+            raise
         except ValueError as e:  # the width and spacing are validated, so the plane misses the volume
             raise InputError(f"unusable {state['plane_from']} for {case.labels}: {e}") from None
         state["spacing"] = spacing
-        cc = np.isin(slab.data, cfg.cc_labels)
+        # outside the label window the slab is 0, so the CC labels are looked for in its non-zero box
+        box = ndimage.find_objects((slab.data != 0).view(np.uint8))
+        window = box[0][:2] if box else (slice(0, 0), slice(0, 0))
+        cc = np.isin(slab.data[window], cfg.cc_labels)
         if not cc.any():
             raise InputError("no CC voxels found in the mid-sagittal slab")
         px = float(slab.voxel_size[0])
         state["slab_areas"] = cc.sum(axis=(0, 1)).astype(float) * px * px
-        mid = slab.dims[2] // 2
-        state["mask"] = Mask2D(cc[:, :, mid].astype(np.uint8), (px, px))
+        mask = np.zeros(slab.dims[:2], dtype=np.uint8)
+        mask[window] = cc[:, :, slab.dims[2] // 2]
+        state["mask"] = Mask2D(mask, (px, px))
         e1, e2, origin = plane_frame(slab)
         lm3 = state["lm3"]
         ac = project_to_plane(lm3.ac, e1, e2, origin)[0]
@@ -392,8 +399,8 @@ def run_eval(pred_path, ref_path) -> dict:
     ref = _load_input_volume(ref_path, "reference")
     if pred.dims != ref.dims:
         raise InputError(f"mask shapes differ: {pred.dims} vs {ref.dims}")
-    mp = pred.data > 0
-    mr = ref.data > 0
+    mp = _positive(pred.data)
+    mr = _positive(ref.data)
     return {
         "dice": dice(mp, mr),
         "hd95_mm": hausdorff95(mp, mr, voxel_size=pred.voxel_size),

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -62,3 +65,13 @@ def conformal_strip_thickness(d, height):
 def _conformal_strip_thickness():
     """The strip's analytic thickness oracle, shared by the thickness tests."""
     return conformal_strip_thickness
+
+
+@pytest.fixture
+def rss_file():
+    """A function giving this process's file-backed resident bytes (``RssFile``); skips where
+    ``/proc/self/status`` has no such field."""
+    status = Path("/proc/self/status")
+    if not status.exists() or "RssFile:" not in status.read_text():
+        pytest.skip("no RssFile in /proc/self/status")
+    return lambda: 1024 * int(re.search(r"RssFile:\s+(\d+) kB", status.read_text()).group(1))

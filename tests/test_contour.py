@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from ccmorph.contour import (
     Mask2D,
@@ -60,6 +61,30 @@ class TestSmoothMask:
         m = Mask2D(data, (0.5, 1.0))
         out = smooth_mask(m, 1.0)  # 2 px along axis 0, 1 px along axis 1
         assert out[5, 7] > out[7, 5]
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_window_equals_the_full_grid_bit_for_bit(self, seed):
+        # only the mask's non-zero box, widened by the kernel radius, is filtered
+        rng = np.random.default_rng([seed, 27])
+        shape = rng.integers(5, 60, 2)
+        lo = rng.integers(0, shape)
+        hi = lo + rng.integers(1, shape - lo + 1)
+        side = seed % 5  # 1-4: the box touches one border of the grid, 0: maybe none
+        if side:
+            axis = (side - 1) // 2
+            lo[axis], hi[axis] = (0, hi[axis]) if side % 2 else (lo[axis], shape[axis])
+        data = np.zeros(shape, dtype=np.uint8)
+        data[lo[0] : hi[0], lo[1] : hi[1]] = rng.random(hi - lo) < 0.6
+        pixel = (1.0, float(rng.uniform(0.5, 2.0)))
+        sigma_mm = float(rng.uniform(0.3, 3.0))
+        full = ndimage.gaussian_filter(data.astype(float), sigma=(sigma_mm, sigma_mm / pixel[1]), mode="reflect", truncate=4.0)
+        out = smooth_mask(Mask2D(data, pixel), sigma_mm)
+        assert out.shape == full.shape and out.dtype == full.dtype
+        assert np.array_equal(out.view(np.uint64), full.view(np.uint64))
+
+    def test_all_zero_mask(self):
+        out = smooth_mask(Mask2D(np.zeros((9, 7), dtype=np.uint8), (0.5, 1.0)), 1.0)
+        assert out.shape == (9, 7) and out.dtype == np.float64 and not out.view(np.uint64).any()
 
 
 class TestExtractContour:

@@ -1,5 +1,5 @@
 import mmap
-import re
+import os
 import struct
 import tracemalloc
 from pathlib import Path
@@ -255,7 +255,7 @@ def _save_big_endian(data, path):
 
 
 class TestMappedScans:
-    """The scans hand a mapped file's pages back as they go; what they find must not depend on it."""
+    """The scans read a mapped file in positional chunks; what they find must not depend on it."""
 
     @pytest.mark.parametrize("signed", [False, True])
     @pytest.mark.parametrize("layout", ["F", "C"])
@@ -264,9 +264,7 @@ class TestMappedScans:
         # int16 planes of 37 x 29 voxels (2,146 bytes) in chunks of 3 planes: no chunk
         # starts or ends on a page boundary, and some hold no whole page
         monkeypatch.setattr(volume, "_TABLE_CHUNK_VOXELS", 3 * 37 * 29 + 5)
-        released = []
-        release = volume._release_pages
-        monkeypatch.setattr(volume, "_release_pages", lambda *a: released.append(a[-1].shape) or release(*a))
+        reads = _spy_reads(monkeypatch)
         rng = np.random.default_rng([len(source), len(layout), signed])
         data = rng.choice(np.array([0, 3, 17, 251, 30000], dtype=np.int16), size=(37, 29, 23), p=[0.6] + [0.1] * 4)
         if signed:
@@ -287,11 +285,24 @@ class TestMappedScans:
         _assert_bit_identical(loaded.label_table, memory.label_table)
         _assert_bit_identical(loaded.label_bounds, memory.label_bounds)
         _assert_bit_identical(loaded.label_table, _one_pass_table(memory))
-        # only a scan of the map releases, chunk by chunk: 7 of 3 planes and one of 2 per scan;
-        # is_label_map stops at the negative voxel, before the last chunk is released
-        chunks = [(3, 29, 37)] * 7 + [(2, 29, 37)]
-        assert released == ((chunks[:-1] if signed else chunks) + chunks if mapped else [])
-        np.testing.assert_array_equal(loaded.data, data)  # the released pages read back the same bytes
+        # only a scan of the map reads, chunk by chunk: 7 of 3 planes and one of 2 per scan;
+        # is_label_map reads the last chunk too, since the negative voxel lies in it
+        plane = 37 * 29 * 2
+        chunks = [(352 + start * plane, min(3, 23 - start) * plane) for start in range(0, 23, 3)]
+        assert reads == (2 * chunks if mapped else [])
+        np.testing.assert_array_equal(loaded.data, data)  # the map still reads the same bytes
+
+
+def _spy_reads(monkeypatch):
+    """The ``(file offset, bytes)`` of every positional read, recorded as they happen."""
+    reads, preadv = [], os.preadv
+
+    def record(fd, buffers, offset):
+        reads.append((offset, sum(memoryview(b).nbytes for b in buffers)))
+        return preadv(fd, buffers, offset)
+
+    monkeypatch.setattr(os, "preadv", record)
+    return reads
 
 
 def _buffer_owner(arr):
@@ -687,7 +698,7 @@ def _mapped(tmp_path, vol, layout):
     loaded = load_volume(path)
     if layout == "C":
         loaded = Volume(loaded.data.T, loaded.voxel_size[::-1], loaded.affine[:, [2, 1, 0, 3]])
-    assert volume._read_only_map(loaded.data) is not None
+    assert volume._file_source(loaded.data if layout == "C" else loaded.data.T) is not None
     return loaded
 
 
@@ -792,43 +803,45 @@ class TestMappedSlab:
         plane = Plane(np.array([1.0, 0.0, 0.0]), 20.0)
         full = resample_slab(vol, plane, 5.0, 1.0, 1.0)
         vol.label_table  # noqa: B018 - scanned before the spies
-        calls = []
+        calls = _spy_reads(monkeypatch)
         monkeypatch.setattr(ndimage, "affine_transform", lambda *a, **k: calls.append(a))
-        monkeypatch.setattr(volume, "_release_pages", lambda *a: calls.append(a))
         empty = resample_slab(vol, plane, 5.0, 1.0, 1.0, labels=[250, 253])
         assert calls == []  # nothing is read
         assert empty.dims == full.dims and empty.data.dtype == full.data.dtype and not empty.data.any()
 
     @pytest.mark.parametrize("labels", [None, [251, 252]])
-    def test_reads_no_map_and_releases_the_box(self, tmp_path, monkeypatch, labels):
+    def test_reads_the_box_not_the_map(self, tmp_path, monkeypatch, labels):
         rng = np.random.default_rng(49)
         vol = _mapped(tmp_path, _ball_map(rng), "F")
         vol.label_table  # noqa: B018 - scanned before the spies
-        inputs, planes = [], []
-        transform, release = ndimage.affine_transform, volume._release_pages
-        plane_bytes, address = vol.data[:, :, 0].nbytes, vol.data.ctypes.data
-
-        def record(*args):
-            first = (args[-1].ctypes.data - address) // plane_bytes
-            planes.extend(range(first, first + len(args[-1])))
-            release(*args)
-
+        inputs, transform = [], ndimage.affine_transform
         monkeypatch.setattr(ndimage, "affine_transform", lambda *a, **k: inputs.append(a[0]) or transform(*a, **k))
-        monkeypatch.setattr(volume, "_release_pages", record)
+        reads = _spy_reads(monkeypatch)
         slab = resample_slab(vol, _tilted_plane(rng, vol), 5.0, 1.0, 0.5, labels)
         monkeypatch.undo()
+        row_bytes = vol.data[:, 0, 0].nbytes
+        plane_bytes = vol.dims[1] * row_bytes
+        planes, rows = [], set()
+        for offset, nbytes in reads:  # save_volume puts the voxels at byte 352
+            plane, at = divmod(offset - 352, plane_bytes)
+            planes.extend(range(plane, plane + max(1, nbytes // plane_bytes)))  # whole planes, or rows of one
+            rows.add((at // row_bytes, (at + min(nbytes, plane_bytes)) // row_bytes))
         (i0, i1), (j0, j1) = _assert_slab_of(vol, slab, labels)
-        assert len(inputs) == 1 and volume._read_only_map(inputs[0]) is None
-        # each plane that a window sample's nearest voxel lies in is handed back, once and in
-        # order, and the box reaches at most two planes beyond them
+        assert len(inputs) == 1 and not isinstance(_buffer_owner(inputs[0]), mmap.mmap)
+        # each plane that a window sample's nearest voxel lies in is read, once and in
+        # order, and the box reaches at most two planes beyond them; so do the rows read,
+        # the same rows of every plane
         to_source = np.linalg.inv(vol.affine) @ slab.affine
         ijk = np.indices(slab.dims)[:, i0:i1, j0:j1].reshape(3, -1)
-        z = np.floor(to_source[2, :3] @ ijk + to_source[2, 3] + 0.5)
-        z = z[(z >= 0) & (z < vol.dims[2])]
+        y, z = np.floor(to_source[1:3, :3] @ ijk + to_source[1:3, 3:] + 0.5)
+        inside = (y >= 0) & (y < vol.dims[1]) & (z >= 0) & (z < vol.dims[2])
+        y, z = y[inside], z[inside]
         assert planes == list(range(planes[0], planes[-1] + 1))
         assert z.min() - 2 <= planes[0] <= z.min() and z.max() <= planes[-1] <= z.max() + 2
+        ((y0, y1),) = rows
+        assert y.min() - 2 <= y0 <= y.min() and y.max() <= y1 - 1 <= y.max() + 2
         if labels is not None:
-            assert len(planes) < vol.dims[2] // 2  # the window's box, not the volume
+            assert len(planes) < vol.dims[2] // 2 and y1 - y0 < vol.dims[1]  # the window's box, not the volume
 
 
 class TestLabelTableMemory:
@@ -849,44 +862,34 @@ class TestLabelTableMemory:
         assert len(labels) == 49
         assert peak < 0.25 * vol.data.nbytes
 
-    @pytest.mark.skipif(not hasattr(mmap, "MADV_DONTNEED"), reason="no madvise(MADV_DONTNEED)")
-    def test_scans_of_a_mapped_file_leave_it_paged_out(self, tmp_path):
-        # pages left mapped by the scans would add all 16 MB of the volume
-        status = Path("/proc/self/status")
-        if not status.exists() or "RssFile:" not in status.read_text():
-            pytest.skip("no RssFile in /proc/self/status")
-
-        def rss_file():
-            return 1024 * int(re.search(r"RssFile:\s+(\d+) kB", status.read_text()).group(1))
-
+    @pytest.mark.skipif(not hasattr(os, "preadv"), reason="no os.preadv")
+    def test_scans_of_a_mapped_file_leave_it_paged_out(self, tmp_path, rss_file):
+        # pages left mapped by the scans would add all 16 MB of the volume; read
+        # positionally, they map none, so not even one chunk's 2 MB
         rng = np.random.default_rng(45)
         data = rng.integers(0, 40, size=(256, 256, 64), dtype=np.int32)
         save_volume(Volume(data, (1, 1, 1), np.eye(4)), tmp_path / "v.nii")
         vol = load_volume(tmp_path / "v.nii")
+        Volume(data, (1, 1, 1), np.eye(4)).label_table  # noqa: B018 - its shared-library pages count as RssFile too
         before = rss_file()
         assert vol.is_label_map() and len(vol.label_table[0]) == 39
-        assert rss_file() - before < 0.25 * data.nbytes
+        assert rss_file() - before < volume._TABLE_CHUNK_VOXELS * data.itemsize
 
-    @pytest.mark.skipif(not hasattr(mmap, "MADV_DONTNEED"), reason="no madvise(MADV_DONTNEED)")
-    def test_slab_of_a_mapped_file_leaves_it_paged_out(self, tmp_path):
+    @pytest.mark.skipif(not hasattr(os, "preadv"), reason="no os.preadv")
+    def test_slab_of_a_mapped_file_leaves_it_paged_out(self, tmp_path, rss_file):
         # the tilted slab reads a band of x on every line of the 16 MB volume: sampled
         # through the map, that faults in every page of the file
-        status = Path("/proc/self/status")
-        if not status.exists() or "RssFile:" not in status.read_text():
-            pytest.skip("no RssFile in /proc/self/status")
-
-        def rss_file():
-            return 1024 * int(re.search(r"RssFile:\s+(\d+) kB", status.read_text()).group(1))
-
         rng = np.random.default_rng(50)
         data = rng.integers(0, 40, size=(256, 256, 64), dtype=np.int32)
         save_volume(Volume(data, (1, 1, 1), np.eye(4)), tmp_path / "v.nii")
         vol = load_volume(tmp_path / "v.nii")
         assert vol.is_label_map()
         normal = np.array([1.0, 0.1, 0.2]) / np.linalg.norm([1.0, 0.1, 0.2])
+        plane = Plane(normal, float(normal @ [128, 128, 32]))
+        resample_slab(Volume(data, (1, 1, 1), np.eye(4)), plane, 5.0, 1.0)  # its shared-library pages count as RssFile too
         before = rss_file()
-        slab = resample_slab(vol, Plane(normal, float(normal @ [128, 128, 32])), 5.0, 1.0)
-        assert rss_file() - before < 0.25 * data.nbytes
+        slab = resample_slab(vol, plane, 5.0, 1.0)
+        assert rss_file() - before < volume._TABLE_CHUNK_VOXELS * data.itemsize
         assert np.count_nonzero(slab.data) > 0.5 * slab.data[..., 0].size
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 from pathlib import Path
 
@@ -296,6 +297,25 @@ class TestRunCase:
         assert main(argv) == 2
         assert f"InputError: template segmentation not found: {tpl}" in capsys.readouterr().out
 
+    @pytest.mark.skipif(not hasattr(os, "preadv"), reason="no os.preadv")
+    @pytest.mark.parametrize("stage", ["inputs", "slab"])
+    def test_labels_truncated_after_loading_exit_2_naming_the_file(self, phantom_files, tmp_path, capsys, monkeypatch, stage):
+        # read through the map, the missing bytes would kill the process with SIGBUS
+        labels = tmp_path / "labels.nii"
+        save_volume(rectangle_mask_volume()[0], labels)
+        if stage == "inputs":
+            monkeypatch.setattr(pipeline, "load_volume", lambda path: (load_volume(path), os.truncate(path, 400))[0])
+        else:
+            resample = pipeline.resample_slab
+            monkeypatch.setattr(pipeline, "resample_slab", lambda *a, **k: os.truncate(labels, 400) or resample(*a, **k))
+        argv = ["thickness", "--labels", str(labels), "--landmarks", str(phantom_files / "lm.json")]
+        argv += ["--plane", str(phantom_files / "plane.json"), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        out = capsys.readouterr().out
+        assert f"] {stage}: failed (" in out and f"NiftiError: {labels}: truncated since it was loaded" in out
+        status = json.loads((tmp_path / "out" / "status.json").read_text())
+        assert status["error_kind"] == "input"
+
     @pytest.mark.parametrize("landmarks, writes", [("lm.json", 9), ("nosuch.json", 2)])
     def test_status_json_written_at_stage_ends_and_after_skips(
         self, phantom_files, tmp_path, monkeypatch, landmarks, writes
@@ -471,6 +491,25 @@ class TestEval:
         assert got["hd95_mm"] == hausdorff95(m1 > 0, m2 > 0)
 
 
+    @pytest.mark.skipif(not hasattr(os, "preadv"), reason="no os.preadv")
+    def test_masks_leave_the_files_paged_out(self, tmp_path, monkeypatch, rss_file):
+        # `data > 0` on the maps faults in both 16 MB files; chunk by chunk, the reader maps neither.
+        # RssFile is read while both maps live: in the distance step, after both masks are built
+        shape = (256, 256, 64)
+        for name, corner in (("a", 100), ("b", 104)):
+            data = np.zeros(shape, dtype=np.int32)
+            data[corner : corner + 40, corner : corner + 40, 20:40] = 7
+            save_volume(Volume(data, (1, 1, 1), np.eye(4)), tmp_path / f"{name}.nii")
+            save_volume(Volume(data[::8, ::8, ::2], (1, 1, 1), np.eye(4)), tmp_path / f"small_{name}.nii")
+        run_eval(tmp_path / "small_a.nii", tmp_path / "small_b.nii")  # its shared-library pages count as RssFile too
+        during, hausdorff95 = [], pipeline.hausdorff95
+        monkeypatch.setattr(pipeline, "hausdorff95", lambda *a, **k: during.append(rss_file()) or hausdorff95(*a, **k))
+        before = rss_file()
+        got = run_eval(tmp_path / "a.nii", tmp_path / "b.nii")
+        assert during[0] - before < 0.25 * 4 * math.prod(shape)
+        assert got["dice"] == 2 * 36 * 36 * 20 / (2 * 40 * 40 * 20)
+
+
 def _write_profiles(root, rng, n_cases, n_pos=60, deficit=None):
     rows = ["case_id,group,age,sex,tbv"]
     base = 5.0 + 0.5 * np.sin(np.linspace(0, np.pi, n_pos))
@@ -631,6 +670,7 @@ class TestCLI:
             ("slab_spacing_mm = -Infinity", "'slab_spacing_mm' must be finite"),
             ("min_angle_deg = NaN", "'min_angle_deg' must be finite"),
             ("min_angle_deg = 40", "min_angle_deg must lie in [0, 34)"),
+            ("cc_labels = [251, 0]", "cc_labels must not hold 0"),
         ],
         ids=[
             "solver_tol",
@@ -646,6 +686,7 @@ class TestCLI:
             "slab_spacing_neg_inf",
             "min_angle_nan",
             "min_angle_40",
+            "cc_labels_zero",
         ],
     )
     def test_removed_config_key_exit_code_2(self, phantom_files, tmp_path, capsys, line, message):

@@ -494,3 +494,123 @@ def test_bad_landmark_file_is_input_error(bad_volumes, case, tmp_path):
     status = run_case(spec, RunConfig().validate(), tmp_path / "out")
     assert status["error_kind"] == "input"
     assert status["stages"][0]["error"].startswith("InputError: invalid landmark file")
+
+
+def _random_labels(seed, shape=(23, 19, 17)):
+    rng = np.random.default_rng(seed)
+    data = rng.choice(np.array([0, 2, 5, 9], dtype=np.int32), size=shape, p=[0.7, 0.1, 0.1, 0.1])
+    return Volume(data, (1, 1, 1), np.eye(4))
+
+
+def _tables_equal(a, b):
+    return all(x.tobytes() == y.tobytes() for x, y in zip(a.label_table + a.label_bounds, b.label_table + b.label_bounds))
+
+
+def _wait(pid, timeout):
+    """The exit code of child ``pid``, killed if it has not exited within ``timeout`` seconds."""
+    import signal
+    import time
+
+    deadline = time.monotonic() + timeout
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            done = os.waitpid(pid, 0)
+            break
+        time.sleep(0.01)
+    return os.waitstatus_to_exitcode(done[1])
+
+
+@pytest.mark.skipif(not hasattr(os, "preadv"), reason="no os.preadv")
+class TestPositionalReader:
+    """A mapped file's chunks are read with positional reads through the map's own descriptor."""
+
+    @pytest.fixture(autouse=True)
+    def _small_chunks(self, monkeypatch):
+        from ccmorph import volume
+
+        monkeypatch.setattr(volume, "_TABLE_CHUNK_VOXELS", 3 * 23 * 19)  # 3 planes a chunk, 6 chunks
+
+    def test_no_descriptor_leaks(self, tmp_path):
+        fds = "/proc/self/fd"
+        if not os.path.isdir(fds):
+            pytest.skip("no /proc/self/fd")
+        save_volume(_random_labels(60), tmp_path / "v.nii")
+        before = len(os.listdir(fds))
+        for _ in range(200):
+            vol = load_volume(tmp_path / "v.nii")
+            assert vol.is_label_map() and len(vol.label_table[0]) == 3
+            del vol
+        assert len(os.listdir(fds)) == before
+
+    def test_replaced_file_reads_its_old_bytes(self, tmp_path):
+        first, other = _random_labels(61), _random_labels(62)
+        save_volume(first, tmp_path / "v.nii")
+        loaded = load_volume(tmp_path / "v.nii")
+        save_volume(other, tmp_path / "v.nii")
+        assert _tables_equal(loaded, first) and not _tables_equal(load_volume(tmp_path / "v.nii"), first)
+
+    def test_loaded_volume_pickles(self, tmp_path):
+        import pickle
+
+        save_volume(_random_labels(63), tmp_path / "v.nii")
+        loaded = load_volume(tmp_path / "v.nii")
+        loaded.label_table  # noqa: B018 - the cached table goes along
+        back = pickle.loads(pickle.dumps(loaded))
+        np.testing.assert_array_equal(back.data, loaded.data)
+        assert _tables_equal(back, loaded)
+
+    def test_reads_leave_the_file_offset_alone(self, tmp_path):
+        # a forked child shares the descriptor and its offset with its parent: a seek and a read
+        # in one would move the other's, so the reads must not use the offset at all
+        from ccmorph import volume
+
+        expected = _random_labels(64)
+        save_volume(expected, tmp_path / "v.nii")
+        loaded = load_volume(tmp_path / "v.nii")
+        assert volume._file_source(loaded.data.T) is not None
+        fd = _buffer_owner(loaded.data).fd
+        os.lseek(fd, 123, os.SEEK_SET)
+        assert _tables_equal(loaded, expected) and os.lseek(fd, 0, os.SEEK_CUR) == 123
+        if not hasattr(os, "fork"):
+            return
+        pid = os.fork()
+        if pid == 0:  # the child scans fresh views of the same map as the parent, at the same time
+            status = 1
+            try:
+                if all(_tables_equal(Volume(loaded.data, (1, 1, 1), np.eye(4)), expected) for _ in range(50)):
+                    status = 0
+            finally:
+                os._exit(status)
+        try:
+            for _ in range(50):
+                assert _tables_equal(Volume(loaded.data, (1, 1, 1), np.eye(4)), expected)
+        finally:
+            code = _wait(pid, timeout=60)
+        assert code == 0
+
+    def test_truncated_file_raises_nifti_error_not_sigbus(self, tmp_path):
+        # a fault on a mapped page past the end of the file kills the process with SIGBUS
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import ccmorph
+
+        path = tmp_path / "v.nii"
+        save_volume(Volume(np.ones((64, 64, 64), dtype=np.int32), (1, 1, 1), np.eye(4)), path)
+        code = (
+            "import os, sys\n"
+            "from ccmorph.volume import NiftiError, load_volume\n"
+            "vol = load_volume(sys.argv[1])\n"
+            "os.truncate(sys.argv[1], 352 + 4 * 64 * 64 * 40)\n"
+            "try:\n"
+            "    vol.label_table\n"
+            "except NiftiError as e:\n"
+            "    print(e)\n"
+            "    sys.exit(3)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(ccmorph.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code, str(path)], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 3, proc.stderr
+        assert str(path) in proc.stdout and "truncated" in proc.stdout
