@@ -116,8 +116,11 @@ class RunConfig:
 def parse_config_file(path) -> dict:
     """Parse a flat TOML-style ``key = value`` file.
 
-    Values are JSON literals (numbers, strings, booleans, lists); unquoted
-    single words are taken as strings. ``#`` starts a comment.
+    Values are JSON literals (numbers, strings, booleans, lists). ``#``
+    starts a comment. A complete JSON value followed by nothing but
+    whitespace or a comment is taken whole, so a quoted string may hold a
+    ``#``. Any other value is cut at its first ``#``; what is left is read
+    as JSON or, failing that, taken as a string, as unquoted single words are.
     """
     out = {}
     with open(path, "r", encoding="utf-8") as f:
@@ -127,11 +130,20 @@ def parse_config_file(path) -> dict:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, val = line.partition("=")
-            key = key.strip()
-            val = val.strip()
-            try:
-                out[key] = json.loads(val)
-            except json.JSONDecodeError:
-                out[key] = val
+            out[line.partition("=")[0].strip()] = _parse_value(raw.partition("=")[2].strip())
     return out
+
+
+def _parse_value(text: str):
+    """The value of ``text``, the rest of a line after its ``=``, by ``parse_config_file``'s rule."""
+    try:
+        value, end = json.JSONDecoder().raw_decode(text)
+        if text[end:].lstrip()[:1] in ("", "#"):
+            return value
+    except json.JSONDecodeError:
+        pass
+    cut = text.split("#", 1)[0].strip()
+    try:
+        return json.loads(cut)
+    except json.JSONDecodeError:
+        return cut

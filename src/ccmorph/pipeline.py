@@ -431,12 +431,13 @@ def read_group_table(table_path, profiles_dir) -> tuple:
     """Read the group CSV and per-case profile CSVs.
 
     The table needs columns case_id, group (patient/control or 1/0), age,
-    sex (female=1, male=0), tbv. Profiles are read from
+    sex (female=1, male=0), tbv, one row per case. Profiles are read from
     ``profiles_dir/<case_id>/profile.csv``.
     """
     import csv
 
     ids = []
+    line_of = {}  # case_id -> its table line
     group = []
     age = []
     sex = []
@@ -453,6 +454,9 @@ def read_group_table(table_path, profiles_dir) -> tuple:
             for col in needed:
                 if not row[col]:
                     raise InputError(f"group table line {reader.line_num}: case {cid!r} has no {col} value")
+            if cid in line_of:
+                raise InputError(f"group table line {reader.line_num}: case {cid!r} repeats line {line_of[cid]}")
+            line_of[cid] = reader.line_num
             prof = Path(profiles_dir) / cid / "profile.csv"
             if not prof.exists():
                 raise InputError(f"profile not found for case {cid}: {prof}")

@@ -754,43 +754,24 @@ class _Refiner:
         self.tr._add_points(cand[keep])
 
     def refine(self) -> list:
-        """Refine until every interior triangle is good; returns the interior triangle ids."""
-        max_rounds = 40
+        """Refine until every interior triangle is good; returns the interior triangle ids.
+
+        Each round runs one refinement pass, splits the segments that are no
+        longer edges, floods the interior and tests every interior triangle.
+        """
         # one insertion budget per mesh: each round gets what the rounds before it left
         budget = 40 * len(self.tr.fx) + int(20.0 * abs(polygon_area(self.poly)) / self.max_area) + 4000
-        # each triangle's quality by tid: 0 untested, 1 good, 2 bad; it is fixed when the
-        # triangle is made, so a scan tests only the triangles no earlier scan tested
-        quality = np.zeros(0, dtype=np.int8)
-
-        def scan(interior):
-            nonlocal quality
-            if len(quality) < self.tr.next_tid:
-                quality = np.concatenate([quality, np.zeros(self.tr.next_tid, dtype=np.int8)])
-            tids = np.array(interior, dtype=np.int64)
-            new = tids[quality[tids] == 0]
-            quality[new] = 1 + self._bad(new.tolist())
-            return tids[quality[tids] == 2].tolist()
-
-        sides = self._segment_sides()
-        interior = self._interior(sides)
-        bad = scan(interior)
-        for _ in range(max_rounds):
-            stamp, given = self.tr.next_tid, budget
+        interior = self._interior(self._segment_sides())
+        bad = list(compress(interior, self._bad(interior)))
+        for _ in range(40):
+            given = budget
             budget = self._refine_pass(bad, budget)
-            # verify: all constraint segments are edges of the triangulation
-            # and every interior triangle meets quality
-            if self.tr.next_tid != stamp:  # every insertion makes triangles
-                sides = self._segment_sides()
+            sides = self._segment_sides()
             missing = list(compress(self.segs, sides[0] < 0))
-            if missing:
-                before = self.tr.next_tid
-                for seg in missing:
-                    self._split(seg)
-                if self.tr.next_tid != before:
-                    sides = self._segment_sides()
-            if self.tr.next_tid != stamp:
-                interior = self._interior(sides)
-            bad = scan(interior)
+            if any([self._split(seg) for seg in missing]):  # a list: every missing segment is split
+                sides = self._segment_sides()
+            interior = self._interior(sides)
+            bad = list(compress(interior, self._bad(interior)))
             if not missing and not bad:
                 return interior
             if budget == given and not missing:  # nothing placed

@@ -830,6 +830,7 @@ class TestCLI:
             ("table.csv", "c4,control,abc,f,1.2e6", "age value 'abc' for case c4 is not a finite number"),
             ("table.csv", "c4,control,40,f,big", "tbv value 'big' for case c4 is not a finite number"),
             ("table.csv", "c4,control,nan,f,1.2e6", "age value 'nan' for case c4 is not a finite number"),
+            ("table.csv", "s001,control,41,m,1.2e6", "group table line 10: case 's001' repeats line 3"),
             ("s000/summary.json", "[1, 2]", "invalid summary file {path}: expected a JSON object, got list"),
             ("s000/summary.json", '{"area_mm2": 1,', "invalid summary file {path}: Expecting property name"),
             ("s003/profile.csv", "position_fraction,thickness_mm\n0.5,4.0\n0.6\n", "profile {path} line 3:"),
@@ -843,6 +844,7 @@ class TestCLI:
             "age_abc",
             "tbv_big",
             "age_nan",
+            "repeated_case",
             "summary_list",
             "summary_bad_json",
             "profile_one_field",
@@ -957,6 +959,24 @@ class TestConfig:
             RunConfig(iso=2.0).validate()
         with pytest.raises(ValueError):
             RunConfig(schemes=["bogus"]).validate()
+
+    def test_quoted_hash_is_not_a_comment(self, tmp_path):
+        (tmp_path / "cfg.txt").write_text(
+            'template_seg = "/data/run#2/t.nii"  # the run\'s template\n'
+            'template_plane = "/data/p#.json"\n'
+            "iso = 0.4 # a comment after a number\n"
+            "schemes = witelson # an unquoted word is cut at its comment\n"
+        )
+        values = parse_config_file(tmp_path / "cfg.txt")
+        assert values == {
+            "template_seg": "/data/run#2/t.nii",
+            "template_plane": "/data/p#.json",
+            "iso": 0.4,
+            "schemes": "witelson",
+        }
+        cfg = RunConfig(template_seg="/data/run#2/t.nii").validate()
+        (tmp_path / "echo.txt").write_text(cfg.to_text())
+        assert RunConfig.from_dict(parse_config_file(tmp_path / "echo.txt")) == cfg
 
     def test_echo_roundtrip(self, tmp_path):
         cfg = RunConfig(n_samples=33).validate()

@@ -235,12 +235,25 @@ class TestFuzzRegressions:
             ("seed219_m015", 0.5),
             ("seed219_m015", 0.25),
             ("seed219_m015", 0.1),
+            ("seed331_m001", 0.5),
+            ("seed334_m005", 0.5),
+            ("seed361_m011", 0.5),
+            ("seed361_m011", 0.25),
+            ("seed371_m006", 0.5),
+            ("seed371_m006", 0.25),
+            ("seed371_m006", 0.1),
+            ("seed386_m009", 0.25),
+            ("seed386_m009", 0.1),
+            ("seed387_m009", 0.25),
+            ("seed387_m015", 0.5),
+            ("seed398_m000", 0.5),
+            ("seed398_m005", 0.25),
             ("tilted_plane", 0.25),
         ],
     )
     def test_known_failures_mesh(self, name, area):
-        """The `scripts/mesh_sweep.py` failures of seeds 100-129 and 200-229 (recipe above),
-        and the contour of the arch phantom cut by a tilted plane (its entry holds its recipe).
+        """The `scripts/mesh_sweep.py` failures of seeds 100-129, 200-229 and 300-399 (recipe
+        above), and the contour of the arch phantom cut by a tilted plane (its entry holds its recipe).
 
         Seed 109 m015 raises "mesh refinement did not converge", the others
         "degenerate insertion at the hull"; any other failure fails the test.
@@ -1022,6 +1035,36 @@ class TestArrayPasses:
         assert rounds[0]
         assert isinstance(outcome, str) == (name == "seed104_m010")
         assert len(rounds) == {"arch@0.25": 2, "seed209_m002": 5, "seed104_m010": 4}.get(name, 1)
+
+    def test_missing_segment_is_split(self):
+        # no stored case or sweep mesh loses a segment edge in a round, so the first
+        # round-end ``_segment_sides`` call (the second call) reports one as missing
+        ref = _built_refiner("arch@0.25")
+        sides, split = ref._segment_sides, ref._split
+        calls, splits = [], []  # splits: (sides calls so far, segment, whether it was split)
+        missing = list(ref.segs)[len(ref.segs) // 2]
+
+        def reported_sides():
+            left, closed = sides()
+            calls.append(None)
+            if len(calls) == 2:
+                left = left.copy()
+                left[list(ref.segs).index(missing)] = -1
+            return left, closed
+
+        def recorded_split(seg):
+            splits.append((len(calls), seg, split(seg)))
+            return splits[-1][2]
+
+        ref._segment_sides, ref._split = reported_sides, recorded_split
+        interior = ref.refine()
+        assert [(seg, done) for n, seg, done in splits if n == 2] == [(missing, True)]
+        assert missing not in ref.segs
+        assert interior == _reference_interior(ref) and not _reference_bad(ref, interior).any()
+        mesh = ref.extract(interior)
+        used = np.unique(ref.tr.corners()[interior])  # the store's id of each mesh vertex
+        edges = {(a, b) for t in used[mesh.triangles].tolist() for a, b in zip(t, t[1:] + t[:1])}
+        assert all(seg in edges for seg in ref.segs)
 
     @pytest.mark.parametrize("kind", ["walks", "stars"])
     def test_random_polygons_match_reference(self, kind):
