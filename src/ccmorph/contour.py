@@ -157,6 +157,9 @@ _SEGMENTS = {
 _SEG_COUNT = np.array([len(_SEGMENTS.get(c, ())) for c in range(32)])
 _SEG_EDGES = np.array([(_SEGMENTS.get(c, ()) + ((0, 0), (0, 0)))[:2] for c in range(32)])
 _EDGE_STEPS = np.array(_EDGES)
+# a vertex closer to a grid node than this fraction of the pixel, along its grid edge, is a
+# corner-cut candidate (see ``extract_contour``)
+_CORNER_CUT = 0.01
 
 
 def extract_contour(
@@ -172,6 +175,13 @@ def extract_contour(
     enclosing the largest area is returned, oriented counter-clockwise.
     The field must be padded (e.g. with zeros) so no contour touches the
     image border.
+
+    Where the field at a grid node lies within a hair of ``iso``, marching
+    squares cuts the node's corner with vertices a few micrometres apart.
+    Such a run of consecutive vertices, all within 1% of a pixel of one node
+    along their grid edges, is replaced by the node itself, so no segment is
+    hundreds of times shorter than its neighbours. Each vertex moves by less
+    than 1% of a pixel.
 
     Raises
     ------
@@ -219,8 +229,26 @@ def extract_contour(
     x = (i0 + t * (i1 - i0)) * px[0] + ox
     y = (j0 + t * (j1 - j0)) * px[1] + oy
 
+    # corner cuts: where the vertices within _CORNER_CUT of one grid node (along their grid
+    # edges) form one run of two or more consecutive vertices, the node takes the run's place.
+    # A node whose near vertices form more than one run, or a whole loop, keeps them all
+    near = np.where(t < _CORNER_CUT, i0 * f.shape[1] + j0, np.where(t > 1.0 - _CORNER_CUT, i1 * f.shape[1] + j1, -1))
+    a, b = ends[0::2], ends[1::2]
+    link = (near[a] >= 0) & (near[a] == near[b])
+    nodes, node_of = np.unique(near, return_inverse=True)
+    links = np.bincount(node_of[a[link]], minlength=len(nodes))
+    merged = ((nodes >= 0) & (links > 0) & (np.bincount(node_of) - links == 1))[node_of]
+    ids = np.arange(len(at))
+    rep = np.full(len(nodes), len(at))
+    np.minimum.at(rep, node_of, ids)  # a run takes its smallest id
+    rep = np.where(merged, rep[node_of], ids)
+    ni, nj = np.divmod(near, f.shape[1])
+    kept = rep == ids
+    x, y = np.where(merged, ni * px[0] + ox, x)[kept], np.where(merged, nj * px[1] + oy, y)[kept]
+    ends = (np.cumsum(kept) - 1)[rep[ends[~np.repeat(link & merged[a], 2)]]]
+
     # each vertex's neighbours, the first recorded first
-    n = len(at)
+    n = len(x)
     if (np.bincount(ends, minlength=n) != 2).any():
         raise ValueError("contour not closed (crosses the field border); pad the field first")
     nbrs = ends.reshape(-1, 2)[:, ::-1].ravel()[np.argsort(ends, kind="stable")]

@@ -12,6 +12,7 @@ from ccmorph.contour import (
     resample_polyline,
     smooth_mask,
 )
+from ccmorph.triangulate import first_self_intersection
 
 
 def _disc_mask(n=32, radius=10.0, center=None):
@@ -148,8 +149,12 @@ class TestExtractContour:
         assert abs(c.area() - np.pi * 15**2) / (np.pi * 15**2) < 0.05
 
 
-def _reference_contour(field, iso, pixel_size=(1.0, 1.0), origin=(0.0, 0.0)):
-    """The earlier algorithm: a Python case ladder over every cell of the grid."""
+CORNER_CUT = 0.01  # of a pixel: how near a grid node a corner-cut vertex lies
+
+
+def _reference_contour(field, iso, pixel_size=(1.0, 1.0), origin=(0.0, 0.0), cut=CORNER_CUT):
+    """The earlier algorithm: a Python case ladder over every cell of the grid, then the
+    corner cuts merged loop by loop (none with ``cut`` 0)."""
     f = np.asarray(field, dtype=float)
     px = np.broadcast_to(np.asarray(pixel_size, dtype=float).ravel(), (2,))
     ox, oy = float(origin[0]), float(origin[1])
@@ -164,7 +169,8 @@ def _reference_contour(field, iso, pixel_size=(1.0, 1.0), origin=(0.0, 0.0)):
             t = (iso - f[i0, j0]) / (f[i1, j1] - f[i0, j0])
             x = (i0 + t * (i1 - i0)) * px[0] + ox
             y = (j0 + t * (j1 - j0)) * px[1] + oy
-            verts[i0, j0, i1, j1] = (len(verts), x, y)
+            node = (i0, j0) if t < cut else (i1, j1) if t > 1.0 - cut else None
+            verts[i0, j0, i1, j1] = (len(verts), x, y, node)
         return verts[i0, j0, i1, j1]
 
     above = f > iso
@@ -200,9 +206,51 @@ def _reference_contour(field, iso, pixel_size=(1.0, 1.0), origin=(0.0, 0.0)):
             visited.add(nxt[0])
             cand = segs[nxt[0]]
             nxt = cand[0][1] if cand[0][1][0] != loop[-2][0] else cand[1][1]
-        loops.append(np.array([(x, y) for _, x, y in loop]))
+        loops.append(loop)
+    loops = [np.array([(x, y) for _, x, y, _ in loop]) for loop in _merge_corner_cuts(loops, px, (ox, oy))]
     best = max(loops, key=lambda L: abs(polygon_area(L)))
     return best[::-1] if polygon_area(best) < 0 else best
+
+
+def _merge_corner_cuts(loops, px, origin):
+    """Replace each node's near vertices by the node where they are one run of two or more
+    consecutive vertices of one loop, and not the whole loop; loop by loop, vertex by vertex."""
+    places = {}  # node -> [(loop, position)] of its near vertices
+    for k, loop in enumerate(loops):
+        for p, (_, _, _, node) in enumerate(loop):
+            if node is not None:
+                places.setdefault(node, []).append((k, p))
+    runs = {}  # loop -> {position: node} of the vertices that merge
+    for node, at in places.items():
+        k, n = at[0][0], len(loops[at[0][0]])
+        pos = {p for kk, p in at if kk == k}
+        if len(pos) == len(at) and 2 <= len(pos) < n and sum((p + 1) % n in pos for p in pos) == len(pos) - 1:
+            runs.setdefault(k, {}).update(dict.fromkeys(pos, node))
+    out = []
+    for k, loop in enumerate(loops):
+        merged, n = runs.get(k, {}), len(loop)
+        new = []
+        for p, v in enumerate(loop):
+            node = merged.get(p)
+            if node is None:
+                new.append(v)
+            elif merged.get((p - 1) % n) != node:  # the run's first vertex takes the node's place
+                new.append((v[0], node[0] * px[0] + origin[0], node[1] * px[1] + origin[1], node))
+        out.append(new)
+    return out
+
+
+def _assert_matches_reference(field, iso, pixel_size=(1.0, 1.0), origin=(0.0, 0.0)):
+    """``extract_contour`` gives the reference's vertices in its cyclic order, from the same
+    first vertex unless a corner was cut. Returns whether one was."""
+    got = extract_contour(field, iso, pixel_size, origin).points
+    expected = _reference_contour(field, iso, pixel_size, origin)
+    cut = len(expected) < len(_reference_contour(field, iso, pixel_size, origin, cut=0.0))
+    start = np.flatnonzero((got == expected[0]).all(axis=1))
+    assert len(got) == len(expected) and len(start) == 1
+    assert start[0] == 0 or cut
+    np.testing.assert_array_equal(np.roll(got, -start[0], axis=0), expected)
+    return cut
 
 
 def _saddle_sides(field, iso):
@@ -222,8 +270,7 @@ class TestExtractContourMatchesReference:
         field = np.pad(rng.random((int(rng.integers(12, 30)), int(rng.integers(12, 30)))), 1)
         assert _saddle_sides(field, iso) == {False, True}  # both saddle cases, both center sides
         px, origin = tuple(rng.uniform(0.3, 1.5, 2)), tuple(rng.uniform(-5.0, 5.0, 2))
-        got = extract_contour(field, iso, px, origin)
-        np.testing.assert_array_equal(got.points, _reference_contour(field, iso, px, origin))
+        _assert_matches_reference(field, iso, px, origin)
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("iso", [0.25, 0.5, 0.75])
@@ -231,8 +278,7 @@ class TestExtractContourMatchesReference:
         rng = np.random.default_rng([seed, 52])
         mask = Mask2D((rng.random((40, 32)) < 0.55).astype(np.uint8), (0.5, 0.5))
         field = np.pad(smooth_mask(mask, 0.4), 1)
-        got = extract_contour(field, iso, mask.pixel_size, (-0.5, -0.5))
-        np.testing.assert_array_equal(got.points, _reference_contour(field, iso, mask.pixel_size, (-0.5, -0.5)))
+        _assert_matches_reference(field, iso, mask.pixel_size, (-0.5, -0.5))
 
     def test_binary_mask_saddles(self):
         # a raw 0/1 mask: every saddle center sits at 0.5, so iso decides the side
@@ -240,7 +286,37 @@ class TestExtractContourMatchesReference:
         field = np.pad((rng.random((30, 30)) < 0.5).astype(float), 1)
         for iso in (0.4, 0.6):
             assert _saddle_sides(field, iso) == {iso < 0.5}
-            np.testing.assert_array_equal(extract_contour(field, iso).points, _reference_contour(field, iso))
+            _assert_matches_reference(field, iso)
+
+
+class TestCornerCuts:
+    """A run of vertices within 1% of a pixel of one grid node becomes the node, unless the
+    node's near vertices are more than one run or a whole loop."""
+
+    def test_cut_corner_becomes_the_node(self):
+        field = np.zeros((8, 8))
+        field[2:5, 2:5] = 1.0
+        field[2, 2] = 0.5 + 1e-4  # the block's corner node lies a hair above iso
+        got = extract_contour(field, 0.5, (0.5, 0.5), (-0.5, -0.5)).points
+        uncut = _reference_contour(field, 0.5, (0.5, 0.5), (-0.5, -0.5), cut=0.0)
+        assert len(got) == len(uncut) - 1
+        assert [0.5, 0.5] in got.tolist()  # node (2, 2)
+        assert np.linalg.norm(np.roll(uncut, -1, axis=0) - uncut, axis=1).min() < 1e-3
+
+    def test_lone_node_keeps_its_loop(self):
+        field = np.zeros((5, 5))
+        field[2, 2] = 0.5 + 1e-4  # all four vertices lie near the node: the whole loop
+        assert len(extract_contour(field, 0.5).points) == 4
+
+    def test_node_passed_twice_keeps_both_runs(self):
+        # the node (3, 3) lies a hair above iso between two saddle cells whose centers are
+        # above it: the one loop cuts two of its corners, which as one vertex would touch
+        field = np.zeros((7, 7))
+        field[3, 3] = 0.3 + 1e-4
+        field[2, 2] = field[4, 4] = 1.0
+        got = extract_contour(field, 0.3).points
+        assert _assert_matches_reference(field, 0.3) is False
+        assert len(got) == 12 and first_self_intersection(got) is None
 
 
 class TestPolyline:
