@@ -42,12 +42,24 @@ def _as_mask(x) -> np.ndarray:
     return m
 
 
+def _box(*masks) -> tuple:
+    """The smallest box (a tuple of slices) that holds every non-zero voxel of the
+    same-shaped boolean ``masks``; the whole array if there is none. Outside it every
+    mask is 0, so a mask's sums and its surface are those of its part in the box."""
+    boxes = [b for m in masks for b in ndimage.find_objects(m.view(np.uint8))]  # no full-volume temporary
+    if not boxes:
+        return tuple(slice(0, n) for n in masks[0].shape)
+    return tuple(slice(min(b[d].start for b in boxes), max(b[d].stop for b in boxes)) for d in range(masks[0].ndim))
+
+
 def dice(x, y) -> float:
     """Dice similarity 2|X n Y| / (|X| + |Y|); both-empty is 1 with a warning."""
     mx = _as_mask(x)
     my = _as_mask(y)
     if mx.shape != my.shape:
         raise ValueError("masks must have the same shape")
+    box = _box(mx, my)
+    mx, my = mx[box], my[box]
     nx = int(mx.sum())
     ny = int(my.sum())
     if nx == 0 and ny == 0:
@@ -62,9 +74,11 @@ def boundary_voxels(mask, voxel_size=(1.0, 1.0, 1.0)) -> np.ndarray:
     m = _as_mask(mask)
     if m.ndim != 3:
         raise ValueError("mask must be 3D")
-    # voxels at the array border face the outside
+    box = _box(m)
+    m = m[box]
+    # voxels at the box's faces face the outside: the array border, or zeros beyond the box
     interior = ndimage.binary_erosion(m, ndimage.generate_binary_structure(3, 1), border_value=0)
-    return np.argwhere(m & ~interior) * np.asarray(voxel_size, dtype=float)
+    return (np.argwhere(m & ~interior) + [b.start for b in box]) * np.asarray(voxel_size, dtype=float)
 
 
 def hausdorff95(x, y, voxel_size=(1.0, 1.0, 1.0), pooled: bool = True) -> float:

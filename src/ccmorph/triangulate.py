@@ -12,8 +12,10 @@ long-segment midpoints, hex seed points) are only registered; their
 placement reads coordinates alone. They are then triangulated in one Qhull
 call (Barber, Dobkin & Huhdanpaa 1996), and every edge is legalized under
 the exact incircle test by Lawson flips, with Shewchuk's (1997) float
-filters deciding where they can. Refinement points go in one at a time by
-Bowyer-Watson insertion under the same predicates.
+filters deciding where they can. One flood then keeps the triangles the
+contour encloses and deletes the rest, so every contour segment is a hull
+edge. Refinement points go in one at a time by Bowyer-Watson insertion under
+the same predicates, and a segment split replaces its hull edge in place.
 
 The triangles are flat records indexed by triangle id, as in Shewchuk's
 Triangle (1996): three corners, three neighbour slots and a live flag, and
@@ -141,7 +143,6 @@ class _Triangulator:
         self.live = bytearray()
         self.vt = []
         self._corners = np.empty((0, 3), dtype=np.int64)
-        self.last_tid = 0
         self.built = False
 
         cx = (bbox_lo[0] + bbox_hi[0]) / 2.0
@@ -218,14 +219,11 @@ class _Triangulator:
         return tuple(np.fromiter(f, dtype=float, count=len(f))[vids] for f in (self.fx, self.fy))  # fromiter: no type discovery
 
     def edge_tri(self, u, v) -> int:
-        """The triangle whose edge from one corner to the next runs u -> v, or -1
-        (always before ``build``).
+        """The triangle whose edge from one corner to the next runs u -> v, or -1.
 
         The walk turns around u from ``vt[u]``: counter-clockwise until it
         finds the edge, closes the fan or meets the hull, then clockwise.
         """
-        if not self.built:
-            return -1
         tv, tn = self.tv, self.tn
         start = self.vt[u]
         for turn in (2, 0):  # the slot crossed: edge (c, u), or edge (u, b)
@@ -240,14 +238,16 @@ class _Triangulator:
                     return -1
         return -1
 
-    def _locate(self, vid, hint=None):
-        """Visibility walk to a triangle containing vertex vid; None if outside."""
-        tv, tn, live, ix, iy = self.tv, self.tn, self.live, self.ix, self.iy
-        tid = hint if hint is not None and live[hint] else self.last_tid
-        if not live[tid]:
-            tid = live.index(1)
+    def _locate(self, vid, tid):
+        """Visibility walk from triangle tid to a triangle containing vertex vid.
+
+        A walk from a triangle whose circumcircle holds the point stays in the
+        domain unless the point encroaches a segment (Shewchuk 2002), so a
+        walk that leaves it is a missed encroachment.
+        """
+        tv, tn, ix, iy = self.tv, self.tn, self.ix, self.iy
         px, py = ix[vid], iy[vid]
-        guard = 4 * len(live) + 64
+        guard = 4 * len(self.live) + 64
         while guard:
             guard -= 1
             i = 3 * tid
@@ -263,31 +263,32 @@ class _Triangulator:
             else:
                 return tid
             if tid < 0:
-                return None
+                raise RuntimeError("point location left the domain: a missed segment encroachment")
         raise RuntimeError("point location walk failed to terminate")
 
     # -- insertion ---------------------------------------------------------
 
-    def insert(self, x, y, hint=None):
-        """Insert a point; returns (vertex id, list of cavity tids removed).
+    def insert(self, x, y, hint=None, edge=None):
+        """Insert a point, located by a walk from triangle ``hint``; returns (vertex id,
+        list of cavity tids removed).
 
         Returns (vid, None) when the point coincides with an existing vertex.
         Before ``build`` the point is only registered, with an empty cavity.
         The new triangles (u, v, vid), one per cavity boundary edge (u, v),
         take consecutive ids in the order of that edge list.
+
+        ``edge`` (u, v) is a hull edge that the point splits (its snapped
+        coordinates may miss the edge's line by a grid unit): the cavity
+        starts from the triangle left of it, the edge makes no triangle, and
+        (u, vid) and (vid, v) are hull edges.
         """
         vid, fresh = self._add_point(x, y)
         if not fresh:
             return vid, None
         if not self.built:
             return vid, []
-        t0 = self._locate(vid, hint)
-        if t0 is None:
-            # outside the triangulation: undo the point registration
-            self.by_int.pop((self.ix[vid], self.iy[vid]))
-            for coords in (self.fx, self.fy, self.ix, self.iy):
-                coords.pop()
-            return None, None
+        t0 = self._locate(vid, hint) if edge is None else self.edge_tri(*edge)
+        split = None if edge is None else edge[0]
 
         # the incircle and orientation predicates and the triangle
         # bookkeeping are written out on locals: this is most of the
@@ -323,26 +324,29 @@ class _Triangulator:
                 i = 3 * t
                 a, b, c = tv[i], tv[i + 1], tv[i + 2]
                 for u, v, nb in ((a, b, tn[i]), (b, c, tn[i + 1]), (c, a, tn[i + 2])):
-                    if nb in cavity:
+                    if nb in cavity or (nb < 0 and u == split):
                         continue
-                    if (ix[v] - ix[u]) * (dy - iy[u]) - (iy[v] - iy[u]) * (dx - ix[u]) <= 0:  # orient(u, v, vid)
-                        if nb < 0:
-                            raise RuntimeError("degenerate insertion at the hull")
+                    if (ix[v] - ix[u]) * (dy - iy[u]) - (iy[v] - iy[u]) * (dx - ix[u]) > 0:  # orient(u, v, vid)
+                        boundary.append((u, v, nb))
+                    elif nb >= 0:
                         grazed.append(nb)
                     else:
-                        boundary.append((u, v, nb))
+                        raise RuntimeError("degenerate insertion at the hull")
             if not grazed:
                 break
             cavity.update(grazed)
 
         for t in cavity:
             live[t] = 0
-        # the boundary is one loop around vid: new triangle (u, v, vid) meets the
-        # one starting at v across (v, vid) and the one ending at u across (vid, u)
+        # the boundary is one loop around vid, open at a split hull edge: new triangle
+        # (u, v, vid) meets the one starting at v across (v, vid) and the one ending
+        # at u across (vid, u), or the hull
         first = tid = len(live)
         for u, _, _ in boundary:
             vt[u] = tid
             tid += 1
+        if split is not None:
+            vt[split] = -1  # no new triangle starts at the split edge's first vertex
         corners, slots = [], []
         tid = first
         for u, v, nb in boundary:
@@ -351,14 +355,16 @@ class _Triangulator:
             if nb >= 0:  # its slot across (v, u) starts at corner v
                 j = 3 * nb
                 tn[j if tv[j] == v else j + 1 if tv[j + 1] == v else j + 2] = tid
+            if v == split:
+                vt[v] = tid
             tid += 1
         for k in range(1, len(slots), 3):
-            slots[3 * (slots[k] - first) + 2] = first + k // 3
+            if slots[k] >= 0:
+                slots[3 * (slots[k] - first) + 2] = first + k // 3
         tv += corners
         tn.extend(slots)
         live.extend(b"\x01" * len(boundary))
         vt.append(first)
-        self.last_tid = tid - 1
         return vid, list(cavity)
 
     # -- the initial triangulation ------------------------------------------
@@ -409,7 +415,6 @@ class _Triangulator:
         rank = np.empty(m + 1, dtype=np.int64)
         rank[order], rank[-1] = np.arange(m), -1  # Qhull's -1 (the hull) stays -1
         self._load(s[order], rank[nb[order][:, [2, 0, 1]]], np.ones(m, dtype=bool))
-        self.last_tid = m - 1
         self.built = True
 
         # every interior edge once: side k of t (opposite s[t, k]) and the
@@ -512,11 +517,11 @@ def _circumcenter(pa, pb, pc):
 class _Refiner:
     """Conforming Delaunay refinement driver for one polygon.
 
-    One rule places every refinement point p for a bad interior triangle t:
-    if p encroaches a constraint segment (lies inside its diametral circle),
-    those segments are split instead, each followed by the splits its
-    midpoint causes, and t is queued again; otherwise p is inserted and the
-    new triangles are queued. The circumcenter of t is tried first, then the
+    One rule places every refinement point p for a bad triangle t: if p
+    encroaches a constraint segment (lies inside its diametral circle), those
+    segments are split instead, each followed by the splits its midpoint
+    causes; otherwise p is inserted. Every triangle made is queued, and so is
+    t if splits left it. The circumcenter of t is tried first, then the
     midpoint of its longest edge; t stalls if neither can be placed.
     """
 
@@ -525,7 +530,6 @@ class _Refiner:
         self.max_area = float(max_area)
         self.min_angle = float(min_angle)
         self.tr = _Triangulator(poly.min(axis=0), poly.max(axis=0))
-        self.work = []  # the tids queued by ``_place`` in the current wave
 
         # contour vertices and directed constraint segments
         n = len(poly)
@@ -588,15 +592,15 @@ class _Refiner:
         return p[hit], s[hit]
 
     def _split_segment(self, seg):
-        """Insert the midpoint of a constraint segment; returns new vertex or None."""
+        """Insert the midpoint of a constraint segment, splitting its hull edge; returns
+        the new vertex, or None."""
         if seg not in self.segs or seg in self.unsplittable:
             return None
         u, v = seg
         x = 0.5 * (self.tr.fx[u] + self.tr.fx[v])
         y = 0.5 * (self.tr.fy[u] + self.tr.fy[v])
-        left = self.tr.edge_tri(u, v)
-        vid, cavity = self.tr.insert(x, y, hint=left if left >= 0 else None)
-        if vid is None or cavity is None:
+        vid, cavity = self.tr.insert(x, y, edge=seg)
+        if cavity is None:
             self.unsplittable.add(seg)
             return None
         self._lim[self.segs.pop(seg)] = -1.0
@@ -624,8 +628,9 @@ class _Refiner:
         ``self.segs`` (-1 where the segment is no edge), and the store's slot
         indices that lie along a segment, either way.
 
-        Only the live slots whose two corners are both segment ends are looked
-        up, by one search in the sorted undirected segment keys.
+        It runs on the fresh build, whose triangles are all live. Only the
+        slots whose two corners are both segment ends are looked up, by one
+        search in the sorted undirected segment keys.
         """
         tr = self.tr
         tv = tr.corners().ravel()
@@ -636,7 +641,7 @@ class _Refiner:
         slot = np.flatnonzero(on[tv])
         k = slot % 3
         nxt = slot - k + (k + 1) % 3  # slot k runs from corner k to corner k + 1
-        keep = on[tv[nxt]] & np.frombuffer(tr.live, dtype=bool)[slot // 3]
+        keep = on[tv[nxt]]
         slot, nxt = slot[keep], nxt[keep]
         u, v = tv[slot], tv[nxt]
         seg_key = np.minimum(uv[:, 0], uv[:, 1]) * nv + np.maximum(uv[:, 0], uv[:, 1])
@@ -649,29 +654,36 @@ class _Refiner:
         left[at[runs]] = slot[runs] // 3
         return left, slot[hit]
 
-    def _interior(self, sides):
-        """Interior triangle ids in flood order, bounded by the directed constraint segments.
+    def _interior(self):
+        """Keep the triangles the directed constraint segments enclose and delete the
+        rest; returns the kept ids in flood order. Every segment is then a hull edge.
 
         The flood is breadth-first. It starts from the triangle left of each
         segment, in the order of ``self.segs``, and takes each triangle's
         neighbours across its edges (a, b), (b, c), (c, a) in turn, never across
-        a segment. ``sides`` is ``_segment_sides()``; csgraph's breadth-first
-        order runs the flood over the neighbour slots of the live triangles,
-        from a virtual source whose neighbours are the seeds.
+        a segment. csgraph's breadth-first order runs the flood over the
+        neighbour slots of the build's triangles, from a virtual source whose
+        neighbours are the seeds.
         """
-        left, closed = sides
+        left, closed = self._segment_sides()
+        if (left < 0).any():
+            raise RuntimeError("a constraint segment is no edge of the triangulation")
         tr = self.tr
         n = tr.next_tid
         across = np.array(tr.tn)
-        open_ = np.repeat(np.frombuffer(tr.live, dtype=bool), 3) & (across >= 0)
+        open_ = across >= 0
         open_[closed] = False
         indptr = np.zeros(n + 2, dtype=np.int32)
         indptr[1:-1] = np.cumsum(open_)[2::3]
-        seeds = left[left >= 0]
-        indptr[-1] = indptr[-2] + len(seeds)
-        indices = np.concatenate([across[open_], seeds]).astype(np.int32)
+        indptr[-1] = indptr[-2] + len(left)
+        indices = np.concatenate([across[open_], left]).astype(np.int32)
         graph = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n + 1, n + 1))
-        return breadth_first_order(graph, n, directed=True, return_predecessors=False)[1:].tolist()
+        interior = breadth_first_order(graph, n, directed=True, return_predecessors=False)[1:]
+        keep = np.zeros(n + 1, dtype=bool)  # the last entry answers slot -1, the hull
+        keep[interior] = True
+        slots = across.reshape(-1, 3)
+        tr._load(tr.corners(), np.where(keep[slots], slots, -1), keep[:-1])
+        return interior.tolist()
 
     # -- phases ----------------------------------------------------------------
 
@@ -753,30 +765,18 @@ class _Refiner:
 
         self.tr._add_points(cand[keep])
 
-    def refine(self) -> list:
-        """Refine until every interior triangle is good; returns the interior triangle ids.
+    def refine(self):
+        """Delete the exterior, then refine until every triangle is good.
 
-        Each round runs one refinement pass, splits the segments that are no
-        longer edges, floods the interior and tests every interior triangle.
+        One flood keeps the triangles that the constraint segments enclose;
+        the rest, the super-triangle's with them, go, and every segment is a
+        hull edge from then on. One refinement pass over the bad triangles,
+        in flood order, then leaves none: every triangle a point or a split
+        makes is queued.
         """
-        # one insertion budget per mesh: each round gets what the rounds before it left
         budget = 40 * len(self.tr.fx) + int(20.0 * abs(polygon_area(self.poly)) / self.max_area) + 4000
-        interior = self._interior(self._segment_sides())
-        bad = list(compress(interior, self._bad(interior)))
-        for _ in range(40):
-            given = budget
-            budget = self._refine_pass(bad, budget)
-            sides = self._segment_sides()
-            missing = list(compress(self.segs, sides[0] < 0))
-            if any([self._split(seg) for seg in missing]):  # a list: every missing segment is split
-                sides = self._segment_sides()
-            interior = self._interior(sides)
-            bad = list(compress(interior, self._bad(interior)))
-            if not missing and not bad:
-                return interior
-            if budget == given and not missing:  # nothing placed
-                break
-        raise RuntimeError("mesh refinement did not converge")
+        interior = self._interior()
+        self._refine_pass(list(compress(interior, self._bad(interior))), budget)
 
     def _bad(self, tids) -> np.ndarray:
         """Whether each triangle is larger than ``max_area`` or has an angle below ``min_angle``."""
@@ -814,33 +814,26 @@ class _Refiner:
         """
         enc = self._encroached_by(x, y)
         if enc:
-            placed = sum(self._split(seg) for seg in enc)
-            if placed and self.tr.live[tid]:
-                self.work.append(tid)
-            return placed
-        first = self.tr.next_tid
-        _, cavity = self.tr.insert(x, y, hint=tid)
-        if cavity is None:
-            return 0
-        # an insertion numbers its new triangles consecutively
-        self.work.extend(range(first, self.tr.next_tid))
-        return 1
+            return sum(self._split(seg) for seg in enc)
+        return 0 if self.tr.insert(x, y, hint=tid)[1] is None else 1
 
-    def _refine_pass(self, work, budget) -> int:
+    def _refine_pass(self, work, budget):
         """Place a point for each bad triangle of ``work`` in order; the bad ones
         among the triangles this wave queued are the next wave. A triangle's
         vertices never change after ``build``, so the waves visit the triangles
         of one first-in first-out queue that tests each when taking it out.
-        Returns the part of the insertion ``budget`` left."""
+        Raises when the insertion ``budget`` runs out, or when a bad triangle
+        is left whose points could not be placed."""
         live = self.tr.live
         stall = set()
         while work:
-            self.work = []
+            queued = []
             for tid in work:
                 if budget <= 0:
                     raise RuntimeError("mesh refinement exceeded its insertion budget")
                 if not live[tid] or tid in stall:
                     continue
+                first = self.tr.next_tid
                 placed = 0
                 for x, y in self._refinement_points(tid):
                     placed = self._place(tid, x, y)
@@ -848,20 +841,24 @@ class _Refiner:
                         break
                 if placed:
                     budget -= placed
+                    # the triangles the point or its splits made, and tid if splits left it
+                    queued.extend(range(first, self.tr.next_tid))
+                    if live[tid]:
+                        queued.append(tid)
                 else:
                     stall.add(tid)
-            if budget <= 0 and self.work:  # the queue's next item would raise
+            if budget <= 0 and queued:  # the queue's next item would raise
                 raise RuntimeError("mesh refinement exceeded its insertion budget")
-            made = [t for t in self.work if live[t]]
+            made = [t for t in queued if live[t]]
             work = list(compress(made, self._bad(made)))
-        return budget
+        if any(live[t] for t in stall):
+            raise RuntimeError("mesh refinement did not converge")
 
-    def extract(self, interior) -> TriMesh2D:
-        if not interior:
-            raise RuntimeError("triangulation produced no interior triangles")
-        used, tris = np.unique(self.tr.corners()[np.sort(interior)], return_inverse=True)
+    def extract(self) -> TriMesh2D:
+        """The live triangles, in id order, as a mesh."""
+        used, tris = np.unique(self.tr.corners()[np.frombuffer(self.tr.live, dtype=bool)], return_inverse=True)
         verts = np.column_stack(self.tr.coords(used))
-        # refine() leaves every constraint segment an edge, so they are the mesh boundary
+        # every constraint segment is a hull edge, so they are the mesh boundary
         flags = np.isin(used, self._seg_arrays()[0][:, 0])
         return TriMesh2D(verts, tris.reshape(-1, 3), flags)
 
@@ -931,4 +928,5 @@ def triangulate(contour: Polyline, max_area_mm2: float, min_angle_deg: float = 2
     ref.presplit_long_segments(target_len)
     ref.seed_grid(target_len)
     ref.tr.build()
-    return ref.extract(ref.refine())
+    ref.refine()
+    return ref.extract()

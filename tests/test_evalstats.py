@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from ccmorph import evalstats as es
+from scipy import ndimage
 
 
 def _rand_mask(rng, p=0.1, n=16):
@@ -150,6 +154,65 @@ class TestHausdorff95:
             got = es.boundary_voxels(m, (0.5, 1.0, 2.0))
             assert got.tolist() == (np.array(want, dtype=float).reshape(-1, 3) * [0.5, 1.0, 2.0]).tolist()
         assert all(m[0].any() or m[-1].any() for m in masks)
+
+
+def _full_volume_dice(x, y):
+    """``dice`` as it was: every array operation over the whole volume."""
+    nx, ny = int(x.sum()), int(y.sum())
+    if nx == 0 and ny == 0:
+        warnings.warn("dice of two empty masks defined as 1")
+        return 1.0
+    return 2.0 * int(np.logical_and(x, y).sum()) / (nx + ny)
+
+
+def _full_volume_boundary(m, voxel_size=(1.0, 1.0, 1.0)):
+    """``boundary_voxels`` as it was: the erosion and the masks over the whole volume."""
+    interior = ndimage.binary_erosion(m, ndimage.generate_binary_structure(3, 1), border_value=0)
+    return np.argwhere(m & ~interior) * np.asarray(voxel_size, dtype=float)
+
+
+class TestMasksInTheirBox:
+    """``dice`` and ``boundary_voxels`` work in the masks' non-zero box and give what
+    the whole-volume passes gave."""
+
+    def test_matches_full_volume(self):
+        rng = np.random.default_rng(12)
+        voxel = (0.5, 1.0, 2.0)
+        touched = 0
+        for k in range(40):
+            shape = tuple(int(n) for n in rng.integers(1, 12, 3))
+            masks = []
+            for _ in range(2):
+                m = np.zeros(shape, dtype=bool)
+                lo = rng.integers(0, shape)
+                hi = lo + rng.integers(1, 8, 3)
+                m[tuple(slice(a, b) for a, b in zip(lo, hi))] = rng.random() < 0.8
+                m &= rng.random(shape) < 0.9
+                masks.append(m if k % 2 else np.asfortranarray(m))  # both memory layouts
+            x, y = masks
+            touched += any(m[0].any() or m[-1].any() or m[:, -1].any() or m[..., -1].any() for m in masks)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                assert es.dice(x, y) == _full_volume_dice(x, y)
+            for m in masks:
+                got, want = es.boundary_voxels(m, voxel), _full_volume_boundary(m, voxel)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert touched >= 10
+
+    def test_small_blobs_in_a_large_volume_cost_no_volume(self):
+        x = np.zeros((128, 128, 128), dtype=bool)
+        y = np.zeros_like(x)
+        x[40:52, 60:70, 30:41] = True
+        y[44:55, 58:69, 33:40] = True
+        tracemalloc.start()
+        try:
+            d = es.dice(x, y)
+            h = es.hausdorff95(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < d < 1 and h > 0
+        assert peak < x.nbytes // 8  # a whole-volume temporary is 2 MB
 
 
 class TestWilcoxon:

@@ -17,10 +17,11 @@ mesh_sweep = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(mesh_sweep)
 
 
-# sha256 over seed 100's small masks, taken when ``extract_contour`` began to merge corner
-# cuts (three of the four contours have some): the meshes at the three areas, in sweep order,
-# and the contours' ``to_csv()`` text
-SEED100_SMALL_MESHES_SHA256 = "d96952ddf846ba355c615d4d5c6a731d857dd8df8527aa0cd53bd9a2bbf403e8"
+# sha256 over seed 100's small masks: the meshes at the three areas, in sweep order, taken
+# when the mesher began to delete the exterior right after the build, and the contours'
+# ``to_csv()`` text, taken when ``extract_contour`` began to merge corner cuts (three of the
+# four contours have some)
+SEED100_SMALL_MESHES_SHA256 = "bcc25839aff28335a08ef8bc2eaa99558c25f94bd247978aa8c76805557ca196"
 SEED100_SMALL_CONTOURS_SHA256 = "1c9d2b36b07a74cb066ad0a23d528e98985776ae2c977c0cd5a1da93ed851f22"
 
 
@@ -44,6 +45,12 @@ def test_small_seed_contours():
     for _, contour, _ in mesh_sweep.fuzz_contours(100, small=True):
         h.update(contour.to_csv().encode())
     assert h.hexdigest() == SEED100_SMALL_CONTOURS_SHA256
+
+
+def test_full_size_seeds_mesh(capsys):
+    """Seeds 104 and 212 at full size: 96 meshes, which once listed 104 m010@0.5 and 212 m001@0.5."""
+    assert mesh_sweep.sweep([104, 212]) == {}
+    assert capsys.readouterr().out.startswith("0 of 96 meshes failed")
 
 
 def test_failures_listed_and_written(monkeypatch, capsys, tmp_path):
