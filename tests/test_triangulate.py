@@ -1052,6 +1052,13 @@ class TestArrayPasses:
         with pytest.raises(RuntimeError, match="a constraint segment is no edge of the triangulation"):
             ref.refine()
 
+    def test_bad_triangle_left_raises(self):
+        # a bad triangle none of whose points can be placed stalls, and the one pass ends with it
+        ref = _built_refiner("arch@0.25")
+        ref._place = lambda tid, x, y: 0
+        with pytest.raises(RuntimeError, match="mesh refinement did not converge"):
+            ref.refine()
+
     @pytest.mark.parametrize("kind", ["rectangle", "annulus", "walks"])
     def test_one_flood_and_one_pass(self, monkeypatch, kind):
         """``triangulate`` floods the interior once and runs one refinement pass. Then every
@@ -1062,9 +1069,8 @@ class TestArrayPasses:
 
         def checked_extract(ref):
             assert _reference_interior(ref) and sorted(_reference_interior(ref)) == _live(ref.tr)
-            edges, tv = _edges(ref.tr), ref.tr.tv
-            hull = {(tv[i], tv[i - i % 3 + (i + 1) % 3]) for i in range(len(tv)) if ref.tr.live[i // 3] and ref.tr.tn[i] < 0}
-            assert all(seg in edges for seg in ref.segs) and hull == set(ref.segs)
+            hull = {(tri[k], tri[(k + 1) % 3]) for t, tri in _tris(ref.tr).items() for k in range(3) if ref.tr.tn[3 * t + k] < 0}
+            assert hull == set(ref.segs)
             calls.append("extract")
             return extract(ref)
 
